@@ -44,7 +44,7 @@ use algst_core::Session;
 use algst_syntax::ast::Program;
 use algst_syntax::parse_program;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The prelude, written in AlgST itself: directional wrappers for the
 /// primitive `send`/`receive` on base types, matching the paper's
@@ -121,10 +121,16 @@ pub fn check_source(src: &str) -> Result<Module, CheckError> {
 /// elaborator or checker interns lands in *that* session's store and
 /// nowhere else.
 pub fn check_source_in(session: &mut Session, src: &str) -> Result<Module, CheckError> {
-    let mut program = parse_program(PRELUDE)?;
     let user = parse_program(src)?;
+    let mut program = prelude().clone();
     program.decls.extend(user.decls);
     check_program_in(session, &program)
+}
+
+/// [`PRELUDE`], parsed once per process.
+fn prelude() -> &'static Program {
+    static PARSED: OnceLock<Program> = OnceLock::new();
+    PARSED.get_or_init(|| parse_program(PRELUDE).expect("the prelude parses"))
 }
 
 /// Like [`check_source`] but without the prelude.

@@ -284,16 +284,28 @@ impl EquivOracles {
 
 /// Core-type round trip: `Display → parse → nominal resolve` must be the
 /// identity up to α (here: structural equality, since resolution is
-/// structural). Returns the printed text on failure.
+/// structural), and parsing the printed text straight into a store must
+/// give the original's id. Returns the printed text on failure.
 pub fn type_round_trip(t: &Type) -> Result<(), String> {
     let printed = t.to_string();
     let back = algst_server::resolve::type_from_str(&printed)
         .map_err(|e| format!("`{printed}` does not reparse: {e}"))?;
-    if back.alpha_eq(t) {
+    if !back.alpha_eq(t) {
+        return Err(format!(
+            "`{printed}` reparses as `{back}`, structurally different"
+        ));
+    }
+    // The server's one-pass path: parsing straight into the store must
+    // land on the id of the original tree.
+    let mut session = Session::new();
+    let one_pass = algst_server::resolve::intern_type_str(&mut session, &printed)
+        .map_err(|e| format!("`{printed}` does not parse into the store: {e}"))?;
+    if one_pass == session.intern(t) {
         Ok(())
     } else {
         Err(format!(
-            "`{printed}` reparses as `{back}`, structurally different"
+            "`{printed}` parses into the store as `{}`, not as the original",
+            session.extract(one_pass)
         ))
     }
 }

@@ -209,9 +209,11 @@ impl TypeStore {
     /// `%`-suffixed names from capture-avoiding substitution are not
     /// worth remembering; later names never override the first. A cached
     /// extraction of this exact id made before the hint existed is
-    /// dropped; enclosing cached trees keep their canonical names.
+    /// dropped; enclosing cached trees keep their canonical names. The
+    /// map probe comes first: re-interning a hinted `Forall` must not
+    /// take the symbol interner's lock.
     pub(crate) fn record_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        if !name.as_str().contains('%') && !self.binder_hints.contains_key(&id) {
+        if !self.binder_hints.contains_key(&id) && !name.as_str().contains('%') {
             self.binder_hints.insert(id, name);
             self.extract_memo.remove(&id);
         }

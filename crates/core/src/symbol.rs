@@ -27,18 +27,33 @@ struct Interner {
     fresh: u32,
 }
 
+/// The names behind the pre-interned constants ([`Symbol::INT`] …), in
+/// index order.
+const BUILTINS: [&str; 7] = ["Int", "Bool", "Char", "String", "Unit", "True", "False"];
+
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
-            names: Vec::new(),
-            map: HashMap::new(),
+            names: BUILTINS.to_vec(),
+            map: (0u32..).zip(BUILTINS).map(|(i, s)| (s, i)).collect(),
             fresh: 0,
         })
     })
 }
 
 impl Symbol {
+    // Builtin names, interned before anything else at fixed indices:
+    // the lexer hands them out and the resolvers compare against them
+    // without touching the interner's lock.
+    pub const INT: Symbol = Symbol(0);
+    pub const BOOL: Symbol = Symbol(1);
+    pub const CHAR: Symbol = Symbol(2);
+    pub const STRING: Symbol = Symbol(3);
+    pub const UNIT: Symbol = Symbol(4);
+    pub const TRUE: Symbol = Symbol(5);
+    pub const FALSE: Symbol = Symbol(6);
+
     /// Interns `name`, returning the canonical symbol for it.
     pub fn intern(name: &str) -> Symbol {
         let mut i = interner().lock().expect("interner poisoned");
@@ -109,6 +124,22 @@ mod tests {
     fn interning_is_idempotent() {
         assert_eq!(Symbol::intern("x"), Symbol::intern("x"));
         assert_ne!(Symbol::intern("x"), Symbol::intern("y"));
+    }
+
+    #[test]
+    fn builtin_constants_are_interned() {
+        for (sym, name) in [
+            (Symbol::INT, "Int"),
+            (Symbol::BOOL, "Bool"),
+            (Symbol::CHAR, "Char"),
+            (Symbol::STRING, "String"),
+            (Symbol::UNIT, "Unit"),
+            (Symbol::TRUE, "True"),
+            (Symbol::FALSE, "False"),
+        ] {
+            assert_eq!(Symbol::intern(name), sym);
+            assert_eq!(sym.as_str(), name);
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 use crate::json::Value;
 use crate::protocol::{Op, Request, Response, Snapshot};
-use crate::resolve::type_from_str;
+use crate::resolve::intern_type_str;
 use algst_check::cache::ModuleCache;
 use algst_core::shared::{SharedStore, StoreObs};
 use algst_core::store::TypeId;
@@ -371,7 +371,6 @@ pub(crate) struct EngineMetrics {
     sojourn_ns: Arc<Histogram>,
     publish_ns: Arc<Histogram>,
     parse_ns: Arc<Histogram>,
-    intern_ns: Arc<Histogram>,
     equiv_ns: Arc<Histogram>,
     check_ns: Arc<Histogram>,
     read_parse_ns: Arc<Histogram>,
@@ -399,7 +398,6 @@ impl EngineMetrics {
             sojourn_ns: registry.histogram("queue_sojourn_ns"),
             publish_ns: registry.histogram("batch_publish_ns"),
             parse_ns: registry.histogram("stage_parse_ns"),
-            intern_ns: registry.histogram("stage_intern_ns"),
             equiv_ns: registry.histogram("stage_equiv_ns"),
             check_ns: registry.histogram("stage_check_ns"),
             read_parse_ns: registry.histogram("stage_read_parse_ns"),
@@ -427,7 +425,6 @@ struct LocalObs {
     sojourn_ns: LocalHistogram,
     publish_ns: LocalHistogram,
     parse_ns: LocalHistogram,
-    intern_ns: LocalHistogram,
     equiv_ns: LocalHistogram,
     check_ns: LocalHistogram,
 }
@@ -483,7 +480,6 @@ impl EngineObs {
         m.sojourn_ns.fold(&mut lobs.sojourn_ns);
         m.publish_ns.fold(&mut lobs.publish_ns);
         m.parse_ns.fold(&mut lobs.parse_ns);
-        m.intern_ns.fold(&mut lobs.intern_ns);
         m.equiv_ns.fold(&mut lobs.equiv_ns);
         m.check_ns.fold(&mut lobs.check_ns);
         // The histogram folds drained themselves; zero the counters.
@@ -625,6 +621,7 @@ impl Engine {
                 let obs = Arc::clone(&obs);
                 std::thread::Builder::new()
                     .name(format!("algst-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(i, rx, shared, state, obs))
                     .expect("spawn worker")
             })
@@ -820,12 +817,18 @@ fn worker_loop(
     }
 }
 
+/// Stack size of a worker thread. Parsing, interning, normalization and
+/// checking all recurse along a type's nesting, which the parser bounds
+/// at [`MAX_TYPE_DEPTH`](algst_syntax::MAX_TYPE_DEPTH). The worst shapes
+/// at that bound need about 4 MiB in a release build and 32 MiB in a
+/// debug build. Pages are only committed once a request nests that deep.
+const WORKER_STACK_BYTES: usize = 64 << 20;
+
 /// Per-stage timings of one cold request, for the slow-request trace.
 /// Warm requests leave everything at zero.
 #[derive(Clone, Copy, Default)]
 struct Stages {
     parse_ns: u64,
-    intern_ns: u64,
     work_ns: u64,
 }
 
@@ -870,7 +873,6 @@ impl ReqCtx<'_> {
                         ("warm", Field::Bool(warm)),
                         ("total_us", Field::F64(total_ns as f64 / 1_000.0)),
                         ("parse_us", Field::F64(stages.parse_ns as f64 / 1_000.0)),
-                        ("intern_us", Field::F64(stages.intern_ns as f64 / 1_000.0)),
                         ("work_us", Field::F64(stages.work_ns as f64 / 1_000.0)),
                     ],
                 );
@@ -1040,17 +1042,13 @@ fn resolve_cached(
         caches.put_parse(src, id);
         return Ok(id);
     }
-    // Cold resolve: lex/parse/resolve then intern, each timed when the
-    // engine is recording (first-sight strings already pay µs here).
+    // Cold resolve: one pass from source to id (lex, then parse straight
+    // into the store), timed when the engine is recording (first-sight
+    // strings already pay µs here).
     let span = ctx.obs.enabled().then(Span::begin);
-    let ty = type_from_str(src)?;
+    let id = intern_type_str(session, src)?;
     if let Some(span) = span {
         stages.parse_ns += span.record(&mut ctx.lobs.parse_ns);
-    }
-    let span = ctx.obs.enabled().then(Span::begin);
-    let id = session.intern(&ty);
-    if let Some(span) = span {
-        stages.intern_ns += span.record(&mut ctx.lobs.intern_ns);
     }
     // A session that is (or just went) stale interns local-private ids:
     // they name this worker's mirror only, so they may warm the private

@@ -8,42 +8,158 @@
 //! an (undeclared) protocol reference without changing any verdict.
 //! Builtins (`Int`, `Bool`, `Char`, `String`, `Unit`) resolve as usual;
 //! lowercase names are type variables.
+//!
+//! Resolution happens while parsing. The parser's type productions are
+//! generic over a [`TypeBuilder`], and the two builders here resolve each
+//! node as the parser recognises it: [`type_from_str`] builds a core
+//! [`Type`], and [`intern_type_str`] hash-conses straight into a
+//! session's store, so the server's cold path goes from source to
+//! [`TypeId`] without any intermediate tree.
 
-use algst_core::types::Type;
-use algst_syntax::ast::SType;
-use algst_syntax::parser::parse_type;
+use algst_core::kind::Kind;
+use algst_core::store::{StoreOps, TNode};
+use algst_core::types::{BaseType, Type};
+use algst_core::{Session, Symbol, TypeId};
+use algst_syntax::{parse_type_with, Span, TypeBuilder};
 use std::sync::Arc;
 
 /// Parses the surface syntax of a single type (e.g. `!Int.End!` or
 /// `forall (s:S). ?Neg Int.s`) into a core [`Type`].
 pub fn type_from_str(src: &str) -> Result<Type, String> {
-    let st = parse_type(src).map_err(|e| e.to_string())?;
-    Ok(resolve(&st))
+    parse_type_with(src, &mut Types).map_err(|e| e.to_string())
 }
 
-fn resolve(st: &SType) -> Type {
-    match st {
-        SType::Unit(_) => Type::Unit,
-        SType::Var(v, _) => Type::Var(*v),
-        SType::Name(name, args, _) => {
-            let rargs: Vec<Type> = args.iter().map(resolve).collect();
-            match name.as_str() {
-                "Int" if rargs.is_empty() => Type::int(),
-                "Bool" if rargs.is_empty() => Type::bool(),
-                "Char" if rargs.is_empty() => Type::char(),
-                "String" if rargs.is_empty() => Type::string(),
-                _ => Type::Proto(*name, rargs),
-            }
+/// Parses a single type straight into `session`'s store: the id
+/// `session.intern(&type_from_str(src)?)` would return, without building
+/// the tree. On a parse error, nodes interned before the error stay in
+/// the store as unreferenced garbage; they change no verdict.
+pub fn intern_type_str(session: &mut Session, src: &str) -> Result<TypeId, String> {
+    let mut ids = Ids {
+        session,
+        binders: Vec::new(),
+    };
+    parse_type_with(src, &mut ids).map_err(|e| e.to_string())
+}
+
+/// The builtin base type a name with no arguments denotes, if any.
+/// Compares pre-interned symbols, never the names' text.
+fn base_type(name: Symbol) -> Option<BaseType> {
+    match name {
+        Symbol::INT => Some(BaseType::Int),
+        Symbol::BOOL => Some(BaseType::Bool),
+        Symbol::CHAR => Some(BaseType::Char),
+        Symbol::STRING => Some(BaseType::Str),
+        _ => None,
+    }
+}
+
+/// Builds core [`Type`] trees.
+struct Types;
+
+impl TypeBuilder for Types {
+    type Out = Type;
+
+    fn unit(&mut self, _: Span) -> Type {
+        Type::Unit
+    }
+    fn name(&mut self, name: Symbol, args: Vec<Type>, _: Span) -> Type {
+        match base_type(name) {
+            Some(base) if args.is_empty() => Type::Base(base),
+            _ => Type::Proto(name, args),
         }
-        SType::Arrow(a, b, _) => Type::Arrow(Arc::new(resolve(a)), Arc::new(resolve(b))),
-        SType::Pair(a, b, _) => Type::Pair(Arc::new(resolve(a)), Arc::new(resolve(b))),
-        SType::Forall(v, k, body, _) => Type::Forall(*v, *k, Arc::new(resolve(body))),
-        SType::In(p, s, _) => Type::In(Arc::new(resolve(p)), Arc::new(resolve(s))),
-        SType::Out(p, s, _) => Type::Out(Arc::new(resolve(p)), Arc::new(resolve(s))),
-        SType::EndIn(_) => Type::EndIn,
-        SType::EndOut(_) => Type::EndOut,
-        SType::Dual(s, _) => Type::Dual(Arc::new(resolve(s))),
-        SType::Neg(p, _) => Type::Neg(Arc::new(resolve(p))),
+    }
+    fn var(&mut self, var: Symbol, _: Span) -> Type {
+        Type::Var(var)
+    }
+    fn arrow(&mut self, dom: Type, cod: Type, _: Span) -> Type {
+        Type::Arrow(Arc::new(dom), Arc::new(cod))
+    }
+    fn pair(&mut self, fst: Type, snd: Type, _: Span) -> Type {
+        Type::Pair(Arc::new(fst), Arc::new(snd))
+    }
+    fn forall(&mut self, var: Symbol, kind: Kind, body: Type, _: Span) -> Type {
+        Type::Forall(var, kind, Arc::new(body))
+    }
+    fn input(&mut self, payload: Type, cont: Type, _: Span) -> Type {
+        Type::In(Arc::new(payload), Arc::new(cont))
+    }
+    fn output(&mut self, payload: Type, cont: Type, _: Span) -> Type {
+        Type::Out(Arc::new(payload), Arc::new(cont))
+    }
+    fn end_in(&mut self, _: Span) -> Type {
+        Type::EndIn
+    }
+    fn end_out(&mut self, _: Span) -> Type {
+        Type::EndOut
+    }
+    fn dual(&mut self, s: Type, _: Span) -> Type {
+        Type::Dual(Arc::new(s))
+    }
+    fn neg(&mut self, t: Type, _: Span) -> Type {
+        Type::Neg(Arc::new(t))
+    }
+}
+
+/// Hash-conses each node into a session's store as it is parsed, with
+/// de Bruijn binders exactly as `Session::intern` assigns them.
+struct Ids<'s> {
+    session: &'s mut Session,
+    /// Enclosing `forall` binders, innermost last.
+    binders: Vec<Symbol>,
+}
+
+impl TypeBuilder for Ids<'_> {
+    type Out = TypeId;
+
+    fn unit(&mut self, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Unit)
+    }
+    fn name(&mut self, name: Symbol, args: Vec<TypeId>, _: Span) -> TypeId {
+        let node = match base_type(name) {
+            Some(base) if args.is_empty() => TNode::Base(base),
+            _ => TNode::Proto(name, args),
+        };
+        self.session.mk_node(node)
+    }
+    fn var(&mut self, var: Symbol, _: Span) -> TypeId {
+        let node = match self.binders.iter().rposition(|b| *b == var) {
+            Some(ix) => TNode::Bound((self.binders.len() - 1 - ix) as u32),
+            None => TNode::Free(var),
+        };
+        self.session.mk_node(node)
+    }
+    fn arrow(&mut self, dom: TypeId, cod: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Arrow(dom, cod))
+    }
+    fn pair(&mut self, fst: TypeId, snd: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Pair(fst, snd))
+    }
+    fn bind(&mut self, var: Symbol) {
+        self.binders.push(var);
+    }
+    fn forall(&mut self, var: Symbol, kind: Kind, body: TypeId, _: Span) -> TypeId {
+        self.binders.pop();
+        let id = self.session.mk_node(TNode::Forall(kind, body));
+        self.session.note_binder_hint(id, var);
+        id
+    }
+    fn input(&mut self, payload: TypeId, cont: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::In(payload, cont))
+    }
+    fn output(&mut self, payload: TypeId, cont: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Out(payload, cont))
+    }
+    fn end_in(&mut self, _: Span) -> TypeId {
+        self.session.mk_node(TNode::EndIn)
+    }
+    fn end_out(&mut self, _: Span) -> TypeId {
+        self.session.mk_node(TNode::EndOut)
+    }
+    fn dual(&mut self, s: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Dual(s))
+    }
+    fn neg(&mut self, t: TypeId, _: Span) -> TypeId {
+        self.session.mk_node(TNode::Neg(t))
     }
 }
 
@@ -99,5 +215,25 @@ mod tests {
     fn reports_parse_errors() {
         assert!(type_from_str("!Int.").is_err());
         assert!(type_from_str("").is_err());
+        assert!(intern_type_str(&mut Session::new(), "!Int.").is_err());
+    }
+
+    #[test]
+    fn interning_while_parsing_matches_interning_the_tree() {
+        let mut session = Session::new();
+        for src in [
+            "Unit",
+            "!Int.End!",
+            "?(-Int).End?",
+            "forall (s:S). Dual s -> (Int, s)",
+            "forall (a:T). forall (b:T). (a, b) -> forall (a:T). (a, b)",
+            "!Repeat (Int, Bool).?Neg Char.End?",
+            "(Repeat) Int",
+            "x -> String",
+        ] {
+            let tree = type_from_str(src).unwrap();
+            let id = intern_type_str(&mut session, src).unwrap();
+            assert_eq!(id, session.intern(&tree), "{src}");
+        }
     }
 }

@@ -8,6 +8,11 @@
 //! (lexed as a comma inside parentheses is *not* attempted; `⊗` is its own
 //! token mapped to `,` by the parser — we simply reject it here to keep the
 //! token set small; examples use tuple syntax).
+//!
+//! The lexer scans bytes and decodes a char only where the input is not
+//! ASCII. Keywords and builtin names are matched on bytes and come out
+//! as pre-interned symbols, so only other identifiers take the symbol
+//! interner's lock.
 
 use crate::span::Span;
 use crate::token::{Tok, Token};
@@ -31,7 +36,8 @@ impl std::error::Error for LexError {}
 
 struct Lexer<'s> {
     src: &'s str,
-    chars: std::iter::Peekable<std::str::CharIndices<'s>>,
+    /// Byte offset of the next unread character.
+    pos: usize,
     line: u32,
     col: u32,
 }
@@ -44,178 +50,194 @@ struct Lexer<'s> {
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut lx = Lexer {
         src,
-        chars: src.char_indices().peekable(),
+        pos: 0,
         line: 1,
         col: 1,
     };
     lx.run()
 }
 
+/// Number of chars in `bytes`: every byte that is not a UTF-8
+/// continuation byte starts one.
+fn char_count(bytes: &[u8]) -> u32 {
+    bytes.iter().filter(|&&b| b & 0xC0 != 0x80).count() as u32
+}
+
 impl<'s> Lexer<'s> {
-    fn bump(&mut self) -> Option<(usize, char)> {
-        let next = self.chars.next();
-        if let Some((_, c)) = next {
-            if c == '\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
+    fn byte_at(&self, offset: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + offset).copied()
+    }
+
+    /// The next char: ASCII straight from its byte, anything else decoded.
+    fn peek(&self) -> Option<char> {
+        match self.byte_at(0)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.src[self.pos..].chars().next(),
         }
-        next
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().map(|&(_, c)| c)
+    fn bump(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        Some(c)
     }
 
-    fn peek_pos(&mut self) -> usize {
-        self.chars.peek().map(|&(i, _)| i).unwrap_or(self.src.len())
+    /// Steps over `n` bytes known to be ASCII other than a newline.
+    fn skip_ascii(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
     }
 
-    fn error(&mut self, message: impl Into<String>) -> LexError {
-        let pos = self.peek_pos();
+    fn error(&self, message: impl Into<String>) -> LexError {
         LexError {
             message: message.into(),
-            span: Span::new(pos, pos, self.line, self.col),
+            span: Span::new(self.pos, self.pos, self.line, self.col),
         }
     }
 
     fn run(&mut self) -> Result<Vec<Token>, LexError> {
-        let mut out = Vec::new();
+        // Type strings run at about one token per two bytes.
+        let mut out = Vec::with_capacity(self.src.len() / 2 + 1);
         loop {
-            // Skip whitespace and comments.
-            loop {
-                match self.peek() {
-                    Some(c) if c.is_whitespace() => {
-                        self.bump();
-                    }
-                    Some('-') if self.src[self.peek_pos()..].starts_with("--") => {
-                        while let Some(c) = self.peek() {
-                            if c == '\n' {
-                                break;
-                            }
-                            self.bump();
-                        }
-                    }
-                    Some('{') if self.src[self.peek_pos()..].starts_with("{-") => {
-                        self.block_comment()?;
-                    }
-                    _ => break,
-                }
-            }
-            let start = self.peek_pos();
+            self.skip_trivia()?;
+            let start = self.pos;
             let (line, col) = (self.line, self.col);
-            let Some(c) = self.peek() else { break };
-            let tok = self.next_tok(c)?;
-            let end = self.peek_pos();
+            let Some(b) = self.byte_at(0) else { break };
+            let tok = self.next_tok(b)?;
             out.push(Token {
                 tok,
-                span: Span::new(start, end, line, col),
+                span: Span::new(start, self.pos, line, col),
             });
         }
         Ok(out)
     }
 
+    /// Skips whitespace and comments.
+    fn skip_trivia(&mut self) -> Result<(), LexError> {
+        loop {
+            match self.byte_at(0) {
+                Some(b'\n') => {
+                    self.bump();
+                }
+                Some(b) if b.is_ascii() && char::from(b).is_whitespace() => self.skip_ascii(1),
+                Some(b'-') if self.byte_at(1) == Some(b'-') => {
+                    let rest = &self.src.as_bytes()[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                    self.col += char_count(&rest[..len]);
+                    self.pos += len;
+                }
+                Some(b'{') if self.byte_at(1) == Some(b'-') => self.block_comment()?,
+                Some(b) if !b.is_ascii() && self.peek().is_some_and(char::is_whitespace) => {
+                    self.bump();
+                }
+                _ => return Ok(()),
+            }
+        }
+    }
+
     fn block_comment(&mut self) -> Result<(), LexError> {
-        self.bump(); // {
-        self.bump(); // -
+        self.skip_ascii(2); // {-
         let mut depth = 1usize;
         while depth > 0 {
-            match self.peek() {
+            match self.byte_at(0) {
                 None => return Err(self.error("unterminated block comment")),
-                Some('{') if self.src[self.peek_pos()..].starts_with("{-") => {
-                    self.bump();
-                    self.bump();
+                Some(b'{') if self.byte_at(1) == Some(b'-') => {
+                    self.skip_ascii(2);
                     depth += 1;
                 }
-                Some('-') if self.src[self.peek_pos()..].starts_with("-}") => {
-                    self.bump();
-                    self.bump();
+                Some(b'-') if self.byte_at(1) == Some(b'}') => {
+                    self.skip_ascii(2);
                     depth -= 1;
                 }
-                Some(_) => {
+                Some(b'\n') => {
                     self.bump();
+                }
+                Some(b) => {
+                    self.pos += 1;
+                    self.col += char_count(&[b]);
                 }
             }
         }
         Ok(())
     }
 
-    fn next_tok(&mut self, c: char) -> Result<Tok, LexError> {
-        match c {
-            '(' => self.single(Tok::LParen),
-            ')' => self.single(Tok::RParen),
-            '[' => self.single(Tok::LBracket),
-            ']' => self.single(Tok::RBracket),
-            '{' => self.single(Tok::LBrace),
-            '}' => self.single(Tok::RBrace),
-            '.' => self.single(Tok::Dot),
-            ',' => self.single(Tok::Comma),
-            ':' => self.single(Tok::Colon),
-            '!' => self.single(Tok::Bang),
-            '?' => self.single(Tok::Quest),
-            '+' => self.single(Tok::Plus),
-            '*' => self.single(Tok::Star),
-            '%' => self.single(Tok::Percent),
-            '\\' | 'λ' => self.single(Tok::Backslash),
-            '→' => self.single(Tok::Arrow),
-            '▷' => self.single(Tok::PipeGt),
-            '∀' => self.single(Tok::Forall),
-            '_' => self.single(Tok::Underscore),
-            '=' => self.one_or_two('=', Tok::Equals, Tok::EqEq),
-            '-' => {
-                self.bump();
-                if self.peek() == Some('>') {
-                    self.bump();
-                    Ok(Tok::Arrow)
-                } else {
-                    Ok(Tok::Dash)
-                }
-            }
-            '/' => self.one_or_two('=', Tok::Slash, Tok::Neq),
-            '<' => self.one_or_two('=', Tok::Lt, Tok::Le),
-            '>' => self.one_or_two('=', Tok::Gt, Tok::Ge),
-            '&' => {
-                self.bump();
-                if self.peek() == Some('&') {
-                    self.bump();
+    fn next_tok(&mut self, b: u8) -> Result<Tok, LexError> {
+        match b {
+            b'(' => self.single(Tok::LParen),
+            b')' => self.single(Tok::RParen),
+            b'[' => self.single(Tok::LBracket),
+            b']' => self.single(Tok::RBracket),
+            b'{' => self.single(Tok::LBrace),
+            b'}' => self.single(Tok::RBrace),
+            b'.' => self.single(Tok::Dot),
+            b',' => self.single(Tok::Comma),
+            b':' => self.single(Tok::Colon),
+            b'!' => self.single(Tok::Bang),
+            b'?' => self.single(Tok::Quest),
+            b'+' => self.single(Tok::Plus),
+            b'*' => self.single(Tok::Star),
+            b'%' => self.single(Tok::Percent),
+            b'\\' => self.single(Tok::Backslash),
+            b'_' => self.single(Tok::Underscore),
+            b'=' => self.one_or_two(b'=', Tok::Equals, Tok::EqEq),
+            b'-' => self.one_or_two(b'>', Tok::Dash, Tok::Arrow),
+            b'/' => self.one_or_two(b'=', Tok::Slash, Tok::Neq),
+            b'<' => self.one_or_two(b'=', Tok::Lt, Tok::Le),
+            b'>' => self.one_or_two(b'=', Tok::Gt, Tok::Ge),
+            b'&' => {
+                self.skip_ascii(1);
+                if self.byte_at(0) == Some(b'&') {
+                    self.skip_ascii(1);
                     Ok(Tok::AndAnd)
                 } else {
                     Err(self.error("expected `&&`"))
                 }
             }
-            '|' => {
-                self.bump();
-                match self.peek() {
-                    Some('>') => {
-                        self.bump();
-                        Ok(Tok::PipeGt)
-                    }
-                    Some('|') => {
-                        self.bump();
-                        Ok(Tok::OrOr)
-                    }
+            b'|' => {
+                self.skip_ascii(1);
+                match self.byte_at(0) {
+                    Some(b'>') => self.single(Tok::PipeGt),
+                    Some(b'|') => self.single(Tok::OrOr),
                     _ => Ok(Tok::Bar),
                 }
             }
-            '\'' => self.char_lit(),
-            '"' => self.string_lit(),
-            c if c.is_ascii_digit() => self.int_lit(),
-            c if c.is_alphabetic() => Ok(self.ident()),
-            other => Err(self.error(format!("unexpected character {other:?}"))),
+            b'\'' => self.char_lit(),
+            b'"' => self.string_lit(),
+            b if b.is_ascii_digit() => self.int_lit(),
+            b if b.is_ascii_alphabetic() => Ok(self.ident()),
+            b if b.is_ascii() => {
+                Err(self.error(format!("unexpected character {:?}", char::from(b))))
+            }
+            _ => {
+                let c = self.peek().expect("non-ASCII byte starts a char");
+                match c {
+                    'λ' => self.single(Tok::Backslash),
+                    '→' => self.single(Tok::Arrow),
+                    '▷' => self.single(Tok::PipeGt),
+                    '∀' => self.single(Tok::Forall),
+                    c if c.is_alphabetic() => Ok(self.ident()),
+                    other => Err(self.error(format!("unexpected character {other:?}"))),
+                }
+            }
         }
     }
 
+    /// Consumes the one-char token just peeked (ASCII or not).
     fn single(&mut self, t: Tok) -> Result<Tok, LexError> {
         self.bump();
         Ok(t)
     }
 
-    fn one_or_two(&mut self, second: char, one: Tok, two: Tok) -> Result<Tok, LexError> {
-        self.bump();
-        if self.peek() == Some(second) {
-            self.bump();
+    fn one_or_two(&mut self, second: u8, one: Tok, two: Tok) -> Result<Tok, LexError> {
+        self.skip_ascii(1);
+        if self.byte_at(0) == Some(second) {
+            self.skip_ascii(1);
             Ok(two)
         } else {
             Ok(one)
@@ -223,11 +245,11 @@ impl<'s> Lexer<'s> {
     }
 
     fn int_lit(&mut self) -> Result<Tok, LexError> {
-        let start = self.peek_pos();
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
+        let start = self.pos;
+        while self.byte_at(0).is_some_and(|b| b.is_ascii_digit()) {
+            self.skip_ascii(1);
         }
-        let text = &self.src[start..self.peek_pos()];
+        let text = &self.src[start..self.pos];
         text.parse::<i64>()
             .map(Tok::IntLit)
             .map_err(|_| self.error(format!("integer literal out of range: {text}")))
@@ -236,18 +258,18 @@ impl<'s> Lexer<'s> {
     fn char_lit(&mut self) -> Result<Tok, LexError> {
         self.bump(); // opening quote
         let c = match self.bump() {
-            Some((_, '\\')) => match self.bump() {
-                Some((_, 'n')) => '\n',
-                Some((_, 't')) => '\t',
-                Some((_, '\\')) => '\\',
-                Some((_, '\'')) => '\'',
+            Some('\\') => match self.bump() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some('\\') => '\\',
+                Some('\'') => '\'',
                 _ => return Err(self.error("invalid escape in character literal")),
             },
-            Some((_, c)) => c,
+            Some(c) => c,
             None => return Err(self.error("unterminated character literal")),
         };
         match self.bump() {
-            Some((_, '\'')) => Ok(Tok::CharLit(c)),
+            Some('\'') => Ok(Tok::CharLit(c)),
             _ => Err(self.error("unterminated character literal")),
         }
     }
@@ -258,66 +280,72 @@ impl<'s> Lexer<'s> {
         loop {
             match self.bump() {
                 None => return Err(self.error("unterminated string literal")),
-                Some((_, '"')) => return Ok(Tok::StrLit(s)),
-                Some((_, '\\')) => match self.bump() {
-                    Some((_, 'n')) => s.push('\n'),
-                    Some((_, 't')) => s.push('\t'),
-                    Some((_, '\\')) => s.push('\\'),
-                    Some((_, '"')) => s.push('"'),
+                Some('"') => return Ok(Tok::StrLit(s)),
+                Some('\\') => match self.bump() {
+                    Some('n') => s.push('\n'),
+                    Some('t') => s.push('\t'),
+                    Some('\\') => s.push('\\'),
+                    Some('"') => s.push('"'),
                     _ => return Err(self.error("invalid escape in string literal")),
                 },
-                Some((_, c)) => s.push(c),
+                Some(c) => s.push(c),
             }
         }
     }
 
     fn ident(&mut self) -> Tok {
-        let start = self.peek_pos();
-        let first = self.peek().expect("ident called at end of input");
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '\'') {
-            self.bump();
-        }
-        let text = &self.src[start..self.peek_pos()];
-        // `End!` / `End?` fuse with an immediately following bang/quest.
-        if text == "End" {
-            match self.peek() {
-                Some('!') => {
-                    self.bump();
-                    return Tok::EndBang;
-                }
-                Some('?') => {
-                    self.bump();
-                    return Tok::EndQuest;
-                }
-                _ => {}
+        let start = self.pos;
+        let upper = match self.byte_at(0) {
+            Some(b) if b.is_ascii() => b.is_ascii_uppercase(),
+            _ => self.peek().is_some_and(char::is_uppercase),
+        };
+        let ascii_len = self.src.as_bytes()[start..]
+            .iter()
+            .take_while(|&&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
+            .count();
+        self.skip_ascii(ascii_len);
+        if self.byte_at(0).is_some_and(|b| !b.is_ascii()) {
+            while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '\'') {
+                self.bump();
             }
         }
-        match text {
-            "protocol" => Tok::Protocol,
-            "data" => Tok::Data,
-            "type" => Tok::TypeKw,
-            "forall" => Tok::Forall,
-            "let" => Tok::Let,
-            "in" => Tok::In,
-            "case" => Tok::Case,
-            "of" => Tok::Of,
-            "match" => Tok::Match,
-            "with" => Tok::With,
-            "if" => Tok::If,
-            "then" => Tok::Then,
-            "else" => Tok::Else,
-            "Dual" => Tok::DualKw,
-            "select" => Tok::SelectKw,
-            "True" => Tok::UIdent(Symbol::intern("True")),
-            "False" => Tok::UIdent(Symbol::intern("False")),
-            _ => {
-                if first.is_uppercase() {
-                    Tok::UIdent(Symbol::intern(text))
-                } else {
-                    Tok::LIdent(Symbol::intern(text))
-                }
-            }
+        let text = &self.src[start..self.pos];
+        // Keywords and builtin names are matched on bytes, so they never
+        // reach the interner's lock.
+        match text.as_bytes() {
+            // `End!` / `End?` fuse with an immediately following bang/quest.
+            b"End" if self.byte_at(0) == Some(b'!') => self.single_ascii(Tok::EndBang),
+            b"End" if self.byte_at(0) == Some(b'?') => self.single_ascii(Tok::EndQuest),
+            b"protocol" => Tok::Protocol,
+            b"data" => Tok::Data,
+            b"type" => Tok::TypeKw,
+            b"forall" => Tok::Forall,
+            b"let" => Tok::Let,
+            b"in" => Tok::In,
+            b"case" => Tok::Case,
+            b"of" => Tok::Of,
+            b"match" => Tok::Match,
+            b"with" => Tok::With,
+            b"if" => Tok::If,
+            b"then" => Tok::Then,
+            b"else" => Tok::Else,
+            b"Dual" => Tok::DualKw,
+            b"select" => Tok::SelectKw,
+            b"Int" => Tok::UIdent(Symbol::INT),
+            b"Bool" => Tok::UIdent(Symbol::BOOL),
+            b"Char" => Tok::UIdent(Symbol::CHAR),
+            b"String" => Tok::UIdent(Symbol::STRING),
+            b"Unit" => Tok::UIdent(Symbol::UNIT),
+            b"True" => Tok::UIdent(Symbol::TRUE),
+            b"False" => Tok::UIdent(Symbol::FALSE),
+            _ if upper => Tok::UIdent(Symbol::intern(text)),
+            _ => Tok::LIdent(Symbol::intern(text)),
         }
+    }
+
+    fn single_ascii(&mut self, t: Tok) -> Tok {
+        self.skip_ascii(1);
+        t
     }
 }
 

@@ -32,7 +32,9 @@ pub mod span;
 pub mod token;
 
 pub use ast::{Decl, Program, SExpr, SType};
-pub use parser::{parse_expr, parse_program, parse_type, ParseError};
+pub use parser::{
+    parse_expr, parse_program, parse_type, parse_type_with, ParseError, TypeBuilder, MAX_TYPE_DEPTH,
+};
 pub use printer::{
     decl_to_source, expr_eq, expr_to_source, program_eq, program_to_source, type_eq, type_to_source,
 };

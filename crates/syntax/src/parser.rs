@@ -57,8 +57,7 @@ type PResult<T> = Result<T, ParseError>;
 
 /// Parses a full program (a sequence of declarations).
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let mut decls = Vec::new();
     while p.pos < p.tokens.len() {
         decls.push(p.decl()?);
@@ -68,28 +67,156 @@ pub fn parse_program(src: &str) -> PResult<Program> {
 
 /// Parses a single type, e.g. for tests and tooling.
 pub fn parse_type(src: &str) -> PResult<SType> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let t = p.ty()?;
+    parse_type_with(src, &mut Surface)
+}
+
+/// Parses a single type with `builder` building each node as the parser
+/// recognises it — the same grammar, spans and errors as [`parse_type`],
+/// without an intermediate [`SType`] unless the builder makes one.
+pub fn parse_type_with<B: TypeBuilder>(src: &str, builder: &mut B) -> PResult<B::Out> {
+    let mut p = Parser::new(src)?;
+    let t = p.ty(builder)?.build(builder);
     p.expect_eof()?;
     Ok(t)
 }
 
 /// Parses a single expression.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
+/// How deeply a type may nest. Every type constructor and every pair of
+/// parentheses opens one level, so `Dual (Dual (End!))` is 4 deep. Each
+/// level costs a bounded number of stack frames here and in every later
+/// pass over the type (interning, normalization, checking, printing);
+/// the bound keeps a hostile string from overflowing a thread's stack.
+pub const MAX_TYPE_DEPTH: usize = 2048;
+
+/// What the type productions build, one call per recognised node, each
+/// with the node's span. Children are built before their parent, in
+/// source order.
+///
+/// Uppercase names are left unresolved: [`TypeBuilder::name`] receives
+/// every applied or bare name except `Unit`, and the builder decides what
+/// it denotes.
+pub trait TypeBuilder {
+    type Out;
+
+    /// `Unit`
+    fn unit(&mut self, span: Span) -> Self::Out;
+    /// An uppercase name with its arguments (possibly none).
+    fn name(&mut self, name: Symbol, args: Vec<Self::Out>, span: Span) -> Self::Out;
+    /// A lowercase type variable.
+    fn var(&mut self, var: Symbol, span: Span) -> Self::Out;
+    /// `T -> U`
+    fn arrow(&mut self, dom: Self::Out, cod: Self::Out, span: Span) -> Self::Out;
+    /// `(T, U)`
+    fn pair(&mut self, fst: Self::Out, snd: Self::Out, span: Span) -> Self::Out;
+    /// Entering the body of `forall (var:κ).`; the matching
+    /// [`TypeBuilder::forall`] call leaves it. Builders that resolve
+    /// variables against their binders track the scope here.
+    fn bind(&mut self, _var: Symbol) {}
+    /// `forall (var:kind). body`
+    fn forall(&mut self, var: Symbol, kind: Kind, body: Self::Out, span: Span) -> Self::Out;
+    /// `?T.S`
+    fn input(&mut self, payload: Self::Out, cont: Self::Out, span: Span) -> Self::Out;
+    /// `!T.S`
+    fn output(&mut self, payload: Self::Out, cont: Self::Out, span: Span) -> Self::Out;
+    /// `End?`
+    fn end_in(&mut self, span: Span) -> Self::Out;
+    /// `End!`
+    fn end_out(&mut self, span: Span) -> Self::Out;
+    /// `Dual S`
+    fn dual(&mut self, s: Self::Out, span: Span) -> Self::Out;
+    /// `-T`
+    fn neg(&mut self, t: Self::Out, span: Span) -> Self::Out;
+}
+
+/// The [`TypeBuilder`] of the surface AST.
+struct Surface;
+
+impl TypeBuilder for Surface {
+    type Out = SType;
+
+    fn unit(&mut self, span: Span) -> SType {
+        SType::Unit(span)
+    }
+    fn name(&mut self, name: Symbol, args: Vec<SType>, span: Span) -> SType {
+        SType::Name(name, args, span)
+    }
+    fn var(&mut self, var: Symbol, span: Span) -> SType {
+        SType::Var(var, span)
+    }
+    fn arrow(&mut self, dom: SType, cod: SType, span: Span) -> SType {
+        SType::Arrow(Box::new(dom), Box::new(cod), span)
+    }
+    fn pair(&mut self, fst: SType, snd: SType, span: Span) -> SType {
+        SType::Pair(Box::new(fst), Box::new(snd), span)
+    }
+    fn forall(&mut self, var: Symbol, kind: Kind, body: SType, span: Span) -> SType {
+        SType::Forall(var, kind, Box::new(body), span)
+    }
+    fn input(&mut self, payload: SType, cont: SType, span: Span) -> SType {
+        SType::In(Box::new(payload), Box::new(cont), span)
+    }
+    fn output(&mut self, payload: SType, cont: SType, span: Span) -> SType {
+        SType::Out(Box::new(payload), Box::new(cont), span)
+    }
+    fn end_in(&mut self, span: Span) -> SType {
+        SType::EndIn(span)
+    }
+    fn end_out(&mut self, span: Span) -> SType {
+        SType::EndOut(span)
+    }
+    fn dual(&mut self, s: SType, span: Span) -> SType {
+        SType::Dual(Box::new(s), span)
+    }
+    fn neg(&mut self, t: SType, span: Span) -> SType {
+        SType::Neg(Box::new(t), span)
+    }
+}
+
+/// A type production's result with its span. An uppercase name without
+/// arguments stays `Bare`, so that `ty_app` can still apply it.
+enum Parsed<O> {
+    Bare(Symbol, Span),
+    Built(O, Span),
+}
+
+impl<O> Parsed<O> {
+    fn span(&self) -> Span {
+        match self {
+            Parsed::Bare(_, span) | Parsed::Built(_, span) => *span,
+        }
+    }
+
+    fn build<B: TypeBuilder<Out = O>>(self, b: &mut B) -> O {
+        match self {
+            Parsed::Bare(name, span) => b.name(name, Vec::new(), span),
+            Parsed::Built(out, _) => out,
+        }
+    }
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current type nesting, bounded by [`MAX_TYPE_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> PResult<Parser> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
     // ---------------------------------------------------------- utilities
 
     fn peek(&self) -> Option<&Token> {
@@ -120,12 +247,14 @@ impl Parser {
             .unwrap_or_else(|| self.last_span())
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
+    /// Consumes the next token and returns its span (at end of input,
+    /// consumes nothing).
+    fn bump(&mut self) -> Span {
+        let span = self.here();
+        if self.pos < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
     }
 
     fn error<T>(&self, message: impl Into<String>) -> PResult<T> {
@@ -137,7 +266,7 @@ impl Parser {
 
     fn expect(&mut self, tok: Tok) -> PResult<Span> {
         match self.peek() {
-            Some(t) if t.tok == tok => Ok(self.bump().expect("peeked").span),
+            Some(t) if t.tok == tok => Ok(self.bump()),
             Some(t) => {
                 let found = t.tok.clone();
                 self.error(format!("expected `{tok}`, found `{found}`"))
@@ -184,6 +313,11 @@ impl Parser {
         }
     }
 
+    /// A type of a declaration or an expression, as surface AST.
+    fn surface_ty(&mut self) -> PResult<SType> {
+        Ok(self.ty(&mut Surface)?.build(&mut Surface))
+    }
+
     // ------------------------------------------------------- declarations
 
     fn decl(&mut self) -> PResult<Decl> {
@@ -200,7 +334,7 @@ impl Parser {
     }
 
     fn type_decl(&mut self, is_protocol: bool) -> PResult<Decl> {
-        let start = self.bump().expect("peeked").span; // protocol/data
+        let start = self.bump(); // protocol/data
         let (name, _) = self.uident()?;
         let mut params = Vec::new();
         while let Some(Tok::LIdent(p)) = self.cont_tok() {
@@ -231,7 +365,7 @@ impl Parser {
         let (name, start) = self.uident()?;
         let mut args = Vec::new();
         while self.starts_type_atom() {
-            args.push(self.ty_atom()?);
+            args.push(self.ty_atom(&mut Surface)?.build(&mut Surface));
         }
         Ok(CtorDecl {
             name,
@@ -241,7 +375,7 @@ impl Parser {
     }
 
     fn alias_decl(&mut self) -> PResult<Decl> {
-        let start = self.bump().expect("peeked").span; // type
+        let start = self.bump(); // type
         let (name, _) = self.uident()?;
         let mut params = Vec::new();
         while let Some(Tok::LIdent(p)) = self.cont_tok() {
@@ -249,7 +383,7 @@ impl Parser {
             self.bump();
         }
         self.expect(Tok::Equals)?;
-        let body = self.ty()?;
+        let body = self.surface_ty()?;
         Ok(Decl::Alias(AliasDecl {
             name,
             params,
@@ -262,7 +396,7 @@ impl Parser {
         let (name, start) = self.lident()?;
         if self.cont_tok() == Some(&Tok::Colon) {
             self.bump();
-            let ty = self.ty()?;
+            let ty = self.surface_ty()?;
             return Ok(Decl::Signature(SignatureDecl {
                 name,
                 ty,
@@ -311,21 +445,28 @@ impl Parser {
     }
 
     // --------------------------------------------------------------- types
+    //
+    // One grammar for every consumer: the productions are generic over
+    // the [`TypeBuilder`] that turns each recognised node into a value.
+    // Every node carries the span the surface AST gives it, so the
+    // `SType` builder sees exactly what a tree-building parser would.
 
-    fn ty(&mut self) -> PResult<SType> {
+    fn ty<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
         if self.peek().map(|t| &t.tok) == Some(&Tok::Forall) {
-            let start = self.bump().expect("peeked").span;
+            let start = self.bump();
             self.expect(Tok::LParen)?;
             let (var, _) = self.lident()?;
             self.expect(Tok::Colon)?;
             let kind = self.kind()?;
             self.expect(Tok::RParen)?;
             self.expect(Tok::Dot)?;
-            let body = self.ty()?;
+            b.bind(var);
+            let body = self.nested(|p| p.ty(b))?;
             let span = start.to(body.span());
-            return Ok(SType::Forall(var, kind, Box::new(body), span));
+            let body = body.build(b);
+            return Ok(Parsed::Built(b.forall(var, kind, body, span), span));
         }
-        self.ty_arrow()
+        self.ty_arrow(b)
     }
 
     fn kind(&mut self) -> PResult<Kind> {
@@ -339,70 +480,73 @@ impl Parser {
         self.error(format!("expected a kind (S, T or P), found `{s}`"))
     }
 
-    fn ty_arrow(&mut self) -> PResult<SType> {
-        let lhs = self.ty_seq()?;
+    fn ty_arrow<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
+        let lhs = self.ty_seq(b)?;
         if self.cont_tok() == Some(&Tok::Arrow) {
             self.bump();
-            let rhs = self.ty()?; // right-associative
+            let rhs = self.nested(|p| p.ty(b))?; // right-associative
             let span = lhs.span().to(rhs.span());
-            return Ok(SType::Arrow(Box::new(lhs), Box::new(rhs), span));
+            let (lhs, rhs) = (lhs.build(b), rhs.build(b));
+            return Ok(Parsed::Built(b.arrow(lhs, rhs, span), span));
         }
         Ok(lhs)
     }
 
     /// Session-prefix level: `!T.S`, `?T.S`, otherwise an application type.
-    fn ty_seq(&mut self) -> PResult<SType> {
-        match self.peek().map(|t| &t.tok) {
-            Some(Tok::Bang) => {
-                let start = self.bump().expect("peeked").span;
-                let payload = self.ty_msg()?;
-                self.expect(Tok::Dot)?;
-                let cont = self.ty_seq()?;
-                let span = start.to(cont.span());
-                Ok(SType::Out(Box::new(payload), Box::new(cont), span))
-            }
-            Some(Tok::Quest) => {
-                let start = self.bump().expect("peeked").span;
-                let payload = self.ty_msg()?;
-                self.expect(Tok::Dot)?;
-                let cont = self.ty_seq()?;
-                let span = start.to(cont.span());
-                Ok(SType::In(Box::new(payload), Box::new(cont), span))
-            }
-            _ => self.ty_app(),
-        }
+    fn ty_seq<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
+        let out = match self.peek().map(|t| &t.tok) {
+            Some(Tok::Bang) => true,
+            Some(Tok::Quest) => false,
+            _ => return self.ty_app(b),
+        };
+        let start = self.bump();
+        let payload = self.nested(|p| p.ty_msg(b))?.build(b);
+        self.expect(Tok::Dot)?;
+        let cont = self.nested(|p| p.ty_seq(b))?;
+        let span = start.to(cont.span());
+        let cont = cont.build(b);
+        Ok(Parsed::Built(
+            if out {
+                b.output(payload, cont, span)
+            } else {
+                b.input(payload, cont, span)
+            },
+            span,
+        ))
     }
 
     /// Message payload: an application type, optionally negated.
-    fn ty_msg(&mut self) -> PResult<SType> {
+    fn ty_msg<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
         if self.peek().map(|t| &t.tok) == Some(&Tok::Dash) {
-            let start = self.bump().expect("peeked").span;
-            let inner = self.ty_msg()?;
+            let start = self.bump();
+            let inner = self.nested(|p| p.ty_msg(b))?;
             let span = start.to(inner.span());
-            return Ok(SType::Neg(Box::new(inner), span));
+            let inner = inner.build(b);
+            return Ok(Parsed::Built(b.neg(inner, span), span));
         }
-        self.ty_app()
+        self.ty_app(b)
     }
 
-    fn ty_app(&mut self) -> PResult<SType> {
-        let head = self.ty_atom()?;
+    fn ty_app<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
         // Only *bare* named heads can be applied. A name that already
         // carries arguments came out of parentheses — e.g. the payload
         // in `!(Repeat Int).End!` — and is complete as it stands
         // (application is not curried through parens).
-        if let SType::Name(name, args0, start) = head {
-            if !args0.is_empty() {
-                return Ok(SType::Name(name, args0, start));
-            }
-            let mut args = Vec::new();
-            while self.starts_type_atom() {
-                args.push(self.ty_atom()?);
-            }
-            let span = start.to(self.last_span());
-            Ok(SType::Name(name, args, span))
-        } else {
-            Ok(head)
+        let head = self.ty_atom(b)?;
+        let Parsed::Bare(name, start) = head else {
+            return Ok(head);
+        };
+        let mut args = Vec::new();
+        while self.starts_type_atom() {
+            args.push(self.nested(|p| p.ty_atom(b))?.build(b));
         }
+        // Still bare without arguments, so enclosing parentheses keep it
+        // applicable: `(F) A` parses like `F A`.
+        let span = start.to(self.last_span());
+        if args.is_empty() {
+            return Ok(Parsed::Bare(name, span));
+        }
+        Ok(Parsed::Built(b.name(name, args, span), span))
     }
 
     fn starts_type_atom(&self) -> bool {
@@ -420,59 +564,66 @@ impl Parser {
         )
     }
 
-    fn ty_atom(&mut self) -> PResult<SType> {
-        match self.peek().map(|t| t.tok.clone()) {
-            Some(Tok::LParen) => {
-                let start = self.bump().expect("peeked").span;
-                let first = self.ty()?;
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
-                    self.bump();
-                    let second = self.ty()?;
-                    let end = self.expect(Tok::RParen)?;
-                    Ok(SType::Pair(
-                        Box::new(first),
-                        Box::new(second),
-                        start.to(end),
-                    ))
+    fn ty_atom<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
+        let Some(token) = self.peek() else {
+            return self.error("expected a type");
+        };
+        let span = token.span;
+        let atom = match token.tok {
+            Tok::LParen => {
+                self.bump();
+                return self.nested(|p| {
+                    let first = p.ty(b)?;
+                    if p.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
+                        p.bump();
+                        let second = p.ty(b)?;
+                        let end = p.expect(Tok::RParen)?;
+                        let span = span.to(end);
+                        let (first, second) = (first.build(b), second.build(b));
+                        Ok(Parsed::Built(b.pair(first, second, span), span))
+                    } else {
+                        p.expect(Tok::RParen)?;
+                        Ok(first)
+                    }
+                });
+            }
+            Tok::UIdent(Symbol::UNIT) => b.unit(span),
+            Tok::UIdent(name) => {
+                self.bump();
+                return Ok(Parsed::Bare(name, span));
+            }
+            Tok::LIdent(name) => b.var(name, span),
+            Tok::EndBang => b.end_out(span),
+            Tok::EndQuest => b.end_in(span),
+            Tok::DualKw | Tok::Dash => {
+                let dual = token.tok == Tok::DualKw;
+                self.bump();
+                let inner = self.nested(|p| p.ty_atom(b))?;
+                let span = span.to(inner.span());
+                let inner = inner.build(b);
+                let node = if dual {
+                    b.dual(inner, span)
                 } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(first)
-                }
+                    b.neg(inner, span)
+                };
+                return Ok(Parsed::Built(node, span));
             }
-            Some(Tok::UIdent(name)) => {
-                let span = self.bump().expect("peeked").span;
-                if name.as_str() == "Unit" {
-                    Ok(SType::Unit(span))
-                } else {
-                    Ok(SType::Name(name, Vec::new(), span))
-                }
-            }
-            Some(Tok::LIdent(name)) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::Var(name, span))
-            }
-            Some(Tok::EndBang) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::EndOut(span))
-            }
-            Some(Tok::EndQuest) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::EndIn(span))
-            }
-            Some(Tok::DualKw) => {
-                let start = self.bump().expect("peeked").span;
-                let inner = self.ty_atom()?;
-                let span = start.to(inner.span());
-                Ok(SType::Dual(Box::new(inner), span))
-            }
-            Some(Tok::Dash) => {
-                let start = self.bump().expect("peeked").span;
-                let inner = self.ty_atom()?;
-                let span = start.to(inner.span());
-                Ok(SType::Neg(Box::new(inner), span))
-            }
-            _ => self.error("expected a type"),
+            _ => return self.error("expected a type"),
+        };
+        self.bump();
+        Ok(Parsed::Built(atom, span))
+    }
+
+    /// Parses one nesting level deeper, refusing to go past
+    /// [`MAX_TYPE_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_TYPE_DEPTH {
+            return self.error(format!("type nests deeper than {MAX_TYPE_DEPTH} levels"));
         }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     // --------------------------------------------------------- expressions
@@ -489,7 +640,7 @@ impl Parser {
     }
 
     fn lambda(&mut self) -> PResult<SExpr> {
-        let start = self.bump().expect("peeked").span; // backslash
+        let start = self.bump(); // backslash
         let mut params = Vec::new();
         loop {
             match self.peek().map(|t| t.tok.clone()) {
@@ -515,7 +666,7 @@ impl Parser {
     }
 
     fn let_expr(&mut self) -> PResult<SExpr> {
-        let start = self.bump().expect("peeked").span; // let
+        let start = self.bump(); // let
         let pat = self.pattern()?;
         self.expect(Tok::Equals)?;
         let bound = self.expr()?;
@@ -556,7 +707,7 @@ impl Parser {
     }
 
     fn if_expr(&mut self) -> PResult<SExpr> {
-        let start = self.bump().expect("peeked").span; // if
+        let start = self.bump(); // if
         let cond = self.expr()?;
         self.expect(Tok::Then)?;
         let thn = self.expr()?;
@@ -573,7 +724,7 @@ impl Parser {
 
     /// `case e of { arms }` / `match e with { arms }`.
     fn case_expr(&mut self, separator: Tok) -> PResult<SExpr> {
-        let start = self.bump().expect("peeked").span; // case/match
+        let start = self.bump(); // case/match
         let scrutinee = self.pipe_expr()?;
         self.expect(separator)?;
         self.expect(Tok::LBrace)?;
@@ -716,10 +867,10 @@ impl Parser {
                 head = SExpr::App(Box::new(head), Box::new(arg), span);
             } else if self.cont_tok() == Some(&Tok::LBracket) {
                 self.bump();
-                let mut tys = vec![self.ty()?];
+                let mut tys = vec![self.surface_ty()?];
                 while self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
                     self.bump();
-                    tys.push(self.ty()?);
+                    tys.push(self.surface_ty()?);
                 }
                 let end = self.expect(Tok::RBracket)?;
                 let span = head.span().to(end);
@@ -749,38 +900,38 @@ impl Parser {
     fn atom(&mut self) -> PResult<SExpr> {
         match self.peek().map(|t| t.tok.clone()) {
             Some(Tok::IntLit(n)) => {
-                let span = self.bump().expect("peeked").span;
+                let span = self.bump();
                 Ok(SExpr::Lit(Lit::Int(n), span))
             }
             Some(Tok::CharLit(c)) => {
-                let span = self.bump().expect("peeked").span;
+                let span = self.bump();
                 Ok(SExpr::Lit(Lit::Char(c), span))
             }
             Some(Tok::StrLit(s)) => {
-                let span = self.bump().expect("peeked").span;
+                let span = self.bump();
                 Ok(SExpr::Lit(Lit::Str(s), span))
             }
             Some(Tok::LIdent(x)) => {
-                let span = self.bump().expect("peeked").span;
+                let span = self.bump();
                 Ok(SExpr::Var(x, span))
             }
             Some(Tok::UIdent(c)) => {
-                let span = self.bump().expect("peeked").span;
-                match c.as_str() {
-                    "True" => Ok(SExpr::Lit(Lit::Bool(true), span)),
-                    "False" => Ok(SExpr::Lit(Lit::Bool(false), span)),
+                let span = self.bump();
+                match c {
+                    Symbol::TRUE => Ok(SExpr::Lit(Lit::Bool(true), span)),
+                    Symbol::FALSE => Ok(SExpr::Lit(Lit::Bool(false), span)),
                     _ => Ok(SExpr::Con(c, span)),
                 }
             }
             Some(Tok::SelectKw) => {
-                let start = self.bump().expect("peeked").span;
+                let start = self.bump();
                 let (tag, end) = self.uident()?;
                 Ok(SExpr::Select(tag, start.to(end)))
             }
             Some(Tok::LParen) => {
-                let start = self.bump().expect("peeked").span;
+                let start = self.bump();
                 if self.peek().map(|t| &t.tok) == Some(&Tok::RParen) {
-                    let end = self.bump().expect("peeked").span;
+                    let end = self.bump();
                     return Ok(SExpr::Lit(Lit::Unit, start.to(end)));
                 }
                 let first = self.expr()?;
