@@ -37,27 +37,13 @@
 //! **Wire mode** (`--clients N --pipeline D`, on by default): the same
 //! workload is dealt round-robin onto `N` real TCP clients, each
 //! pipelining up to `D` requests deep over its own connection, against
-//! two server front-ends sharing the engine design:
-//! * `sequential` — a faithful replica of the pre-concurrency wire
-//!   path: one connection served at a time (accept → serve to EOF →
-//!   accept next, so client `k+1` waits for client `k`) and no
-//!   `TCP_NODELAY` on the accepted socket, exactly as the old listener
-//!   behaved — on loopback the Nagle/delayed-ACK interaction alone
-//!   costs tens of milliseconds per pipelined round trip;
-//! * `concurrent` — [`algst_server::serve_listener`] as shipped: all
-//!   connections served at once over the shared worker pool, accepted
-//!   sockets set `TCP_NODELAY`.
-//!
-//! The speedup is therefore what a fleet of clients actually gains
-//! from this server generation, not a pure thread-scaling number —
-//! `host_cpus` in the JSON tells you how much parallelism was even
-//! available.
-//!
-//! Both report wire req/s and per-connection latency percentiles
-//! (measured client-side, write→response-line per request), and every
-//! verdict is checked against ground truth. `wire_speedup` is the
-//! concurrent/sequential wall-clock ratio for the identical byte
-//! streams.
+//! [`algst_server::serve_listener`] as shipped (`concurrent`: all
+//! connections served at once over the shared worker pool, accepted
+//! sockets set `TCP_NODELAY`), through a tenant registry with routing
+//! off — exactly what plain `algst serve --listen` runs. It reports
+//! wire req/s and per-connection latency percentiles (measured
+//! client-side, write→response-line per request), and every verdict is
+//! checked against ground truth.
 //!
 //! **Multi-tenant mode** (`--tenants N`, default 3; `--tenants 0`
 //! disables): the tenant-isolation benchmark. One
@@ -90,8 +76,8 @@ use algst_gen::suite::{build_suite, SuiteKind};
 use algst_gen::workload::{cold_heavy_workload, equiv_workload, tenant_workloads, Workload};
 use algst_server::engine::BatchReply;
 use algst_server::{
-    json, serve_listener, serve_session, Engine, ObsOptions, Op, Request, Response, ServeConfig,
-    TenantConfig, TenantQuotas, TenantRegistry,
+    json, serve_listener, Engine, ObsOptions, Op, Request, Response, ServeConfig, TenantConfig,
+    TenantQuotas, TenantRegistry,
 };
 use crossbeam::channel::bounded;
 use std::collections::VecDeque;
@@ -274,9 +260,8 @@ struct ClientRun {
     mismatches: u64,
 }
 
-/// One wire front-end configuration (sequential or concurrent accept).
+/// One wire run against the concurrent listener.
 struct WireRun {
-    mode: &'static str,
     elapsed: Duration,
     req_per_s: f64,
     p50_us: f64,
@@ -435,23 +420,13 @@ fn main() {
             args.clients,
             args.pipeline
         );
-        let runs = [
-            run_wire(false, &streams, args.pipeline, args.wire_workers),
-            run_wire(true, &streams, args.pipeline, args.wire_workers),
-        ];
-        for r in &runs {
-            eprintln!(
-                "wire {:>10}: {:>9.0} req/s   p50 {:>8.2} µs   p95 {:>8.2} µs   \
-                 p99 {:>8.2} µs   mismatches {}",
-                r.mode, r.req_per_s, r.p50_us, r.p95_us, r.p99_us, r.mismatches,
-            );
-        }
+        let r = run_wire(&streams, args.pipeline, args.wire_workers);
         eprintln!(
-            "wire speedup (concurrent vs sequential, {} clients): {:.2}×",
-            args.clients,
-            runs[1].req_per_s / runs[0].req_per_s
+            "wire concurrent: {:>9.0} req/s   p50 {:>8.2} µs   p95 {:>8.2} µs   \
+             p99 {:>8.2} µs   mismatches {}",
+            r.req_per_s, r.p50_us, r.p95_us, r.p99_us, r.mismatches,
         );
-        Some(runs)
+        Some(r)
     } else {
         None
     };
@@ -468,11 +443,7 @@ fn main() {
             .flatten()
             .map(|r| r.mismatches)
             .sum::<u64>()
-        + wire_runs
-            .iter()
-            .flatten()
-            .map(|r| r.mismatches)
-            .sum::<u64>()
+        + wire_runs.iter().map(|r| r.mismatches).sum::<u64>()
         + mt_run.iter().map(MultiTenantRun::mismatches).sum::<u64>();
     if let Some(path) = &args.json_path {
         write_json(
@@ -758,12 +729,11 @@ fn drive_client(
     let mut next = 0usize;
     let mut line = String::new();
     let start = Instant::now();
-    // Service window: first response → last response. Under the
-    // sequential listener a connect() succeeds immediately via the
-    // kernel backlog even while the server is busy with an earlier
-    // connection, so measuring from `start` would fold accept-queue
-    // wait into the rate and make later connections look slower than
-    // the service they actually received.
+    // Service window: first response → last response. A connect()
+    // succeeds via the kernel backlog before the listener's polling
+    // acceptor picks the connection up, so measuring from `start`
+    // would fold accept-queue wait into the rate and make later
+    // connections look slower than the service they actually received.
     let mut first_response: Option<Instant> = None;
     let mut last_response = start;
     while latencies_us.len() < lines.len() {
@@ -814,39 +784,22 @@ fn drive_client(
     }
 }
 
-/// Runs all client streams against a fresh engine behind either the
-/// concurrent listener or a sequential accept-one-at-a-time baseline.
-/// Wall-clock covers first connect to last response across all clients.
-fn run_wire(
-    concurrent: bool,
-    streams: &[Vec<(String, bool)>],
-    pipeline: usize,
-    workers: usize,
-) -> WireRun {
-    let engine = Engine::with_session(workers, Session::new());
+/// Runs all client streams against a fresh unrouted registry behind
+/// the concurrent listener. Wall-clock covers first connect to last
+/// response across all clients.
+fn run_wire(streams: &[Vec<(String, bool)>], pipeline: usize, workers: usize) -> WireRun {
+    let tenants = TenantRegistry::new(TenantConfig {
+        workers,
+        routing: false,
+        ..TenantConfig::default()
+    });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
-    let clients = streams.len();
 
     let (per_client, elapsed) = std::thread::scope(|scope| {
-        let server = if concurrent {
-            scope.spawn(|| {
-                serve_listener(&engine, &listener, ServeConfig::default())
-                    .expect("concurrent server");
-            })
-        } else {
-            // The pre-concurrency baseline: serve one connection to EOF,
-            // then accept the next — later clients queue behind earlier
-            // ones exactly as the old listener behaved.
-            scope.spawn(|| {
-                for _ in 0..clients {
-                    let (stream, _) = listener.accept().expect("accept");
-                    let input = stream.try_clone().expect("clone server socket");
-                    serve_session(&engine, input, stream, ServeConfig::default())
-                        .expect("sequential server");
-                }
-            })
-        };
+        let server = scope.spawn(|| {
+            serve_listener(&tenants, &listener, ServeConfig::default()).expect("concurrent server");
+        });
         let start = Instant::now();
         let handles: Vec<_> = streams
             .iter()
@@ -857,17 +810,15 @@ fn run_wire(
             .map(|h| h.join().expect("client"))
             .collect();
         let elapsed = start.elapsed();
-        if concurrent {
-            // Drain the listener so the scope can join the server.
-            let mut stream = TcpStream::connect(addr).expect("shutdown connect");
-            stream
-                .write_all(b"{\"op\":\"shutdown\"}\n")
-                .expect("shutdown write");
-            let mut line = String::new();
-            BufReader::new(stream)
-                .read_line(&mut line)
-                .expect("shutdown read");
-        }
+        // Drain the listener so the scope can join the server.
+        let mut stream = TcpStream::connect(addr).expect("shutdown connect");
+        stream
+            .write_all(b"{\"op\":\"shutdown\"}\n")
+            .expect("shutdown write");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("shutdown read");
         server.join().expect("server thread");
         (per_client, elapsed)
     });
@@ -875,11 +826,6 @@ fn run_wire(
     let total: usize = per_client.iter().map(|c| c.requests).sum();
     let mismatches: u64 = per_client.iter().map(|c| c.mismatches).sum();
     WireRun {
-        mode: if concurrent {
-            "concurrent"
-        } else {
-            "sequential"
-        },
         elapsed,
         req_per_s: total as f64 / elapsed.as_secs_f64(),
         p50_us: weighted_percentile(&per_client, |c| c.p50_us),
@@ -1218,7 +1164,7 @@ fn write_json(
     runs_off: &[ConfigRun],
     obs_ratios: &[(usize, f64)],
     cold_heavy: Option<&[ConfigRun]>,
-    wire: Option<&[WireRun; 2]>,
+    wire: Option<&WireRun>,
     mt: Option<&MultiTenantRun>,
 ) {
     let mut f = std::fs::File::create(path).expect("create json");
@@ -1331,47 +1277,39 @@ fn write_json(
         writeln!(
             f,
             "    \"requests\": {},",
-            wire[0].per_client.iter().map(|c| c.requests).sum::<usize>()
+            wire.per_client.iter().map(|c| c.requests).sum::<usize>()
         )
         .expect("write");
-        writeln!(f, "    \"configs\": [").expect("write");
-        for (i, r) in wire.iter().enumerate() {
-            let comma = if i + 1 < wire.len() { "," } else { "" };
-            writeln!(
-                f,
-                "      {{\"mode\": \"{}\", \"elapsed_ms\": {:.3}, \"req_per_s\": {:.1}, \
-                 \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
-                 \"verdict_mismatches\": {},",
-                r.mode,
-                r.elapsed.as_secs_f64() * 1e3,
-                r.req_per_s,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.mismatches,
-            )
-            .expect("write");
-            writeln!(f, "       \"per_connection\": [").expect("write");
-            for (j, c) in r.per_client.iter().enumerate() {
-                let ccomma = if j + 1 < r.per_client.len() { "," } else { "" };
-                writeln!(
-                    f,
-                    "         {{\"client\": {j}, \"requests\": {}, \"req_per_s\": {:.1}, \
-                     \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
-                     \"verdict_mismatches\": {}}}{ccomma}",
-                    c.requests, c.req_per_s, c.p50_us, c.p95_us, c.p99_us, c.mismatches,
-                )
-                .expect("write");
-            }
-            writeln!(f, "       ]}}{comma}").expect("write");
-        }
-        writeln!(f, "    ],").expect("write");
         writeln!(
             f,
-            "    \"wire_speedup_concurrent_vs_sequential\": {:.2}",
-            wire[1].req_per_s / wire[0].req_per_s
+            "    \"configs\": [{{\"mode\": \"concurrent\", \"elapsed_ms\": {:.3}, \
+             \"req_per_s\": {:.1}, \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
+             \"verdict_mismatches\": {},",
+            wire.elapsed.as_secs_f64() * 1e3,
+            wire.req_per_s,
+            wire.p50_us,
+            wire.p95_us,
+            wire.p99_us,
+            wire.mismatches,
         )
         .expect("write");
+        writeln!(f, "       \"per_connection\": [").expect("write");
+        for (j, c) in wire.per_client.iter().enumerate() {
+            let comma = if j + 1 < wire.per_client.len() {
+                ","
+            } else {
+                ""
+            };
+            writeln!(
+                f,
+                "         {{\"client\": {j}, \"requests\": {}, \"req_per_s\": {:.1}, \
+                 \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
+                 \"verdict_mismatches\": {}}}{comma}",
+                c.requests, c.req_per_s, c.p50_us, c.p95_us, c.p99_us, c.mismatches,
+            )
+            .expect("write");
+        }
+        writeln!(f, "       ]}}]").expect("write");
         writeln!(f, "  }},").expect("write");
     }
     if let Some(mt) = mt {
@@ -1474,11 +1412,7 @@ fn write_json(
             .flat_map(|c| c.iter())
             .map(|r| r.mismatches)
             .sum::<u64>()
-        + wire
-            .iter()
-            .flat_map(|w| w.iter())
-            .map(|r| r.mismatches)
-            .sum::<u64>()
+        + wire.map_or(0, |w| w.mismatches)
         + mt.iter().map(|m| m.mismatches()).sum::<u64>();
     writeln!(f, "  \"verdict_mismatches_total\": {mismatches}").expect("write");
     writeln!(f, "}}").expect("write");

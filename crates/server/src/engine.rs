@@ -566,35 +566,19 @@ fn queue_capacity(workers: usize) -> usize {
 }
 
 impl Engine {
-    /// A pool of `workers` threads over the **process-global** session
-    /// store ([`Session::global`]), so a long-running server shares warm
-    /// state with in-process checking that also opted into it.
-    pub fn new(workers: usize) -> Engine {
-        Engine::with_session(workers, Session::global())
-    }
-
     /// A pool over a caller-provided [`Session`]: each worker thread
     /// runs a sibling of it, and **both** `equiv` and `check` requests
     /// resolve, intern, elaborate and normalize against that store and
     /// no other. Injecting [`Session::new`] gives a fully isolated
     /// engine (benchmarks use this to measure cold starts reproducibly;
-    /// multi-tenant embedders use it for per-tenant isolation).
+    /// the tenant registry uses it for per-tenant isolation).
     pub fn with_session(workers: usize, session: Session) -> Engine {
-        Engine::with_store(workers, Arc::clone(session.store()))
-    }
-
-    /// [`Engine::with_session`] from the raw shared store handle.
-    pub fn with_store(workers: usize, shared: Arc<SharedStore>) -> Engine {
-        Engine::with_store_obs(workers, shared, ObsOptions::default())
+        Engine::with_obs(workers, session, ObsOptions::default())
     }
 
     /// [`Engine::with_session`] with explicit observability wiring.
-    pub fn with_obs(workers: usize, session: Session, obs: ObsOptions) -> Engine {
-        Engine::with_store_obs(workers, Arc::clone(session.store()), obs)
-    }
-
-    /// [`Engine::with_store`] with explicit observability wiring.
-    pub fn with_store_obs(workers: usize, shared: Arc<SharedStore>, opts: ObsOptions) -> Engine {
+    pub fn with_obs(workers: usize, session: Session, opts: ObsOptions) -> Engine {
+        let shared = Arc::clone(session.store());
         let workers = workers.max(1);
         let obs = Arc::new(EngineObs::new(opts));
         if obs.enabled() {
@@ -683,11 +667,6 @@ impl Engine {
             &self.state,
             &self.shared,
         )
-    }
-
-    /// Observability hooks shared with the serving front-end.
-    pub(crate) fn obs(&self) -> &Arc<EngineObs> {
-        &self.obs
     }
 
     /// Queues a batch; blocks when the queue is full (backpressure).
@@ -1007,8 +986,8 @@ fn handle(
         }
         Op::Tenants => {
             // The engine serves exactly one tenant's store; the listing
-            // lives in the routed front-end's registry, which answers
-            // this op before it ever reaches a worker.
+            // lives in the tenant registry, whose front-end answers this
+            // op before it reaches a worker — when routing is on.
             ctx.finish(id, "error", false, 0, Stages::default());
             Response::Error {
                 id,

@@ -6,19 +6,25 @@
 //!
 //! The paper's headline result is that algebraic-protocol equivalence
 //! is practical at scale — this crate is the serving layer that result
-//! earns: a newline-delimited JSON protocol ([`protocol`]) answered by
-//! a worker pool ([`engine::Engine`]) in which every worker shares the
+//! earns: a newline-delimited JSON protocol ([`protocol`]) answered
+//! through a [`tenant::TenantRegistry`] by worker pools
+//! ([`engine::Engine`], one per tenant) in which every worker shares the
 //! same interned nodes and memoized normal forms, so a type any client
 //! ever sent stays warm for every later request, on every worker.
 //!
 //! ```text
-//! stdin/TCP ──lines──► reader ──batches──► worker pool ──► writer ──► stdout/TCP
-//!                                   │ WorkerStore mirrors (publish per batch)
-//!                                   ▼
-//!                       SharedStore (arena + nrm memos)
-//!                       + per-pair verdict cache ("equiv memo")
-//!                       + parse cache + module cache
+//! stdin/TCP ──lines──► reader ──batches──► tenant ──► worker pool ──► writer ──► stdout/TCP
+//!                                         registry        │ WorkerStore mirrors (publish per batch)
+//!                                                          ▼
+//!                                           SharedStore (arena + nrm memos)
+//!                                           + per-pair verdict cache ("equiv memo")
+//!                                           + parse cache + module cache
 //! ```
+//!
+//! There is one serving path ([`serve`]). Plain `algst serve` is the
+//! registry with routing off: every request goes to the `default`
+//! tenant's engine. `algst serve --multi-tenant` turns routing on, so
+//! the `"tenant"` field picks an isolated engine per tenant.
 //!
 //! Try it (see also `algst serve --help`):
 //!
@@ -37,10 +43,7 @@ pub mod serve;
 pub mod tenant;
 
 pub use engine::{Engine, ObsOptions};
-pub use metrics_http::{serve_metrics, serve_metrics_tenants, MetricsServer};
+pub use metrics_http::{serve_metrics, MetricsServer};
 pub use protocol::{parse_request, Op, Request, Response, Snapshot, ThrottleKind};
-pub use serve::{
-    serve_listener, serve_listener_tenants, serve_session, serve_session_tenants, serve_stdio,
-    serve_stdio_tenants, serve_tcp, serve_tcp_tenants, ServeConfig, ServeSummary,
-};
+pub use serve::{serve_listener, serve_session, serve_stdio, serve_tcp, ServeConfig, ServeSummary};
 pub use tenant::{TenantConfig, TenantHandle, TenantQuotas, TenantRegistry, TenantView};

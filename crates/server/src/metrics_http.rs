@@ -3,15 +3,15 @@
 //! A deliberately tiny HTTP/1.0 responder: every connection gets one
 //! `200 OK text/plain` response carrying the full metrics registry in
 //! [exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//! plus the shared store's counters, then the connection closes. No
+//! plus the default tenant's store counters and the tenant-labelled
+//! series, then the connection closes. No
 //! routing, no keep-alive, no TLS — it exists so `curl` and a scraper
 //! can watch a serving process without speaking the JSON protocol,
 //! and it never competes with the request path (its own thread, its
 //! own listener, reads only atomics).
 
-use crate::tenant::TenantRegistry;
+use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
 use algst_core::shared::SharedStore;
-use algst_obs::Registry;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,45 +49,21 @@ impl Drop for MetricsServer {
 
 /// Binds `addr` and serves metric scrapes on a dedicated thread until
 /// the returned [`MetricsServer`] is dropped. Every HTTP request gets
-/// the current [`Registry`] snapshot (stable, sorted key order) plus
-/// the store's counters, `algst_`-prefixed.
-pub fn serve_metrics(
-    addr: &str,
-    registry: Arc<Registry>,
-    store: Arc<SharedStore>,
-) -> io::Result<MetricsServer> {
-    serve_metrics_with(addr, move || exposition(&registry, &store))
-}
-
-/// [`serve_metrics`] for a multi-tenant server: the shared registry
-/// exposition (every tenant engine resolves the same metric names, so
-/// their counters are already folded together) followed by the
-/// tenant-labelled series of [`TenantRegistry::prometheus`]. There is
-/// no single store in this mode; per-tenant `algst_tenant_store_*`
-/// gauges replace the `algst_store_*` family.
-pub fn serve_metrics_tenants(
-    addr: &str,
-    registry: Arc<Registry>,
-    tenants: Arc<TenantRegistry>,
-) -> io::Result<MetricsServer> {
-    serve_metrics_with(addr, move || {
-        let mut body = registry.snapshot().prometheus("algst_");
-        body.push_str(&tenants.prometheus());
-        body
-    })
-}
-
-fn serve_metrics_with<F>(addr: &str, body: F) -> io::Result<MetricsServer>
-where
-    F: Fn() -> String + Send + 'static,
-{
+/// the registry's metrics exposition (every tenant engine and the
+/// front-end record into the one registry of
+/// [`TenantConfig::obs`](crate::TenantConfig::obs), so their counters
+/// are already folded together; stable, sorted key order), the
+/// unlabelled `algst_store_*` family for the default tenant's store
+/// while that tenant is live, and the tenant-labelled series of
+/// [`TenantRegistry::prometheus`].
+pub fn serve_metrics(addr: &str, tenants: Arc<TenantRegistry>) -> io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let handle = std::thread::spawn({
         let stop = Arc::clone(&stop);
-        move || accept_loop(&listener, &body, &stop)
+        move || accept_loop(&listener, &|| exposition(&tenants), &stop)
     });
     Ok(MetricsServer {
         addr,
@@ -148,11 +124,19 @@ fn answer(mut stream: TcpStream, body: &dyn Fn() -> String) -> io::Result<()> {
     stream.flush()
 }
 
-/// The full scrape body: the registry exposition followed by the
-/// store's counters as gauges (they live in the store, not the
-/// registry, because they predate it and are always on).
-pub fn exposition(registry: &Registry, store: &SharedStore) -> String {
-    let mut out = registry.snapshot().prometheus("algst_");
+/// The full scrape body (see [`serve_metrics`]).
+fn exposition(tenants: &TenantRegistry) -> String {
+    let mut out = tenants.metrics_registry().snapshot().prometheus("algst_");
+    if let Some(handle) = tenants.resolve(&mut tenants.view(), DEFAULT_TENANT) {
+        push_store_gauges(&mut out, handle.engine().store());
+    }
+    out.push_str(&tenants.prometheus());
+    out
+}
+
+/// Appends a store's counters as gauges (they live in the store, not
+/// the registry, because they predate it and are always on).
+fn push_store_gauges(out: &mut String, store: &SharedStore) {
     let s = store.stats();
     for (name, value) in [
         ("store_arena_bytes", s.arena_bytes),
@@ -184,12 +168,13 @@ pub fn exposition(registry: &Registry, store: &SharedStore) -> String {
         out.push_str(&value.to_string());
         out.push('\n');
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Op, Request};
+    use crate::tenant::TenantConfig;
     use std::io::BufReader;
 
     fn scrape(addr: SocketAddr) -> String {
@@ -202,13 +187,28 @@ mod tests {
         text
     }
 
+    fn equiv(lhs: &str, rhs: &str) -> Request {
+        Request {
+            id: 1,
+            op: Op::Equiv {
+                lhs: lhs.into(),
+                rhs: rhs.into(),
+            },
+        }
+    }
+
     #[test]
     fn scrape_returns_registry_and_store_metrics() {
-        let registry = Arc::new(Registry::new());
+        // Plain `algst serve`: routing off, the default tenant's engine
+        // built up front.
+        let tenants = Arc::new(TenantRegistry::new(TenantConfig {
+            routing: false,
+            ..TenantConfig::default()
+        }));
+        let registry = Arc::clone(tenants.metrics_registry());
         registry.counter("requests_total").add(7);
         registry.histogram("request_service_ns").record(1500);
-        let store = Arc::new(SharedStore::new());
-        let server = serve_metrics("127.0.0.1:0", Arc::clone(&registry), store).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&tenants)).unwrap();
         let text = scrape(server.addr());
         assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
         assert!(text.contains("algst_requests_total 7"), "{text}");
@@ -218,39 +218,25 @@ mod tests {
         );
         assert!(text.contains("algst_request_service_ns_count 1"), "{text}");
         assert!(text.contains("algst_store_nodes "), "{text}");
+        assert!(
+            text.contains("algst_store_lock_acquisitions_total "),
+            "{text}"
+        );
         // A second scrape sees the same names (and any newer values).
-        registry.counter("requests_total").add(1);
+        tenants.process(
+            &mut tenants.view(),
+            DEFAULT_TENANT,
+            vec![equiv("End!", "End!")],
+        );
         let again = scrape(server.addr());
         assert!(again.contains("algst_requests_total 8"), "{again}");
     }
 
     #[test]
     fn tenants_scrape_carries_tenant_labelled_series() {
-        use crate::protocol::{Op, Request};
-        use crate::tenant::TenantConfig;
-        let registry = Arc::new(Registry::new());
-        let tenants = Arc::new(TenantRegistry::new(TenantConfig {
-            obs: crate::engine::ObsOptions {
-                registry: Arc::clone(&registry),
-                ..crate::engine::ObsOptions::default()
-            },
-            ..TenantConfig::default()
-        }));
-        let mut view = tenants.view();
-        tenants.process(
-            &mut view,
-            "acme",
-            vec![Request {
-                id: 1,
-                op: Op::Equiv {
-                    lhs: "End!".into(),
-                    rhs: "End!".into(),
-                },
-            }],
-        );
-        let server =
-            serve_metrics_tenants("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&tenants))
-                .unwrap();
+        let tenants = Arc::new(TenantRegistry::new(TenantConfig::default()));
+        tenants.process(&mut tenants.view(), "acme", vec![equiv("End!", "End!")]);
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&tenants)).unwrap();
         let text = scrape(server.addr());
         assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
         // The shared engine registry and the tenant-labelled series
@@ -265,5 +251,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("algst_tenants 1"), "{text}");
+        // No default tenant was contacted: no unlabelled store family.
+        assert!(!text.contains("algst_store_nodes "), "{text}");
     }
 }

@@ -14,16 +14,18 @@
 //! ```
 //!
 //! Every op additionally accepts an optional `"tenant":"name"` field
-//! (an identifier of `[A-Za-z0-9_-]`, at most 64 chars). Under
-//! multi-tenant serving (`algst serve --multi-tenant`) it routes the
-//! request to that tenant's engine; absent means the `"default"`
-//! tenant, so tenancy-unaware clients are untouched. Single-tenant
-//! serving ignores the field. A request refused by a tenant's
-//! admission control comes back as an `"op":"error"` line carrying a
-//! `"kind"` of `"throttled"` (request-rate limit) or
+//! (an identifier of `[A-Za-z0-9_-]`, at most 64 chars; a malformed
+//! name is an error either way). With routing on (`algst serve
+//! --multi-tenant`) it routes the request to that tenant's engine;
+//! absent means the `"default"` tenant, so tenancy-unaware clients are
+//! untouched. With routing off (plain `algst serve`) the field is
+//! dropped and every request goes to `"default"`. A request refused by
+//! a tenant's admission control comes back as an `"op":"error"` line
+//! carrying a `"kind"` of `"throttled"` (request-rate limit) or
 //! `"quota_exceeded"` (in-flight cap) — a per-request refusal, never
-//! a disconnect. The `tenants` op lists per-tenant statistics (see
-//! [`Response::Tenants`]).
+//! a disconnect. With routing on, the `tenants` op lists per-tenant
+//! statistics (see [`Response::Tenants`]); with routing off it is an
+//! error.
 //!
 //! An explicit `"id":N` is echoed back; otherwise the server numbers
 //! requests by arrival order (1-based). Responses:
@@ -42,12 +44,12 @@
 //! `ns` is the in-worker service time in nanoseconds.
 //!
 //! `stats` with `"delta":true` reports counters **since the previous
-//! delta call on the same connection** (the first delta call counts from
-//! connection start), so scrapers get rates without diffing client-side;
-//! instantaneous values (`workers`, `conns_active`) stay absolute. The
-//! cursor lives in the connection's writer — stdio serving and
-//! [`Engine::process`](crate::Engine::process) have no cursor and answer
-//! delta requests cumulatively.
+//! delta call for the same tenant on the same connection** (the first
+//! such call counts from the tenant's start), so scrapers get rates
+//! without diffing client-side; instantaneous values (`workers`,
+//! `conns_active`) stay absolute. The cursors live in the connection's
+//! writer — [`Engine::process`](crate::Engine::process) has none and
+//! answers delta requests cumulatively.
 //!
 //! `metrics` returns the full observability registry — every counter,
 //! gauge and histogram summary, plus the store/cache statistics — as one
@@ -85,8 +87,8 @@ pub enum Op {
     },
     /// Full observability registry snapshot (stable key order).
     Metrics,
-    /// Per-tenant registry listing (multi-tenant serving only; a
-    /// single-tenant engine answers it with an error).
+    /// Per-tenant registry listing (routed serving only; with routing
+    /// off it reaches the default engine, which answers an error).
     Tenants,
     Shutdown,
     Invalid {
@@ -108,12 +110,12 @@ pub fn valid_tenant_name(name: &str) -> bool {
 /// Parses one request line. `fallback_id` is assigned when the line has
 /// no (valid) `"id"` of its own; malformed lines become [`Op::Invalid`]
 /// under that same id. Any `"tenant"` field is validated and dropped —
-/// single-tenant callers route everything to the one engine.
+/// for callers that serve a single engine.
 pub fn parse_request(line: &str, fallback_id: u64) -> Request {
     parse_request_tenant(line, fallback_id).0
 }
 
-/// [`parse_request`] for routed (multi-tenant) serving: also returns
+/// [`parse_request`] for the serving front-end: also returns
 /// the request's `"tenant"` field, `None` when absent (the caller maps
 /// that to the `"default"` tenant). A malformed tenant name makes the
 /// whole line [`Op::Invalid`].
@@ -228,9 +230,11 @@ pub struct Snapshot {
     /// (zero under `Engine::snapshot` or stdio serving).
     pub conns_accepted: u64,
     pub conns_active: u64,
-    /// Tenancy aggregates, filled in by the routed (multi-tenant)
-    /// front-end. `tenancy` gates their serialization so single-tenant
-    /// `stats` lines stay byte-identical to a tenancy-unaware server.
+    /// Tenancy aggregates, filled in by the front-end
+    /// ([`TenantRegistry::patch_snapshot`](crate::TenantRegistry::patch_snapshot)).
+    /// `tenancy` — the registry's routing flag — gates their
+    /// serialization, so unrouted `stats` lines stay byte-identical to
+    /// a tenancy-unaware server.
     pub tenancy: bool,
     /// Live tenant engines (a gauge).
     pub tenants: u64,

@@ -2,15 +2,16 @@
 //! listener.
 //!
 //! ```text
-//!              ┌── conn 1: reader ──batches──►┐            ┌──► demux/writer 1
-//! acceptor ──► ├── conn 2: reader ──batches──►│ Engine     ├──► demux/writer 2
-//!  (drain      └── conn N: reader ──batches──►│ worker pool└──► demux/writer N
-//!   state)                                    └─ SharedStore + request caches
+//!              ┌── conn 1: reader ──batches──►┐  Tenant    ┌──► demux/writer 1
+//! acceptor ──► ├── conn 2: reader ──batches──►│  registry  ├──► demux/writer 2
+//!  (drain      └── conn N: reader ──batches──►│ → Engine   └──► demux/writer N
+//!   state)                                    └─ worker pool + SharedStore
 //! ```
 //!
-//! Every accepted connection gets its own reader (this thread-of-control
-//! parses lines into [`Request`]s) and its own demultiplexing writer
-//! thread; all of them share one [`Engine`] worker pool, so warm state
+//! Every front-end serves a [`TenantRegistry`]. Every accepted
+//! connection gets its own reader (this thread-of-control parses lines
+//! into [`Request`]s) and its own demultiplexing writer thread; all of
+//! them share the registry's tenant engines, so a tenant's warm state
 //! crosses connections. Per connection:
 //!
 //! * **Pipelining.** The reader keeps batching while bytes are ready (a
@@ -42,25 +43,27 @@
 //! returns. EOF on a connection ends just that connection, minus the
 //! `shutdown` response.
 //!
-//! # Routed (multi-tenant) serving
+//! # Routing on and off
 //!
-//! The `*_tenants` entry points serve the same protocol over a
-//! [`TenantRegistry`] instead of a single [`Engine`]. Per connection,
-//! the reader resolves each request's `"tenant"` field (absent →
-//! `"default"`), cuts a batch whenever the tenant changes (batches are
-//! single-tenant, so one engine submit serves each), and runs the
-//! tenant's admission control before submitting: the granted prefix
-//! goes to the tenant's engine, the refused suffix is answered
-//! directly with throttle errors under its own sequence number — the
-//! demux writer then interleaves both back into request order. The
-//! `tenants` admin op is answered by the reader from the registry
-//! (it never occupies a worker), and outgoing `stats` responses are
-//! stamped with the registry's tenancy aggregates.
+//! Batches are single-tenant: the reader runs the batch's tenant's
+//! admission control before submitting, the granted prefix goes to the
+//! tenant's engine, and the refused suffix is answered directly with
+//! throttle errors under its own sequence number — the demux writer
+//! then interleaves both back into request order. `stats
+//! {"delta":true}` keeps one cursor per tenant on each connection.
+//!
+//! With [`TenantConfig::routing`](crate::TenantConfig::routing) on
+//! (`algst serve --multi-tenant`), the reader resolves each request's
+//! `"tenant"` field (absent → `"default"`) and cuts a batch whenever
+//! the tenant changes; the `tenants` admin op is answered by the reader
+//! from the registry (it never occupies a worker), and `stats` lines
+//! carry the registry's tenancy aggregates. With routing off (plain
+//! `algst serve`) every request goes to the `default` tenant — one
+//! engine, no quotas — and the wire protocol is exactly that of a
+//! tenancy-unaware server.
 
-use crate::engine::{BatchReply, Engine, EngineObs};
-use crate::protocol::{
-    parse_request, parse_request_tenant, Op, Request, Response, Snapshot, ThrottleKind,
-};
+use crate::engine::BatchReply;
+use crate::protocol::{parse_request_tenant, Op, Request, Response, Snapshot, ThrottleKind};
 use crate::tenant::{TenantHandle, TenantRegistry, TenantView, DEFAULT_TENANT};
 use algst_obs::{Field, Level, Span};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -163,35 +166,17 @@ enum ReadEnd {
     Failed(io::Error),
 }
 
-/// What a connection routes its requests through: the classic single
-/// engine, or the multi-tenant registry.
-#[derive(Clone, Copy)]
-pub(crate) enum Router<'a> {
-    Single(&'a Engine),
-    Tenants(&'a TenantRegistry),
-}
-
-impl<'a> Router<'a> {
-    /// Front-end observability hooks (connection lifecycle + reader/
-    /// writer stage timings).
-    fn obs(&self) -> &'a Arc<EngineObs> {
-        match self {
-            Router::Single(engine) => engine.obs(),
-            Router::Tenants(registry) => registry.obs(),
-        }
-    }
-}
-
 /// A reader→writer note: batch `seq` holds `count` admitted requests
-/// of `handle`, to be released when the batch's responses come back.
+/// of `handle` — the batch's tenant, whose in-flight reservation is
+/// released when the batch's responses come back.
 type InflightNote = (u64, Arc<TenantHandle>, u64);
 
 /// Serves one connection: reads newline-delimited requests from
-/// `input`, pipelines them through `engine`, and writes responses to
+/// `input`, pipelines them through `tenants`, and writes responses to
 /// `output` in request order. Returns when the input ends, a `shutdown`
 /// op is processed, the drain flag fires, or the client times out.
 fn serve_conn<R, W>(
-    router: Router<'_>,
+    tenants: &TenantRegistry,
     input: R,
     output: W,
     config: ServeConfig,
@@ -202,7 +187,7 @@ where
     R: Read,
     W: Write + Send,
 {
-    let obs = router.obs();
+    let obs = tenants.obs();
     obs.conn_opened();
     obs.sink()
         .event(Level::Info, "conn_open", &[("conn", Field::U64(conn))]);
@@ -223,7 +208,6 @@ where
     let result = std::thread::scope(|scope| {
         let writer = scope.spawn({
             let written_batches = Arc::clone(&written_batches);
-            let obs = Arc::clone(obs);
             move || -> io::Result<u64> {
                 let mut output = output;
                 let mut inflight: HashMap<u64, (Arc<TenantHandle>, u64)> = HashMap::new();
@@ -232,10 +216,9 @@ where
                     &reply_rx,
                     &inflight_rx,
                     &mut inflight,
-                    router,
+                    tenants,
                     registry,
                     &written_batches,
-                    &obs,
                 );
                 // Whatever is still reserved when the writer ends (an
                 // output error, a vanished client) must release its
@@ -253,11 +236,8 @@ where
         let end = {
             let writer_finished = || writer.is_finished();
             let mut reader = ConnReader {
-                router,
-                view: match router {
-                    Router::Single(_) => None,
-                    Router::Tenants(reg) => Some(reg.view()),
-                },
+                tenants,
+                view: tenants.view(),
                 pending_tenant: DEFAULT_TENANT.to_string(),
                 config,
                 registry,
@@ -308,25 +288,26 @@ where
 
 /// The connection's demux/write loop: reorders completed batches by
 /// sequence number, stamps `stats` responses with connection gauges
-/// (and, routed, the registry's tenancy aggregates), and releases
-/// tenant in-flight reservations as each batch's responses come back.
-#[allow(clippy::too_many_arguments)]
+/// and the registry's tenancy aggregates, and releases tenant
+/// in-flight reservations as each batch's responses come back.
 fn write_responses<W: Write>(
     output: &mut W,
     reply_rx: &Receiver<BatchReply>,
     inflight_rx: &Receiver<InflightNote>,
     inflight: &mut HashMap<u64, (Arc<TenantHandle>, u64)>,
-    router: Router<'_>,
+    tenants: &TenantRegistry,
     registry: &Registry,
     written_batches: &AtomicU64,
-    obs: &EngineObs,
 ) -> io::Result<u64> {
+    let obs = tenants.obs();
     let mut written = 0u64;
     let mut next_seq = 0u64;
-    let mut held: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
-    // This connection's stats-delta cursor: the absolute snapshot at
-    // its previous `{"delta":true}` call.
-    let mut cursor: Option<Snapshot> = None;
+    // Each held batch keeps its tenant (`None` for reader-injected
+    // replies, which carry no `stats`).
+    let mut held: BTreeMap<u64, (Option<Arc<TenantHandle>>, Vec<Response>)> = BTreeMap::new();
+    // This connection's stats-delta cursors, one per tenant: the
+    // absolute snapshot at that tenant's previous `{"delta":true}` call.
+    let mut cursors: HashMap<String, Snapshot> = HashMap::new();
     while let Ok((seq, batch)) = reply_rx.recv() {
         // Release this batch's quota reservation. Its note was sent
         // before the batch was submitted, so it is already queued here
@@ -334,20 +315,21 @@ fn write_responses<W: Write>(
         while let Ok((note_seq, handle, count)) = inflight_rx.try_recv() {
             inflight.insert(note_seq, (handle, count));
         }
-        if let Some((handle, count)) = inflight.remove(&seq) {
+        let tenant = inflight.remove(&seq).map(|(handle, count)| {
             handle.complete(count);
-        }
-        held.insert(seq, batch);
+            handle
+        });
+        held.insert(seq, (tenant, batch));
         // Write every contiguous batch: responses leave in request
         // order no matter the completion order.
-        while let Some(batch) = held.remove(&next_seq) {
+        while let Some((tenant, batch)) = held.remove(&next_seq) {
             let span = obs.enabled().then(Span::begin);
             for response in &batch {
                 let line = match response {
                     // The engine knows nothing about connections (or
                     // tenants); patch the gauges into stats responses
                     // on the way out, and resolve delta requests
-                    // against this connection's cursor.
+                    // against this connection's cursor for the tenant.
                     Response::Stats {
                         id,
                         snapshot,
@@ -356,11 +338,12 @@ fn write_responses<W: Write>(
                         let mut snapshot = *snapshot;
                         snapshot.conns_accepted = registry.accepted.load(Ordering::Relaxed);
                         snapshot.conns_active = registry.active.load(Ordering::Relaxed);
-                        if let Router::Tenants(tenants) = router {
-                            tenants.patch_snapshot(&mut snapshot);
-                        }
+                        tenants.patch_snapshot(&mut snapshot);
                         let emitted = if *delta {
-                            let prev = cursor.replace(snapshot).unwrap_or_default();
+                            let name = tenant.as_deref().map_or(DEFAULT_TENANT, TenantHandle::name);
+                            let prev = cursors
+                                .insert(name.to_owned(), snapshot)
+                                .unwrap_or_default();
                             snapshot.delta_since(&prev)
                         } else {
                             snapshot
@@ -393,12 +376,12 @@ fn write_responses<W: Write>(
 
 /// The per-connection reader state machine (see module docs).
 struct ConnReader<'a> {
-    router: Router<'a>,
-    /// Pinned registry snapshot (routed mode only): tenant resolution
-    /// against it is one atomic generation probe on the warm path.
-    view: Option<TenantView>,
-    /// Tenant of the requests currently in `pending` (routed batches
-    /// are single-tenant; a tenant switch cuts the batch).
+    tenants: &'a TenantRegistry,
+    /// Pinned registry snapshot: tenant resolution against it is one
+    /// atomic generation probe on the warm path.
+    view: TenantView,
+    /// Tenant of the requests currently in `pending` (batches are
+    /// single-tenant; a tenant switch cuts the batch).
     pending_tenant: String,
     config: ServeConfig,
     registry: &'a Registry,
@@ -426,10 +409,10 @@ impl ConnReader<'_> {
             // covers parsing only (not the buffered read below, not the
             // backpressure wait in flush_pending), so the stage
             // histogram reflects reader CPU work per consumed chunk.
-            let span = (!buf.is_empty() && self.router.obs().enabled()).then(Span::begin);
+            let span = (!buf.is_empty() && self.tenants.obs().enabled()).then(Span::begin);
             let stop = self.consume_lines(&mut buf);
             if let Some(span) = span {
-                self.router.obs().record_read_parse(span.elapsed_ns());
+                self.tenants.obs().record_read_parse(span.elapsed_ns());
             }
             if stop {
                 self.flush_pending();
@@ -477,8 +460,8 @@ impl ConnReader<'_> {
                     }
                     if let Some(limit) = self.config.read_timeout {
                         if last_data.elapsed() >= limit {
-                            self.router.obs().conn_timeout();
-                            self.router.obs().sink().event(
+                            self.tenants.obs().conn_timeout();
+                            self.tenants.obs().sink().event(
                                 Level::Info,
                                 "conn_timeout",
                                 &[
@@ -540,11 +523,10 @@ impl ConnReader<'_> {
             return false;
         }
         self.next_id += 1;
-        let (request, tenant) = match self.router {
-            Router::Single(_) => (parse_request(trimmed, self.next_id), None),
-            Router::Tenants(_) => parse_request_tenant(trimmed, self.next_id),
-        };
-        if let Router::Tenants(tenants) = self.router {
+        let (request, tenant) = parse_request_tenant(trimmed, self.next_id);
+        // Unrouted, the (validated) tenant field is dropped: everything
+        // stays in the default tenant's batches.
+        if self.tenants.routing() {
             let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
             if name != self.pending_tenant {
                 // Batches are single-tenant: cut here so each submit
@@ -562,7 +544,7 @@ impl ConnReader<'_> {
                 self.summary.requests += 1;
                 let reply = Response::Tenants {
                     id: request.id,
-                    fields: tenants.tenants_fields(),
+                    fields: self.tenants.tenants_fields(),
                 };
                 self.inject_reply(vec![reply]);
                 return false;
@@ -589,7 +571,12 @@ impl ConnReader<'_> {
 
     /// Submits the pending batch (if any), honoring the per-connection
     /// in-flight window: past it, we stop and let TCP backpressure the
-    /// client rather than buffering unbounded work.
+    /// client rather than buffering unbounded work. The batch's tenant
+    /// is resolved (one generation probe when the registry is stable)
+    /// and its admission control run: the granted prefix goes to the
+    /// tenant's engine, the refused suffix is answered with throttle
+    /// errors — never a disconnect, and never a stall for other
+    /// tenants.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -603,43 +590,19 @@ impl ConnReader<'_> {
             }
             std::thread::sleep(Duration::from_micros(500));
         }
-        match self.router {
-            Router::Single(engine) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                engine.submit_conn(
-                    self.conn,
-                    seq,
-                    std::mem::take(&mut self.pending),
-                    self.reply_tx.clone(),
-                );
-            }
-            Router::Tenants(tenants) => self.flush_routed(tenants),
-        }
-    }
-
-    /// Routed submit: resolve the batch's tenant (one generation probe
-    /// when the registry is stable), run admission control, submit the
-    /// granted prefix to the tenant's engine, and answer the refused
-    /// suffix with throttle errors — never a disconnect, and never a
-    /// stall for other tenants.
-    fn flush_routed(&mut self, tenants: &TenantRegistry) {
-        let view = self.view.as_mut().expect("routed reader has a view");
-        let handle = tenants.tenant(view, &self.pending_tenant);
-        let admission = tenants.admit(&handle, self.pending.len());
+        let handle = self.tenants.tenant(&mut self.view, &self.pending_tenant);
+        let admission = self.tenants.admit(&handle, self.pending.len());
         let refused = self.pending.split_off(admission.granted);
         let batch = std::mem::take(&mut self.pending);
         if !batch.is_empty() {
             let seq = self.next_seq;
             self.next_seq += 1;
-            if handle.tracks_inflight() {
-                // Note before submit: the reply can only exist after
-                // the submit, so the writer always finds the note
-                // queued when it receives this batch's responses.
-                let _ = self
-                    .inflight_tx
-                    .send((seq, Arc::clone(&handle), batch.len() as u64));
-            }
+            // Note before submit: the reply can only exist after the
+            // submit, so the writer always finds the note queued when
+            // it receives this batch's responses.
+            let _ = self
+                .inflight_tx
+                .send((seq, Arc::clone(&handle), batch.len() as u64));
             handle
                 .engine()
                 .submit_conn(self.conn, seq, batch, self.reply_tx.clone());
@@ -664,37 +627,7 @@ impl ConnReader<'_> {
 /// by sequence number). Returns when the input ends or a `shutdown` op
 /// is processed.
 pub fn serve_session<R, W>(
-    engine: &Engine,
-    input: R,
-    output: W,
-    config: ServeConfig,
-) -> io::Result<ServeSummary>
-where
-    R: Read,
-    W: Write + Send,
-{
-    serve_session_router(Router::Single(engine), input, output, config)
-}
-
-/// [`serve_session`] routed through a [`TenantRegistry`]: requests
-/// carry an optional `"tenant"` field (absent → `"default"`), each
-/// tenant gets its own lazily-created engine, and over-quota requests
-/// are answered with structured throttle errors.
-pub fn serve_session_tenants<R, W>(
     tenants: &TenantRegistry,
-    input: R,
-    output: W,
-    config: ServeConfig,
-) -> io::Result<ServeSummary>
-where
-    R: Read,
-    W: Write + Send,
-{
-    serve_session_router(Router::Tenants(tenants), input, output, config)
-}
-
-fn serve_session_router<R, W>(
-    router: Router<'_>,
     input: R,
     output: W,
     config: ServeConfig,
@@ -705,22 +638,17 @@ where
 {
     let registry = Registry::default();
     let conn = registry.connect();
-    let summary = serve_conn(router, input, output, config, &registry, conn)?;
+    let summary = serve_conn(tenants, input, output, config, &registry, conn)?;
     if config.stats_on_exit {
-        eprintln!("{}", router_stats_line(router));
+        eprintln!("{}", stats_line(tenants));
     }
     Ok(summary)
 }
 
-fn router_stats_line(router: Router<'_>) -> String {
-    match router {
-        Router::Single(engine) => stats_line(engine),
-        Router::Tenants(tenants) => stats_line_tenants(tenants),
-    }
-}
-
-/// The engine snapshot rendered exactly like a `stats` response (without
-/// an id), for `--stats-on-exit`.
+/// The default tenant's engine snapshot (zeroes when that tenant has
+/// never been contacted), stamped with the registry's tenancy
+/// aggregates and rendered exactly like a `stats` response (without an
+/// id), for `--stats-on-exit`.
 ///
 /// Besides cache hit rates, the line carries the store's contention
 /// profile — snapshot generation, installs, slow-path (writer-mutex)
@@ -728,39 +656,27 @@ fn router_stats_line(router: Router<'_>) -> String {
 /// observable from the outside:
 ///
 /// ```
-/// use algst_core::Session;
-/// use algst_server::{Engine, Request, parse_request};
+/// use algst_server::{parse_request, TenantConfig, TenantRegistry};
 /// use algst_server::serve::stats_line;
+/// use algst_server::tenant::DEFAULT_TENANT;
 ///
-/// let engine = Engine::with_session(1, Session::new());
+/// let tenants = TenantRegistry::new(TenantConfig::default());
 /// let req = parse_request(r#"{"op":"equiv","lhs":"!Int.End!","rhs":"Dual (?Int.End?)"}"#, 1);
-/// engine.process(vec![req]);
-/// let line = stats_line(&engine);
+/// tenants.process(&mut tenants.view(), DEFAULT_TENANT, vec![req]);
+/// let line = stats_line(&tenants);
 /// for key in ["store_generation", "snapshot_installs", "store_slow_path",
 ///             "store_locks", "cache_locks"] {
 ///     assert!(line.contains(key), "{key} missing from {line}");
 /// }
 /// ```
-pub fn stats_line(engine: &Engine) -> String {
-    let response = crate::protocol::Response::Stats {
-        id: 0,
-        snapshot: engine.snapshot(),
-        delta: false,
-    };
-    response.to_json()
-}
-
-/// [`stats_line`] for a routed server: the default tenant's engine
-/// snapshot (zeroes when that tenant has never been contacted) stamped
-/// with the registry's tenancy aggregates.
-pub fn stats_line_tenants(tenants: &TenantRegistry) -> String {
+pub fn stats_line(tenants: &TenantRegistry) -> String {
     let mut view = tenants.view();
     let mut snapshot = tenants
         .resolve(&mut view, DEFAULT_TENANT)
         .map(|handle| handle.engine().snapshot())
         .unwrap_or_default();
     tenants.patch_snapshot(&mut snapshot);
-    let response = crate::protocol::Response::Stats {
+    let response = Response::Stats {
         id: 0,
         snapshot,
         delta: false,
@@ -769,38 +685,24 @@ pub fn stats_line_tenants(tenants: &TenantRegistry) -> String {
 }
 
 /// Serves stdio until EOF or `shutdown`.
-pub fn serve_stdio(engine: &Engine, config: ServeConfig) -> io::Result<ServeSummary> {
+pub fn serve_stdio(tenants: &TenantRegistry, config: ServeConfig) -> io::Result<ServeSummary> {
     // `Stdout` (not `StdoutLock`) — the writer thread needs `Send`.
-    serve_session(engine, io::stdin().lock(), io::stdout(), config)
-}
-
-/// [`serve_stdio`] routed through a [`TenantRegistry`].
-pub fn serve_stdio_tenants(
-    tenants: &TenantRegistry,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_session_tenants(tenants, io::stdin().lock(), io::stdout(), config)
+    serve_session(tenants, io::stdin().lock(), io::stdout(), config)
 }
 
 /// Binds `addr` and serves TCP connections **concurrently**: every
 /// accepted connection gets its own reader and ordered-demux writer
-/// over the shared worker pool, up to [`ServeConfig::max_conns`] at
+/// over the shared tenant engines, up to [`ServeConfig::max_conns`] at
 /// once. A `shutdown` op on any connection drains the whole listener:
 /// no new connections, every in-flight request on every connection is
 /// answered, then this returns the aggregated summary.
-pub fn serve_tcp(engine: &Engine, addr: &str, config: ServeConfig) -> io::Result<ServeSummary> {
-    let listener = TcpListener::bind(addr)?;
-    serve_listener(engine, &listener, config)
-}
-
-/// [`serve_tcp`] routed through a [`TenantRegistry`].
-pub fn serve_tcp_tenants(
+pub fn serve_tcp(
     tenants: &TenantRegistry,
     addr: &str,
     config: ServeConfig,
 ) -> io::Result<ServeSummary> {
     let listener = TcpListener::bind(addr)?;
-    serve_listener_tenants(tenants, &listener, config)
+    serve_listener(tenants, &listener, config)
 }
 
 /// [`serve_tcp`] over an already-bound listener (lets callers pick port
@@ -808,24 +710,7 @@ pub fn serve_tcp_tenants(
 /// session (client reset, EPIPE) is logged and dropped — the listener
 /// keeps serving; only `accept` errors end the loop early.
 pub fn serve_listener(
-    engine: &Engine,
-    listener: &TcpListener,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_listener_router(Router::Single(engine), listener, config)
-}
-
-/// [`serve_listener`] routed through a [`TenantRegistry`].
-pub fn serve_listener_tenants(
     tenants: &TenantRegistry,
-    listener: &TcpListener,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_listener_router(Router::Tenants(tenants), listener, config)
-}
-
-fn serve_listener_router(
-    router: Router<'_>,
     listener: &TcpListener,
     config: ServeConfig,
 ) -> io::Result<ServeSummary> {
@@ -896,7 +781,7 @@ fn serve_listener_router(
                     let conn = registry.connect();
                     let registry = &registry;
                     conns.push(scope.spawn(move || {
-                        let result = serve_conn(router, reader, stream, config, registry, conn);
+                        let result = serve_conn(tenants, reader, stream, config, registry, conn);
                         registry.disconnect();
                         result
                     }));
@@ -917,7 +802,7 @@ fn serve_listener_router(
     });
 
     if config.stats_on_exit {
-        eprintln!("{}", router_stats_line(router));
+        eprintln!("{}", stats_line(tenants));
     }
     result?;
     Ok(total)
@@ -940,13 +825,21 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::tenant::{TenantConfig, TenantQuotas};
-    use algst_core::Session;
+
+    /// The plain `algst serve` shape: routing off, `workers` per engine.
+    fn unrouted(workers: usize) -> TenantRegistry {
+        TenantRegistry::new(TenantConfig {
+            workers,
+            routing: false,
+            ..TenantConfig::default()
+        })
+    }
 
     fn run(input: &str) -> (ServeSummary, Vec<Vec<(String, json::Value)>>) {
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = unrouted(2);
         let mut out = Vec::new();
         let summary =
-            serve_session(&engine, input.as_bytes(), &mut out, ServeConfig::default()).unwrap();
+            serve_session(&tenants, input.as_bytes(), &mut out, ServeConfig::default()).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<Vec<(String, json::Value)>> = text
             .lines()
@@ -1127,13 +1020,13 @@ mod tests {
                 i + 1
             ));
         }
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = unrouted(2);
         let mut out = Vec::new();
         let config = ServeConfig {
             batch_max: 8,
             ..ServeConfig::default()
         };
-        let summary = serve_session(&engine, input.as_bytes(), &mut out, config).unwrap();
+        let summary = serve_session(&tenants, input.as_bytes(), &mut out, config).unwrap();
         assert_eq!(summary.requests, 200);
         assert_eq!(summary.responses, 200);
         let text = String::from_utf8(out).unwrap();
@@ -1162,8 +1055,7 @@ mod tests {
         let tenants = TenantRegistry::new(config);
         let mut out = Vec::new();
         let summary =
-            serve_session_tenants(&tenants, input.as_bytes(), &mut out, ServeConfig::default())
-                .unwrap();
+            serve_session(&tenants, input.as_bytes(), &mut out, ServeConfig::default()).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<Vec<(String, json::Value)>> = text
             .lines()
@@ -1302,14 +1194,47 @@ mod tests {
     }
 
     #[test]
+    fn routed_stats_delta_keeps_one_cursor_per_tenant() {
+        // A delta for tenant b must not be taken against tenant a's
+        // snapshot: b's first delta counts from b's own start.
+        let input = concat!(
+            r#"{"op":"equiv","lhs":"!Int.End!","rhs":"Dual (?Int.End?)","tenant":"a"}"#,
+            "\n",
+            r#"{"op":"equiv","lhs":"!Int.End!","rhs":"!Bool.End!","tenant":"a"}"#,
+            "\n",
+            r#"{"op":"equiv","lhs":"!Int.End!","rhs":"Dual (?Int.End?)","tenant":"a"}"#,
+            "\n",
+            r#"{"op":"stats","delta":true,"tenant":"a"}"#,
+            "\n",
+            r#"{"op":"stats","delta":true,"tenant":"b"}"#,
+            "\n",
+            r#"{"op":"stats","tenant":"b"}"#,
+            "\n",
+        );
+        let (summary, lines) = run_routed(TenantConfig::default(), input);
+        assert_eq!(summary.responses, 6);
+        let int = |ix: usize, key: &str| {
+            json::get(&lines[ix], key)
+                .and_then(json::Value::as_int)
+                .unwrap_or_else(|| panic!("no int {key} in line {ix}"))
+        };
+        // a: 3 equiv + the stats itself, counted from a's start.
+        assert_eq!(int(3, "requests"), 4);
+        // b: only its own first stats call so far.
+        assert_eq!(int(4, "requests"), 1);
+        // b's absolute count right after: both of b's stats calls.
+        assert_eq!(int(5, "requests"), 2);
+    }
+
+    #[test]
     fn tcp_round_trip() {
         use std::io::{BufRead, BufReader, Write};
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = unrouted(2);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()).unwrap());
+            let server = scope
+                .spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()).unwrap());
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             stream
                 .write_all(
@@ -1339,12 +1264,12 @@ mod tests {
         // its in-flight responses discarded — no panic, no stall — and
         // the server must keep serving other clients.
         use std::io::{BufRead, BufReader, Write};
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = unrouted(2);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()).unwrap());
+            let server = scope
+                .spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()).unwrap());
             {
                 let mut rude = std::net::TcpStream::connect(addr).unwrap();
                 // A deep pipelined burst keeps responses in flight, then

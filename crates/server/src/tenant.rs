@@ -1,6 +1,8 @@
 //! Multi-tenant registry: tenant name → lazily-created [`Engine`] over
 //! its **own** [`Session`] store, with per-tenant quotas, admission
-//! control, and idle eviction.
+//! control, and idle eviction. Every serving front-end goes through a
+//! registry; with [`TenantConfig::routing`] off it serves one
+//! [`DEFAULT_TENANT`] engine (plain `algst serve`).
 //!
 //! # Snapshot protocol (why the warm path takes no locks)
 //!
@@ -54,6 +56,7 @@ use crate::engine::{Engine, EngineObs, ObsOptions};
 use crate::json::Value;
 use crate::protocol::{Request, Response, Snapshot, ThrottleKind};
 use algst_core::Session;
+use algst_obs::Registry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -107,6 +110,13 @@ pub struct TenantConfig {
     /// Evict tenants idle for at least this long (the sweeper only
     /// runs under [`TenantRegistry::with_sweeper`]).
     pub idle_timeout: Option<Duration>,
+    /// Route requests by their `"tenant"` field (`algst serve
+    /// --multi-tenant`). Off, the registry serves one engine, built at
+    /// construction: every request resolves to [`DEFAULT_TENANT`] (a
+    /// `"tenant"` field is still validated, then dropped), the `tenants`
+    /// op reaches that engine (which refuses it), and `stats` lines
+    /// carry no tenancy fields.
+    pub routing: bool,
 }
 
 impl Default for TenantConfig {
@@ -117,6 +127,7 @@ impl Default for TenantConfig {
             quotas: TenantQuotas::default(),
             max_tenants: 0,
             idle_timeout: None,
+            routing: true,
         }
     }
 }
@@ -309,12 +320,6 @@ impl TenantHandle {
         }
     }
 
-    /// Does this tenant account in-flight requests at all? (Quota-less
-    /// tenants skip the counter entirely.)
-    pub fn tracks_inflight(&self) -> bool {
-        self.max_inflight > 0
-    }
-
     /// Releases `n` in-flight slots once their responses are written
     /// (or dropped with a dead connection).
     pub fn complete(&self, n: u64) {
@@ -369,7 +374,7 @@ pub struct RegistryStats {
 /// and admission protocols.
 pub struct TenantRegistry {
     config: TenantConfig,
-    /// Connection-level observability hooks for the routed front-end
+    /// Connection-level observability hooks for the front-end
     /// (tenant engines resolve the same metric names from the same
     /// shared registry, so everything folds into one scrape).
     front_obs: Arc<EngineObs>,
@@ -401,7 +406,7 @@ impl TenantRegistry {
     /// [`TenantRegistry::sweep_idle`] themselves — tests, mostly).
     pub fn new(config: TenantConfig) -> TenantRegistry {
         let front_obs = Arc::new(EngineObs::new(config.obs.clone()));
-        TenantRegistry {
+        let registry = TenantRegistry {
             config,
             front_obs,
             generation: AtomicU64::new(0),
@@ -419,7 +424,14 @@ impl TenantRegistry {
             locks: AtomicU64::new(0),
             stop: Arc::new(AtomicBool::new(false)),
             sweeper: Mutex::new(None),
+        };
+        if !registry.config.routing {
+            // Unrouted, the registry is one engine: build it up front so
+            // its metrics and store gauges are there from the first
+            // scrape, before any request arrives.
+            registry.tenant(&mut registry.view(), DEFAULT_TENANT);
         }
+        registry
     }
 
     /// [`TenantRegistry::new`] plus a background sweeper thread driving
@@ -443,9 +455,21 @@ impl TenantRegistry {
     }
 
     /// Front-end observability hooks (connection lifecycle, reader and
-    /// writer stage timings) shared by every routed connection.
+    /// writer stage timings) shared by every connection.
     pub(crate) fn obs(&self) -> &Arc<EngineObs> {
         &self.front_obs
+    }
+
+    /// The metrics registry shared by every tenant engine and the
+    /// front-end (the one in [`TenantConfig::obs`]).
+    pub(crate) fn metrics_registry(&self) -> &Arc<Registry> {
+        &self.config.obs.registry
+    }
+
+    /// Does this registry route by the `"tenant"` field? (See
+    /// [`TenantConfig::routing`].)
+    pub(crate) fn routing(&self) -> bool {
+        self.config.routing
     }
 
     /// Nanoseconds on the registry's monotonic clock (the timebase of
@@ -638,10 +662,12 @@ impl TenantRegistry {
     }
 
     /// Stamps the registry's tenancy aggregates into a snapshot (the
-    /// routed front-end calls this on every outgoing `stats` response).
+    /// front-end calls this on every outgoing `stats` response). They
+    /// are serialized only when routing is on, so unrouted `stats`
+    /// lines stay byte-identical to a tenancy-unaware server.
     pub fn patch_snapshot(&self, snapshot: &mut Snapshot) {
         let stats = self.stats();
-        snapshot.tenancy = true;
+        snapshot.tenancy = self.config.routing;
         snapshot.tenants = stats.tenants;
         snapshot.tenant_evictions = stats.evictions;
         snapshot.tenant_recreations = stats.recreations;

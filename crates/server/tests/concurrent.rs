@@ -1,10 +1,11 @@
 //! Connection-layer tests for the concurrent TCP front-end: client
 //! interleaving, pipelining past the batch size, slow-loris timeouts,
 //! graceful drain, capacity refusal, and verdict correctness under
-//! simultaneous connections sharing one engine.
+//! simultaneous connections sharing one engine (the registry with
+//! routing off, as plain `algst serve` runs).
 
 use algst_core::Session;
-use algst_server::{json, serve_listener, Engine, ServeConfig};
+use algst_server::{json, serve_listener, ServeConfig, TenantConfig, TenantRegistry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,14 +42,14 @@ fn send_shutdown(addr: std::net::SocketAddr) {
 /// must get its responses back in request order.
 #[test]
 fn eight_concurrent_clients_interleaved_verdicts() {
-    let engine = Engine::with_session(4, Session::new());
+    let tenants = unrouted(4);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     const CLIENTS: usize = 8;
     const REQS: usize = 120;
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 scope.spawn(move || {
@@ -118,7 +119,7 @@ fn eight_concurrent_clients_interleaved_verdicts() {
 /// per connection at once, and the demux still restores request order.
 #[test]
 fn pipelining_deeper_than_batch_max() {
-    let engine = Engine::with_session(2, Session::new());
+    let tenants = unrouted(2);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let config = ServeConfig {
@@ -127,7 +128,7 @@ fn pipelining_deeper_than_batch_max() {
     };
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, config));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, config));
         let mut stream = TcpStream::connect(addr).unwrap();
         const DEPTH: usize = 300; // 75 batches of 4 for one connection
         let mut burst = String::new();
@@ -163,7 +164,7 @@ fn pipelining_deeper_than_batch_max() {
 /// read timeout with an error response; other connections are not.
 #[test]
 fn slow_loris_client_hits_the_read_timeout() {
-    let engine = Engine::with_session(2, Session::new());
+    let tenants = unrouted(2);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let config = ServeConfig {
@@ -172,7 +173,7 @@ fn slow_loris_client_hits_the_read_timeout() {
     };
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, config));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, config));
         let mut loris = TcpStream::connect(addr).unwrap();
         loris.write_all(b"{\"op\":\"equiv\",\"lhs\":\"!In").unwrap();
         // While the loris dangles, a live client gets served.
@@ -215,7 +216,7 @@ fn slow_loris_client_hits_the_read_timeout() {
 /// reads its full burst back, in order, before its socket closes.
 #[test]
 fn drain_on_shutdown_answers_every_in_flight_request() {
-    let engine = Engine::with_session(4, Session::new());
+    let tenants = unrouted(4);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     const CLIENTS: usize = 4;
@@ -224,7 +225,7 @@ fn drain_on_shutdown_answers_every_in_flight_request() {
     let written = Barrier::new(CLIENTS + 1);
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
         let written = &written;
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
@@ -280,7 +281,7 @@ fn drain_on_shutdown_answers_every_in_flight_request() {
 /// freed by a closing client is reusable.
 #[test]
 fn over_capacity_clients_are_refused() {
-    let engine = Engine::with_session(1, Session::new());
+    let tenants = unrouted(1);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let config = ServeConfig {
@@ -289,7 +290,7 @@ fn over_capacity_clients_are_refused() {
     };
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, config));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, config));
         // First client occupies the only slot (held open, interactive).
         let mut held = TcpStream::connect(addr).unwrap();
         held.write_all(b"{\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"Dual End?\"}\n")
@@ -337,7 +338,7 @@ fn over_capacity_clients_are_refused() {
 /// would surface as wrong verdicts; counts are checked via `stats`.
 #[test]
 fn verdicts_stay_correct_under_connection_cross_talk() {
-    let engine = Engine::with_session(4, Session::new());
+    let tenants = unrouted(4);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     const CLIENTS: usize = 8;
@@ -346,7 +347,7 @@ fn verdicts_stay_correct_under_connection_cross_talk() {
     let answered = Mutex::new(0u64);
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
         let wrong = &wrong;
         let answered = &answered;
         let clients: Vec<_> = (0..CLIENTS)
@@ -412,12 +413,12 @@ fn verdicts_stay_correct_under_connection_cross_talk() {
 /// connections that are mid-traffic at the same moment.
 #[test]
 fn abrupt_disconnect_does_not_stall_other_connections() {
-    let engine = Engine::with_session(2, Session::new());
+    let tenants = unrouted(2);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
         // The rude client: deep burst + half line, dropped without
         // reading. Its responses must be discarded quietly.
         scope.spawn(move || {
@@ -459,6 +460,15 @@ fn abrupt_disconnect_does_not_stall_other_connections() {
         let summary = server.join().unwrap().unwrap();
         assert!(summary.saw_shutdown);
     });
+}
+
+/// The plain `algst serve` shape: routing off, `workers` per engine.
+fn unrouted(workers: usize) -> TenantRegistry {
+    TenantRegistry::new(TenantConfig {
+        workers,
+        routing: false,
+        ..TenantConfig::default()
+    })
 }
 
 /// Sanity check on the test table itself, so PAIRS rot is caught here

@@ -1,15 +1,15 @@
-//! Tenant lifecycle edge cases (ISSUE 10 acceptance): eviction under
-//! in-flight load, `--max-tenants` overflow, exact quota boundaries,
-//! default-tenant wire back-compat, and the zero-lock criterion — a
+//! Tenant lifecycle edge cases: eviction under in-flight load,
+//! `--max-tenants` overflow, exact quota boundaries, the unrouted
+//! server's wire back-compat (a golden transcript), and the zero-lock
+//! criterion — a
 //! 200K-request warm replay routed through the tenant registry takes
 //! exactly zero registry lock acquisitions and zero store/cache lock
 //! acquisitions in any tenant engine.
 
-use algst_core::Session;
 use algst_gen::workload::tenant_workloads;
 use algst_server::{
-    json, serve_session, serve_session_tenants, Engine, Op, Request, Response, ServeConfig,
-    TenantConfig, TenantQuotas, TenantRegistry, ThrottleKind,
+    json, serve_session, Op, Request, Response, ServeConfig, TenantConfig, TenantQuotas,
+    TenantRegistry, ThrottleKind,
 };
 use std::sync::Arc;
 
@@ -153,65 +153,88 @@ fn quota_boundaries_grant_exactly_at_limit() {
     assert_eq!(registry.stats().throttled, 1);
 }
 
-/// Strips the per-response `ns` timing (the only nondeterministic
-/// field) and keeps everything else for exact comparison.
-fn parsed_without_ns(output: &[u8]) -> Vec<Vec<(String, json::Value)>> {
-    String::from_utf8(output.to_vec())
-        .unwrap()
-        .lines()
-        .map(|l| {
-            json::parse_object(l)
-                .unwrap_or_else(|e| panic!("bad line {l}: {e}"))
-                .into_iter()
-                .filter(|(k, _)| k != "ns")
-                .collect()
-        })
+fn parsed(text: &str) -> Vec<Vec<(String, json::Value)>> {
+    text.lines()
+        .map(|l| json::parse_object(l).unwrap_or_else(|e| panic!("bad line {l}: {e}")))
         .collect()
 }
 
+/// Parses every response line, dropping the per-response `ns` timing
+/// (the only field that differs from run to run).
+fn parsed_without_ns(text: &str) -> Vec<Vec<(String, json::Value)>> {
+    parsed(text)
+        .into_iter()
+        .map(|pairs| pairs.into_iter().filter(|(k, _)| k != "ns").collect())
+        .collect()
+}
+
+/// Tenancy-unaware traffic: verdicts (true, false, a warm repeat),
+/// checks (ok, a type error), malformed lines, tenant fields (one
+/// ignored, one invalid), the `tenants` op, stats (absolute and two
+/// deltas) and shutdown.
+const GOLDEN_INPUT: &str = concat!(
+    "{\"id\":1,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
+    "{\"id\":2,\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"End?\"}\n",
+    "{\"id\":3,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
+    "{\"id\":4,\"op\":\"check\",\"source\":\"main : Unit\\nmain = ()\"}\n",
+    "{\"id\":5,\"op\":\"check\",\"source\":\"main : Int\\nmain = ()\"}\n",
+    "not json at all\n",
+    "{\"id\":7,\"op\":\"frobnicate\"}\n",
+    "{\"id\":8,\"op\":\"equiv\",\"lhs\":\"?Int.End?\",\"rhs\":\"Dual (!Int.End!)\",\"tenant\":\"zz\"}\n",
+    "{\"id\":9,\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"End!\",\"tenant\":\"no spaces\"}\n",
+    "{\"id\":10,\"op\":\"tenants\"}\n",
+    "{\"id\":11,\"op\":\"stats\"}\n",
+    "{\"id\":12,\"op\":\"stats\",\"delta\":true}\n",
+    "{\"id\":13,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\",\"tenant\":\"zz\"}\n",
+    "{\"id\":14,\"op\":\"stats\",\"delta\":true}\n",
+    "{\"id\":15,\"op\":\"shutdown\"}\n",
+);
+
+/// What a dedicated single engine (1 worker, fresh store) answered to
+/// [`GOLDEN_INPUT`] before the unrouted registry replaced it, `ns`
+/// removed. Identical across 20 recorded runs.
+const GOLDEN_OUTPUT: &str = concat!(
+    "{\"id\":1,\"op\":\"equiv\",\"verdict\":true,\"warm\":false}\n",
+    "{\"id\":2,\"op\":\"equiv\",\"verdict\":false,\"warm\":false}\n",
+    "{\"id\":3,\"op\":\"equiv\",\"verdict\":true,\"warm\":true}\n",
+    "{\"id\":4,\"op\":\"check\",\"ok\":true,\"cached\":false}\n",
+    "{\"id\":5,\"op\":\"check\",\"ok\":false,\"error\":\"type mismatch: expected Int, found Unit\",\"cached\":false}\n",
+    "{\"id\":6,\"op\":\"error\",\"error\":\"expected '{', found 'n'\"}\n",
+    "{\"id\":7,\"op\":\"error\",\"error\":\"unknown op \\\"frobnicate\\\"\"}\n",
+    "{\"id\":8,\"op\":\"equiv\",\"verdict\":true,\"warm\":false}\n",
+    "{\"id\":9,\"op\":\"error\",\"error\":\"invalid tenant name \\\"no spaces\\\" (want 1-64 chars of [A-Za-z0-9_-])\"}\n",
+    "{\"id\":10,\"op\":\"error\",\"error\":\"tenants: multi-tenant serving is disabled (start with --multi-tenant)\"}\n",
+    "{\"id\":11,\"op\":\"stats\",\"delta\":false,\"requests\":11,\"workers\":1,\"nodes\":68,\"nrm_hits\":61,\"nrm_misses\":57,\"nrm_hit_rate\":0.5169,\"equiv_entries\":3,\"equiv_hits\":1,\"equiv_misses\":3,\"equiv_hit_rate\":0.2500,\"parse_entries\":6,\"module_entries\":2,\"module_hits\":0,\"store_generation\":2,\"snapshot_installs\":2,\"store_slow_path\":68,\"store_locks\":142,\"store_bytes\":7080,\"store_epoch\":0,\"compactions\":0,\"reclaimed_bytes\":0,\"cache_locks\":18,\"conns_accepted\":1,\"conns_active\":1}\n",
+    "{\"id\":12,\"op\":\"stats\",\"delta\":true,\"requests\":12,\"workers\":1,\"nodes\":68,\"nrm_hits\":61,\"nrm_misses\":57,\"nrm_hit_rate\":0.5169,\"equiv_entries\":3,\"equiv_hits\":1,\"equiv_misses\":3,\"equiv_hit_rate\":0.2500,\"parse_entries\":6,\"module_entries\":2,\"module_hits\":0,\"store_generation\":2,\"snapshot_installs\":2,\"store_slow_path\":68,\"store_locks\":142,\"store_bytes\":7080,\"store_epoch\":0,\"compactions\":0,\"reclaimed_bytes\":0,\"cache_locks\":18,\"conns_accepted\":1,\"conns_active\":1}\n",
+    "{\"id\":13,\"op\":\"equiv\",\"verdict\":true,\"warm\":true}\n",
+    "{\"id\":14,\"op\":\"stats\",\"delta\":true,\"requests\":2,\"workers\":1,\"nodes\":0,\"nrm_hits\":0,\"nrm_misses\":0,\"nrm_hit_rate\":0.0000,\"equiv_entries\":0,\"equiv_hits\":1,\"equiv_misses\":0,\"equiv_hit_rate\":1.0000,\"parse_entries\":0,\"module_entries\":0,\"module_hits\":0,\"store_generation\":0,\"snapshot_installs\":0,\"store_slow_path\":0,\"store_locks\":0,\"store_bytes\":7080,\"store_epoch\":0,\"compactions\":0,\"reclaimed_bytes\":0,\"cache_locks\":0,\"conns_accepted\":0,\"conns_active\":1}\n",
+    "{\"id\":15,\"op\":\"shutdown\",\"ok\":true}\n",
+);
+
 #[test]
-fn tenantless_requests_behave_identically_to_single_engine_mode() {
-    // The default-tenant back-compat regression: a client that never
-    // says "tenant" must see exactly the responses the single-engine
-    // server gave — same fields, same values, same order — including
-    // error paths. (The `ns` timing is the one field that cannot be
-    // bit-stable across runs.)
-    let input = concat!(
-        "{\"id\":1,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
-        "{\"id\":2,\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"End?\"}\n",
-        "not json at all\n",
-        "{\"id\":4,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
-        "{\"id\":5,\"op\":\"check\",\"source\":\"main : Unit\\nmain = ()\"}\n",
-        "{\"id\":6,\"op\":\"frobnicate\"}\n",
-    );
-
-    let engine = Engine::with_session(1, Session::new());
-    let mut single_out = Vec::new();
-    serve_session(
-        &engine,
-        input.as_bytes(),
-        &mut single_out,
-        ServeConfig::default(),
-    )
-    .unwrap();
-
-    let registry = TenantRegistry::new(TenantConfig::default());
-    let mut routed_out = Vec::new();
-    serve_session_tenants(
+fn unrouted_registry_matches_the_single_engine_golden_transcript() {
+    // The back-compat regression for plain `algst serve`: a client
+    // that never says "tenant" sees exactly the responses of the
+    // single-engine server — same fields, same values, same order —
+    // including error paths and the stats counters.
+    let registry = TenantRegistry::new(TenantConfig {
+        routing: false,
+        ..TenantConfig::default()
+    });
+    let mut out = Vec::new();
+    let summary = serve_session(
         &registry,
-        input.as_bytes(),
-        &mut routed_out,
+        GOLDEN_INPUT.as_bytes(),
+        &mut out,
         ServeConfig::default(),
     )
     .unwrap();
-
+    assert!(summary.saw_shutdown);
+    let out = String::from_utf8(out).unwrap();
     assert_eq!(
-        parsed_without_ns(&single_out),
-        parsed_without_ns(&routed_out),
-        "routed default-tenant output diverged from single-engine output\n\
-         --- single ---\n{}\n--- routed ---\n{}",
-        String::from_utf8_lossy(&single_out),
-        String::from_utf8_lossy(&routed_out),
+        parsed_without_ns(&out),
+        parsed(GOLDEN_OUTPUT),
+        "unrouted output diverged from the golden transcript\n{out}"
     );
 }
 

@@ -3,7 +3,9 @@
 //! worker's stack, and every shape up to the bound gets its answer.
 
 use algst_core::Session;
-use algst_server::{serve_listener, Engine, Op, Request, Response, ServeConfig};
+use algst_server::{
+    serve_listener, Engine, Op, Request, Response, ServeConfig, TenantConfig, TenantRegistry,
+};
 use algst_syntax::MAX_TYPE_DEPTH;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -26,11 +28,15 @@ fn ask(reader: &mut BufReader<TcpStream>, line: &str) -> String {
 
 #[test]
 fn too_deep_requests_get_errors_and_the_server_stays_up() {
-    let engine = Engine::with_session(2, Session::new());
+    let tenants = TenantRegistry::new(TenantConfig {
+        workers: 2,
+        routing: false,
+        ..TenantConfig::default()
+    });
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()));
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
         let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
         // 1000 `Dual (` levels: an even number of duals, so `End!`.
         let answer = ask(&mut conn, &equiv_line(1, &dual_nest(1000), "End!"));

@@ -43,17 +43,20 @@
 //! when a disagreement was found (minimized counterexamples land in the
 //! failure directory); `--replay` exits 1 when the failure reproduces.
 //!
-//! Any `--tenant-*` or `--max-tenants` flag implies `--multi-tenant`.
-//! In multi-tenant mode every tenant gets its own engine over its own
-//! store; requests without a `"tenant"` field go to the `default`
-//! tenant, and a `{"op":"tenants"}` request lists per-tenant counters.
+//! `serve` always routes through a tenant registry. Any `--tenant-*` or
+//! `--max-tenants` flag implies `--multi-tenant`. In multi-tenant mode
+//! every tenant gets its own engine over its own store; requests
+//! without a `"tenant"` field go to the `default` tenant, and a
+//! `{"op":"tenants"}` request lists per-tenant counters. Without it,
+//! every request goes to the `default` tenant's engine (a `"tenant"`
+//! field is validated, then ignored).
 
 use algst::obs::{Level, TraceSink};
 use algst::runtime::Interp;
-use algst::{Pipeline, Session};
+use algst::Pipeline;
 use algst_server::{
-    serve_metrics, serve_metrics_tenants, serve_stdio, serve_stdio_tenants, serve_tcp,
-    serve_tcp_tenants, Engine, ObsOptions, ServeConfig, TenantConfig, TenantQuotas, TenantRegistry,
+    serve_metrics, serve_stdio, serve_tcp, ObsOptions, ServeConfig, TenantConfig, TenantQuotas,
+    TenantRegistry,
 };
 use std::io::Read;
 use std::process::ExitCode;
@@ -470,97 +473,56 @@ fn main() -> ExitCode {
                 max_conns: opts.max_conns,
                 read_timeout: opts.read_timeout,
             };
-            let served = if opts.multi_tenant {
-                // Every tenant engine clones this obs wiring, so one
-                // shared registry covers the whole fleet in one scrape.
-                let metrics_registry = Arc::clone(&obs.registry);
-                let tenants = TenantRegistry::with_sweeper(TenantConfig {
-                    workers: opts.workers,
-                    obs,
-                    quotas: TenantQuotas {
-                        max_store_bytes: if opts.tenant_store_bytes > 0 {
-                            opts.tenant_store_bytes
-                        } else {
-                            opts.max_store_bytes
-                        },
-                        compact_interval: opts.compact_interval,
-                        rate_limit: opts.tenant_rate,
-                        burst: opts.tenant_burst,
-                        max_inflight: opts.tenant_inflight,
+            // Every tenant engine clones this obs wiring, so one shared
+            // registry covers the whole fleet in one scrape. Without
+            // --multi-tenant, routing is off: one `default` tenant
+            // serves every request.
+            let tenants = TenantRegistry::with_sweeper(TenantConfig {
+                workers: opts.workers,
+                obs,
+                quotas: TenantQuotas {
+                    max_store_bytes: if opts.tenant_store_bytes > 0 {
+                        opts.tenant_store_bytes
+                    } else {
+                        opts.max_store_bytes
                     },
-                    max_tenants: opts.max_tenants,
-                    idle_timeout: opts.tenant_idle,
-                });
-                // Keep the scrape endpoint alive for the serve's duration.
-                let _metrics = match &opts.metrics_listen {
-                    Some(addr) => {
-                        match serve_metrics_tenants(addr, metrics_registry, Arc::clone(&tenants)) {
-                            Ok(server) => {
-                                eprintln!(
-                                    "algst serve: metrics on http://{}/metrics",
-                                    server.addr()
-                                );
-                                Some(server)
-                            }
-                            Err(e) => {
-                                eprintln!("serve error: cannot bind metrics on {addr}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
+                    compact_interval: opts.compact_interval,
+                    rate_limit: opts.tenant_rate,
+                    burst: opts.tenant_burst,
+                    max_inflight: opts.tenant_inflight,
+                },
+                max_tenants: opts.max_tenants,
+                idle_timeout: opts.tenant_idle,
+                routing: opts.multi_tenant,
+            });
+            // Keep the scrape endpoint alive for the serve's duration.
+            let _metrics = match &opts.metrics_listen {
+                Some(addr) => match serve_metrics(addr, Arc::clone(&tenants)) {
+                    Ok(server) => {
+                        eprintln!("algst serve: metrics on http://{}/metrics", server.addr());
+                        Some(server)
                     }
-                    None => None,
-                };
-                match &opts.listen {
-                    Some(addr) => {
-                        eprintln!(
-                            "algst serve: listening on {addr} ({} workers per tenant, multi-tenant)",
-                            opts.workers
-                        );
-                        serve_tcp_tenants(&tenants, addr, config)
+                    Err(e) => {
+                        eprintln!("serve error: cannot bind metrics on {addr}: {e}");
+                        return ExitCode::FAILURE;
                     }
-                    None => serve_stdio_tenants(&tenants, config),
+                },
+                None => None,
+            };
+            let served = match &opts.listen {
+                Some(addr) => {
+                    let mode = if opts.multi_tenant {
+                        " per tenant, multi-tenant"
+                    } else {
+                        ""
+                    };
+                    eprintln!(
+                        "algst serve: listening on {addr} ({} workers{mode})",
+                        opts.workers
+                    );
+                    serve_tcp(&tenants, addr, config)
                 }
-            } else {
-                // The serving store is this process's global session
-                // store, so in-process checks (if any) share its warm
-                // state; a `Session::new()` here would isolate the
-                // service instead.
-                let engine = Engine::with_obs(opts.workers, Session::global(), obs);
-                engine.set_compaction(opts.max_store_bytes, opts.compact_interval);
-                // Keep the scrape endpoint alive for the serve's duration.
-                let _metrics = match &opts.metrics_listen {
-                    Some(addr) => {
-                        let server = serve_metrics(
-                            addr,
-                            Arc::clone(engine.metrics_registry()),
-                            Arc::clone(engine.store()),
-                        );
-                        match server {
-                            Ok(server) => {
-                                eprintln!(
-                                    "algst serve: metrics on http://{}/metrics",
-                                    server.addr()
-                                );
-                                Some(server)
-                            }
-                            Err(e) => {
-                                eprintln!("serve error: cannot bind metrics on {addr}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                match &opts.listen {
-                    Some(addr) => {
-                        eprintln!(
-                            "algst serve: listening on {addr} ({} workers)",
-                            opts.workers
-                        );
-                        serve_tcp(&engine, addr, config)
-                    }
-                    None => serve_stdio(&engine, config),
-                }
+                None => serve_stdio(&tenants, config),
             };
             match served {
                 Ok(_) => ExitCode::SUCCESS,
