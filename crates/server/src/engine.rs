@@ -36,17 +36,21 @@
 //! * the **module cache** (`check` op): source → checked
 //!   [`Module`](algst_check::Module), see [`algst_check::cache`].
 //!
-//! Request counters are tallied per batch in worker-local integers and
-//! folded into the shared atomics once per batch, so the per-request
-//! warm path performs no atomic RMWs either. Statistics therefore trail
-//! the live state by at most one in-flight batch per worker (a `stats`
-//! request folds its own worker's tally first).
+//! Each worker counts its requests in one local tally (`LocalObs`:
+//! plain integers and local histograms), so the per-request warm path
+//! performs no atomic RMWs either. One fold per batch publishes the
+//! tally: the request counters into this engine's own atomics (the
+//! `stats` op is per engine, so per tenant), and — when
+//! [`ObsOptions::metrics`] is on — counters and histograms into the
+//! process-wide obs [`Registry`]. Statistics therefore trail the live
+//! state by at most one in-flight batch per worker (a `stats` or
+//! `metrics` request folds its own worker's tally first).
 
 use crate::json::Value;
 use crate::protocol::{Op, Request, Response, Snapshot};
 use crate::resolve::intern_type_str;
 use algst_check::cache::ModuleCache;
-use algst_core::shared::{SharedStore, StoreObs};
+use algst_core::shared::{SharedStore, StoreObs, StoreStats};
 use algst_core::store::TypeId;
 use algst_core::Session;
 use algst_obs::{
@@ -206,15 +210,6 @@ impl WorkerCaches {
     }
 }
 
-/// Per-batch counter tally, folded into [`EngineState`]'s atomics once
-/// per batch (not per request).
-#[derive(Default)]
-struct Tally {
-    requests: u64,
-    equiv_hits: u64,
-    equiv_misses: u64,
-}
-
 impl EngineState {
     fn new(workers: usize) -> EngineState {
         EngineState {
@@ -234,20 +229,6 @@ impl EngineState {
             compact_interval: AtomicU64::new(0),
             compacted_at: AtomicU64::new(0),
             compacting: parking_lot::Mutex::new(()),
-        }
-    }
-
-    fn fold(&self, tally: &Tally) {
-        if tally.requests > 0 {
-            self.requests.fetch_add(tally.requests, Ordering::Relaxed);
-        }
-        if tally.equiv_hits > 0 {
-            self.equiv_hits
-                .fetch_add(tally.equiv_hits, Ordering::Relaxed);
-        }
-        if tally.equiv_misses > 0 {
-            self.equiv_misses
-                .fetch_add(tally.equiv_misses, Ordering::Relaxed);
         }
     }
 
@@ -325,7 +306,8 @@ impl EngineState {
 /// histograms record into a fresh registry (per-worker local shards
 /// folded at batch boundaries — no warm-path atomics), no events are
 /// emitted, and nothing is considered slow. `metrics: false` turns the
-/// engine's recording off entirely (the benchmark's baseline mode).
+/// engine's registry recording off (the benchmark's baseline mode); the
+/// engine's own counters behind the `stats` op still count.
 #[derive(Clone, Debug)]
 pub struct ObsOptions {
     /// Where counters, gauges and histograms live. Share one registry
@@ -337,8 +319,9 @@ pub struct ObsOptions {
     /// whose in-worker service time is at or above this. `None` means
     /// never.
     pub trace_threshold: Option<Duration>,
-    /// Master switch for the engine's own recording. Store hooks are
-    /// only installed when true.
+    /// Master switch for the engine's registry recording: counters,
+    /// histograms and slow-request events. Store hooks are only
+    /// installed when true.
     pub metrics: bool,
 }
 
@@ -409,10 +392,11 @@ impl EngineMetrics {
     }
 }
 
-/// Worker-local observability shard: plain integers and local histogram
-/// arrays, folded into the shared registry once per batch. The warm
-/// path's entire observability cost is one `Instant` pair (already paid
-/// for the response's `ns` field) plus a handful of these increments.
+/// A worker's tally, the only place a request is counted: plain
+/// integers and local histogram arrays, published once per batch by
+/// [`EngineObs::fold`]. The warm path's entire bookkeeping cost is one
+/// `Instant` pair (already paid for the response's `ns` field) plus a
+/// handful of these increments.
 #[derive(Default)]
 struct LocalObs {
     requests: u64,
@@ -421,6 +405,8 @@ struct LocalObs {
     errors: u64,
     slow: u64,
     batches: u64,
+    equiv_hits: u64,
+    equiv_misses: u64,
     request_ns: LocalHistogram,
     sojourn_ns: LocalHistogram,
     publish_ns: LocalHistogram,
@@ -458,30 +444,41 @@ impl EngineObs {
             .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
     }
 
-    /// Fold a worker's local shard into the shared registry.
-    fn fold(&self, lobs: &mut LocalObs) {
-        if !self.enabled() {
-            return;
-        }
-        let m = &self.m;
-        for (counter, n) in [
-            (&m.requests, lobs.requests),
-            (&m.equiv, lobs.equiv),
-            (&m.checks, lobs.checks),
-            (&m.errors, lobs.errors),
-            (&m.slow, lobs.slow),
-            (&m.batches, lobs.batches),
+    /// Publishes a worker's tally and zeroes it: the request counters
+    /// into the engine's own atomics (always — `stats` reads them), and
+    /// every counter and histogram into the shared registry when
+    /// metrics are on.
+    fn fold(&self, state: &EngineState, lobs: &mut LocalObs) {
+        for (total, n) in [
+            (&state.requests, lobs.requests),
+            (&state.equiv_hits, lobs.equiv_hits),
+            (&state.equiv_misses, lobs.equiv_misses),
         ] {
             if n > 0 {
-                counter.add(n);
+                total.fetch_add(n, Ordering::Relaxed);
             }
         }
-        m.request_ns.fold(&mut lobs.request_ns);
-        m.sojourn_ns.fold(&mut lobs.sojourn_ns);
-        m.publish_ns.fold(&mut lobs.publish_ns);
-        m.parse_ns.fold(&mut lobs.parse_ns);
-        m.equiv_ns.fold(&mut lobs.equiv_ns);
-        m.check_ns.fold(&mut lobs.check_ns);
+        if self.enabled() {
+            let m = &self.m;
+            for (counter, n) in [
+                (&m.requests, lobs.requests),
+                (&m.equiv, lobs.equiv),
+                (&m.checks, lobs.checks),
+                (&m.errors, lobs.errors),
+                (&m.slow, lobs.slow),
+                (&m.batches, lobs.batches),
+            ] {
+                if n > 0 {
+                    counter.add(n);
+                }
+            }
+            m.request_ns.fold(&mut lobs.request_ns);
+            m.sojourn_ns.fold(&mut lobs.sojourn_ns);
+            m.publish_ns.fold(&mut lobs.publish_ns);
+            m.parse_ns.fold(&mut lobs.parse_ns);
+            m.equiv_ns.fold(&mut lobs.equiv_ns);
+            m.check_ns.fold(&mut lobs.check_ns);
+        }
         // The histogram folds drained themselves; zero the counters.
         lobs.requests = 0;
         lobs.equiv = 0;
@@ -489,28 +486,33 @@ impl EngineObs {
         lobs.errors = 0;
         lobs.slow = 0;
         lobs.batches = 0;
+        lobs.equiv_hits = 0;
+        lobs.equiv_misses = 0;
     }
 
     // ---- hooks for the serving front-end (same crate) ----
+    //
+    // Connections are counted here and nowhere else, metrics on or off:
+    // the `stats` op's `conns_*` fields read these values back.
 
     pub(crate) fn conn_opened(&self) {
-        if self.enabled() {
-            self.m.conns_accepted.inc();
-            self.m.conns_active.inc();
-        }
+        self.m.conns_accepted.inc();
+        self.m.conns_active.inc();
     }
 
     pub(crate) fn conn_closed(&self) {
-        if self.enabled() {
-            self.m.conns_closed.inc();
-            self.m.conns_active.dec();
-        }
+        self.m.conns_closed.inc();
+        self.m.conns_active.dec();
     }
 
     pub(crate) fn conn_timeout(&self) {
-        if self.enabled() {
-            self.m.conn_timeouts.inc();
-        }
+        self.m.conn_timeouts.inc();
+    }
+
+    /// `(conns_accepted_total, conns_active)` of the registry.
+    pub(crate) fn conns(&self) -> (u64, u64) {
+        let active = self.m.conns_active.get().max(0) as u64;
+        (self.m.conns_accepted.get(), active)
     }
 
     /// Reader-side read+parse time for one consumed input chunk.
@@ -652,23 +654,6 @@ impl Engine {
         &self.obs.opts.registry
     }
 
-    /// The event sink this engine (and its store) emits into.
-    pub fn trace_sink(&self) -> &Arc<TraceSink> {
-        &self.obs.opts.sink
-    }
-
-    /// The flat `(key, value)` metrics view the `metrics` op returns:
-    /// the registry (histograms summarized as `_count`/`_sum`/
-    /// `_p50`/`_p95`/`_p99`), store statistics (`store_*`) and
-    /// request-cache statistics (`cache_*`), sorted by key.
-    pub fn metrics_fields(&self) -> Vec<(String, Value)> {
-        metrics_fields(
-            &self.obs.opts.registry.snapshot(),
-            &self.state,
-            &self.shared,
-        )
-    }
-
     /// Queues a batch; blocks when the queue is full (backpressure).
     /// `seq` is echoed back with the responses — submitters that
     /// pipeline several batches use consecutive numbers to restore
@@ -752,7 +737,6 @@ fn worker_loop(
                 .record(u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         let mut out = Vec::with_capacity(batch.items.len());
-        let mut tally = Tally::default();
         let mut ctx = ReqCtx {
             obs: &obs,
             lobs: &mut lobs,
@@ -760,17 +744,8 @@ fn worker_loop(
             widx,
         };
         for req in batch.items {
-            tally.requests += 1;
-            out.push(handle(
-                &mut session,
-                &state,
-                &mut caches,
-                &mut tally,
-                &mut ctx,
-                req,
-            ));
+            out.push(handle(&mut session, &state, &mut caches, &mut ctx, req));
         }
-        state.fold(&tally);
         // Publish this batch's freshly computed normal forms as a new
         // store generation: the next batch on *any* worker sees them.
         // A no-op (no locks) when the batch was fully warm.
@@ -781,12 +756,13 @@ fn worker_loop(
         } else {
             session.publish();
         }
-        // With the batch's deltas published, see whether the store has
-        // outgrown its bounds (atomic loads only when it hasn't).
+        // Fold this batch's tally before replying, so a client that has
+        // seen all its responses sees all its counts.
+        obs.fold(&state, &mut lobs);
+        // With the batch's deltas published and its requests counted,
+        // see whether the store has outgrown its bounds (atomic loads
+        // only when it hasn't).
         maybe_compact(session.store(), &state, &obs);
-        // Fold this batch's observability shard before replying, so a
-        // scraper that has seen all its responses sees all its counts.
-        obs.fold(&mut lobs);
         // The submitter may be gone (client hung up, writer dead): the
         // send fails fast — the vendored channel wakes blocked senders
         // on receiver drop — and the responses are discarded. That is
@@ -821,21 +797,21 @@ struct ReqCtx<'a> {
 }
 
 impl ReqCtx<'_> {
-    /// Account one finished request: total-latency histogram, per-op
-    /// counter, and — above the threshold — a `slow_request` event with
-    /// the per-stage breakdown. `total_ns` reuses the `Instant` pair the
-    /// response's `ns` field already paid for, so the warm path adds
-    /// only local-array increments.
+    /// Account one finished request: request and per-op counters, and —
+    /// when metrics are on — the total-latency histogram and, above the
+    /// threshold, a `slow_request` event with the per-stage breakdown.
+    /// `total_ns` reuses the `Instant` pair the response's `ns` field
+    /// already paid for, so the warm path adds only local increments.
     fn finish(&mut self, id: u64, op: &'static str, warm: bool, total_ns: u64, stages: Stages) {
-        if !self.obs.enabled() {
-            return;
-        }
         self.lobs.requests += 1;
         match op {
             "equiv" => self.lobs.equiv += 1,
             "check" => self.lobs.checks += 1,
             "error" => self.lobs.errors += 1,
             _ => {}
+        }
+        if !self.obs.enabled() {
+            return;
         }
         self.lobs.request_ns.record(total_ns);
         if let Some(threshold) = self.obs.threshold_ns() {
@@ -864,7 +840,6 @@ fn handle(
     session: &mut Session,
     state: &EngineState,
     caches: &mut WorkerCaches,
-    tally: &mut Tally,
     ctx: &mut ReqCtx<'_>,
     req: Request,
 ) -> Response {
@@ -899,11 +874,11 @@ fn handle(
             // cache's effective coverage.
             let key = if a <= b { (a, b) } else { (b, a) };
             let (verdict, warm) = if let Some(&v) = caches.verdicts.get(&key) {
-                tally.equiv_hits += 1;
+                ctx.lobs.equiv_hits += 1;
                 (v, true)
             } else if let Some(v) = state.verdict_get(session.epoch(), key) {
                 caches.put_verdict(key, v);
-                tally.equiv_hits += 1;
+                ctx.lobs.equiv_hits += 1;
                 (v, true)
             } else {
                 // Cold equivalence runs at µs scale: an extra timer pair
@@ -921,7 +896,7 @@ fn handle(
                     state.verdict_put(session.epoch(), key, v);
                 }
                 caches.put_verdict(key, v);
-                tally.equiv_misses += 1;
+                ctx.lobs.equiv_misses += 1;
                 (v, false)
             };
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -961,11 +936,12 @@ fn handle(
             }
         }
         Op::Stats { delta } => {
-            // Publish and fold this worker's own tally first so its
-            // work (including this batch's prefix) is included.
-            session.publish();
-            state.fold(&std::mem::take(tally));
+            // Count this request, then publish and fold this worker's
+            // tally, so the snapshot includes every request whose
+            // response precedes this one (this batch's prefix too).
             ctx.finish(id, "stats", true, 0, Stages::default());
+            session.publish();
+            ctx.obs.fold(state, ctx.lobs);
             let snap = state.snapshot(session.store());
             Response::Stats {
                 id,
@@ -974,13 +950,9 @@ fn handle(
             }
         }
         Op::Metrics => {
-            // Same pre-fold dance as `stats`, plus this worker's obs
-            // shard, so the registry reflects every request whose
-            // response precedes this one on the connection.
-            session.publish();
-            state.fold(&std::mem::take(tally));
             ctx.finish(id, "metrics", true, 0, Stages::default());
-            ctx.obs.fold(ctx.lobs);
+            session.publish();
+            ctx.obs.fold(state, ctx.lobs);
             let fields = metrics_fields(&ctx.obs.opts.registry.snapshot(), state, session.store());
             Response::Metrics { id, fields }
         }
@@ -1157,6 +1129,62 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
     }
 }
 
+/// Every [`StoreStats`] field the `metrics` op and the scrape report,
+/// each once: its `metrics`-op key, its scrape name (the table is sorted
+/// by it) and its value. The scrape renders them all as gauges. The
+/// pass counter's scrape name stays apart from the registry counter
+/// `store_compactions_total`, so one exposition never carries two TYPE
+/// lines for the same family.
+pub(crate) fn store_fields(s: &StoreStats) -> [(&'static str, &'static str, u64); 17] {
+    [
+        ("store_arena_bytes", "store_arena_bytes", s.arena_bytes),
+        ("store_bytes", "store_bytes", s.live_bytes()),
+        (
+            "store_compactions",
+            "store_compaction_passes_total",
+            s.compactions,
+        ),
+        ("store_epoch", "store_epoch", s.epoch),
+        ("store_generation", "store_generation", s.generation),
+        (
+            "store_intern_entries",
+            "store_intern_entries",
+            s.intern_entries,
+        ),
+        (
+            "store_lock_acquisitions",
+            "store_lock_acquisitions_total",
+            s.lock_acquisitions,
+        ),
+        ("store_memo_entries", "store_memo_entries", s.memo_entries),
+        ("store_nodes", "store_nodes", s.nodes),
+        ("store_nrm_hits", "store_nrm_hits_total", s.nrm_hits),
+        ("store_nrm_misses", "store_nrm_misses_total", s.nrm_misses),
+        ("store_publishes", "store_publishes_total", s.publishes),
+        (
+            "store_reclaimed_bytes",
+            "store_reclaimed_bytes",
+            s.reclaimed_bytes,
+        ),
+        (
+            "store_slow_path_total",
+            "store_slow_path_total",
+            s.slow_path,
+        ),
+        (
+            "store_snapshot_bytes",
+            "store_snapshot_bytes",
+            s.snapshot_bytes,
+        ),
+        (
+            "store_snapshot_installs",
+            "store_snapshot_installs_total",
+            s.snapshot_installs,
+        ),
+        ("store_workers", "store_workers", s.workers),
+    ]
+}
+
 /// Assemble the flat, sorted `(key, value)` list behind the `metrics`
 /// op: registry counters/gauges verbatim, histograms summarized as
 /// `_count`/`_sum`/`_p50`/`_p95`/`_p99`, store statistics under
@@ -1191,27 +1219,8 @@ fn metrics_fields(
             Value::Int(hist.quantile(0.99) as i64),
         ));
     }
-    let s = store.stats();
-    for (name, value) in [
-        ("store_nodes", s.nodes),
-        ("store_generation", s.generation),
-        ("store_epoch", s.epoch),
-        ("store_bytes", s.live_bytes()),
-        ("store_arena_bytes", s.arena_bytes),
-        ("store_snapshot_bytes", s.snapshot_bytes),
-        ("store_intern_entries", s.intern_entries),
-        ("store_memo_entries", s.memo_entries),
-        ("store_compactions", s.compactions),
-        ("store_reclaimed_bytes", s.reclaimed_bytes),
-        ("store_snapshot_installs", s.snapshot_installs),
-        ("store_slow_path_total", s.slow_path),
-        ("store_lock_acquisitions", s.lock_acquisitions),
-        ("store_nrm_hits", s.nrm_hits),
-        ("store_nrm_misses", s.nrm_misses),
-        ("store_publishes", s.publishes),
-        ("store_workers", s.workers),
-    ] {
-        fields.push((name.to_string(), Value::Int(value as i64)));
+    for (key, _, value) in store_fields(&store.stats()) {
+        fields.push((key.to_string(), Value::Int(value as i64)));
     }
     let (equiv_entries, parse_entries) = state.entries();
     let modules = state.modules.stats();
@@ -1386,6 +1395,51 @@ mod tests {
             0
         );
         assert_eq!(trace_buf.lock().unwrap().len(), trace_len_before);
+    }
+
+    #[test]
+    fn metrics_off_still_counts_stats_and_records_nothing() {
+        let opts = ObsOptions {
+            metrics: false,
+            ..ObsOptions::default()
+        };
+        let registry = Arc::clone(&opts.registry);
+        let engine = Engine::with_obs(2, Session::new(), opts);
+        engine.process(vec![
+            equiv(1, "!Int.End!", "Dual (?Int.End?)"),
+            equiv(2, "!Int.End!", "Dual (?Int.End?)"),
+            equiv(3, "!Int.End!", "!Bool.End!"),
+        ]);
+        engine.process(vec![Request {
+            id: 4,
+            op: Op::Metrics,
+        }]);
+        let resp = engine.process(vec![Request {
+            id: 5,
+            op: Op::Stats { delta: false },
+        }]);
+        let Response::Stats { snapshot, .. } = &resp[0] else {
+            panic!("expected stats");
+        };
+        // The engine's own counters, which `stats` reports, still count:
+        // every request (this one too), and the verdict cache's hits and
+        // misses.
+        assert_eq!(snapshot.requests, 5);
+        assert_eq!(snapshot.equiv_hits, 1);
+        assert_eq!(snapshot.equiv_misses, 2);
+        assert_eq!(engine.snapshot().requests, 5);
+        // The registry recorded nothing.
+        let snap = registry.snapshot();
+        assert!(!snap.counters.is_empty(), "handles are registered");
+        for (name, value) in &snap.counters {
+            assert_eq!(*value, 0, "counter {name}");
+        }
+        for (name, value) in &snap.gauges {
+            assert_eq!(*value, 0, "gauge {name}");
+        }
+        for (name, hist) in &snap.histograms {
+            assert_eq!(hist.count, 0, "histogram {name}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! and it never competes with the request path (its own thread, its
 //! own listener, reads only atomics).
 
+use crate::engine::store_fields;
 use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
-use algst_core::shared::SharedStore;
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,10 +50,11 @@ impl Drop for MetricsServer {
 
 /// Binds `addr` and serves metric scrapes on a dedicated thread until
 /// the returned [`MetricsServer`] is dropped. Every HTTP request gets
-/// the registry's metrics exposition (every tenant engine and the
-/// front-end record into the one registry of
-/// [`TenantConfig::obs`](crate::TenantConfig::obs), so their counters
-/// are already folded together; stable, sorted key order), the
+/// the registry's metrics exposition (every tenant engine, the
+/// front-end and the tenant registry's aggregates record into the one
+/// registry of [`TenantConfig::obs`](crate::TenantConfig::obs), so
+/// their counters are already folded together; stable, sorted key
+/// order), the
 /// unlabelled `algst_store_*` family for the default tenant's store
 /// while that tenant is live, and the tenant-labelled series of
 /// [`TenantRegistry::prometheus`].
@@ -127,47 +129,15 @@ fn answer(mut stream: TcpStream, body: &dyn Fn() -> String) -> io::Result<()> {
 /// The full scrape body (see [`serve_metrics`]).
 fn exposition(tenants: &TenantRegistry) -> String {
     let mut out = tenants.metrics_registry().snapshot().prometheus("algst_");
+    // The store's counters live in the store, not the registry: they
+    // predate it and are always on.
     if let Some(handle) = tenants.resolve(&mut tenants.view(), DEFAULT_TENANT) {
-        push_store_gauges(&mut out, handle.engine().store());
+        for (_, name, value) in store_fields(&handle.engine().store().stats()) {
+            let _ = write!(out, "# TYPE algst_{name} gauge\nalgst_{name} {value}\n");
+        }
     }
     out.push_str(&tenants.prometheus());
     out
-}
-
-/// Appends a store's counters as gauges (they live in the store, not
-/// the registry, because they predate it and are always on).
-fn push_store_gauges(out: &mut String, store: &SharedStore) {
-    let s = store.stats();
-    for (name, value) in [
-        ("store_arena_bytes", s.arena_bytes),
-        ("store_bytes", s.live_bytes()),
-        // The store's own pass counter; named apart from the engine's
-        // registry counter `store_compactions_total` so one exposition
-        // never carries two TYPE lines for the same family.
-        ("store_compaction_passes_total", s.compactions),
-        ("store_epoch", s.epoch),
-        ("store_generation", s.generation),
-        ("store_intern_entries", s.intern_entries),
-        ("store_lock_acquisitions_total", s.lock_acquisitions),
-        ("store_memo_entries", s.memo_entries),
-        ("store_nodes", s.nodes),
-        ("store_nrm_hits_total", s.nrm_hits),
-        ("store_nrm_misses_total", s.nrm_misses),
-        ("store_publishes_total", s.publishes),
-        ("store_reclaimed_bytes", s.reclaimed_bytes),
-        ("store_slow_path_total", s.slow_path),
-        ("store_snapshot_bytes", s.snapshot_bytes),
-        ("store_snapshot_installs_total", s.snapshot_installs),
-        ("store_workers", s.workers),
-    ] {
-        out.push_str("# TYPE algst_");
-        out.push_str(name);
-        out.push_str(" gauge\nalgst_");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
-    }
 }
 
 #[cfg(test)]

@@ -226,8 +226,10 @@ pub struct Snapshot {
     pub cache_locks: u64,
     /// Connections accepted / currently open. The engine itself knows
     /// nothing about connections; the serving front-end fills these in
-    /// when a `stats` response passes through a connection's writer
-    /// (zero under `Engine::snapshot` or stdio serving).
+    /// from the obs registry's `conns_accepted_total`/`conns_active`
+    /// when a `stats` response passes through a connection's writer, so
+    /// they count every front-end sharing that registry (zero under
+    /// `Engine::snapshot`).
     pub conns_accepted: u64,
     pub conns_active: u64,
     /// Tenancy aggregates, filled in by the front-end

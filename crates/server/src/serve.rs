@@ -43,6 +43,14 @@
 //! returns. EOF on a connection ends just that connection, minus the
 //! `shutdown` response.
 //!
+//! Connections are counted once, in the obs registry of
+//! [`TenantConfig::obs`](crate::TenantConfig::obs) (`conns_accepted_total`,
+//! `conns_active`, …), metrics on or off; a `stats` response's
+//! `conns_*` fields read those values back, so they cover every
+//! front-end sharing that registry. The acceptor itself only numbers
+//! its connections and caps them at [`ServeConfig::max_conns`] by its
+//! count of live connection threads.
+//!
 //! # Routing on and off
 //!
 //! Batches are single-tenant: the reader runs the batch's tenant's
@@ -121,37 +129,6 @@ pub struct ServeSummary {
     pub saw_shutdown: bool,
 }
 
-/// Shared acceptor/connection state: the connection gauges reported by
-/// `stats`, and the drain flag every reader polls.
-#[derive(Debug, Default)]
-struct Registry {
-    accepted: AtomicU64,
-    active: AtomicU64,
-    draining: AtomicBool,
-}
-
-impl Registry {
-    /// Registers a connection and returns its 1-based id (used as the
-    /// `conn` label in trace events and batch attribution).
-    fn connect(&self) -> u64 {
-        let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        self.active.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    fn disconnect(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-}
-
 /// In-flight window: how many batches a connection may have
 /// submitted-but-unwritten before its reader stops reading.
 fn inflight_window(config: &ServeConfig) -> u64 {
@@ -174,13 +151,15 @@ type InflightNote = (u64, Arc<TenantHandle>, u64);
 /// Serves one connection: reads newline-delimited requests from
 /// `input`, pipelines them through `tenants`, and writes responses to
 /// `output` in request order. Returns when the input ends, a `shutdown`
-/// op is processed, the drain flag fires, or the client times out.
+/// op is processed, the `draining` flag (shared by every connection of
+/// a listener) fires, or the client times out. `conn` is the 1-based
+/// connection id of trace events and batch attribution.
 fn serve_conn<R, W>(
     tenants: &TenantRegistry,
     input: R,
     output: W,
     config: ServeConfig,
-    registry: &Registry,
+    draining: &AtomicBool,
     conn: u64,
 ) -> io::Result<ServeSummary>
 where
@@ -217,7 +196,6 @@ where
                     &inflight_rx,
                     &mut inflight,
                     tenants,
-                    registry,
                     &written_batches,
                 );
                 // Whatever is still reserved when the writer ends (an
@@ -240,7 +218,7 @@ where
                 view: tenants.view(),
                 pending_tenant: DEFAULT_TENANT.to_string(),
                 config,
-                registry,
+                draining,
                 conn,
                 writer_finished: &writer_finished,
                 reply_tx: &reply_tx,
@@ -287,16 +265,16 @@ where
 }
 
 /// The connection's demux/write loop: reorders completed batches by
-/// sequence number, stamps `stats` responses with connection gauges
-/// and the registry's tenancy aggregates, and releases tenant
-/// in-flight reservations as each batch's responses come back.
+/// sequence number, stamps `stats` responses with the obs registry's
+/// connection counters and the tenant registry's aggregates, and
+/// releases tenant in-flight reservations as each batch's responses
+/// come back.
 fn write_responses<W: Write>(
     output: &mut W,
     reply_rx: &Receiver<BatchReply>,
     inflight_rx: &Receiver<InflightNote>,
     inflight: &mut HashMap<u64, (Arc<TenantHandle>, u64)>,
     tenants: &TenantRegistry,
-    registry: &Registry,
     written_batches: &AtomicU64,
 ) -> io::Result<u64> {
     let obs = tenants.obs();
@@ -336,8 +314,7 @@ fn write_responses<W: Write>(
                         delta,
                     } => {
                         let mut snapshot = *snapshot;
-                        snapshot.conns_accepted = registry.accepted.load(Ordering::Relaxed);
-                        snapshot.conns_active = registry.active.load(Ordering::Relaxed);
+                        (snapshot.conns_accepted, snapshot.conns_active) = obs.conns();
                         tenants.patch_snapshot(&mut snapshot);
                         let emitted = if *delta {
                             let name = tenant.as_deref().map_or(DEFAULT_TENANT, TenantHandle::name);
@@ -384,7 +361,7 @@ struct ConnReader<'a> {
     /// single-tenant; a tenant switch cuts the batch).
     pending_tenant: String,
     config: ServeConfig,
-    registry: &'a Registry,
+    draining: &'a AtomicBool,
     conn: u64,
     writer_finished: &'a dyn Fn() -> bool,
     reply_tx: &'a Sender<BatchReply>,
@@ -426,7 +403,7 @@ impl ConnReader<'_> {
             if (self.writer_finished)() {
                 return ReadEnd::Done;
             }
-            if self.registry.draining() && drain_deadline.is_none() {
+            if self.draining.load(Ordering::SeqCst) && drain_deadline.is_none() {
                 // Drain: finish what this client already sent — keep
                 // reading until the socket goes quiet for a tick (or
                 // EOF), bounded by DRAIN_MAX against a client that
@@ -555,7 +532,7 @@ impl ConnReader<'_> {
         self.pending.push(request);
         if stop {
             self.summary.saw_shutdown = true;
-            self.registry.begin_drain();
+            self.draining.store(true, Ordering::SeqCst);
         }
         stop
     }
@@ -636,9 +613,7 @@ where
     R: Read,
     W: Write + Send,
 {
-    let registry = Registry::default();
-    let conn = registry.connect();
-    let summary = serve_conn(tenants, input, output, config, &registry, conn)?;
+    let summary = serve_conn(tenants, input, output, config, &AtomicBool::new(false), 1)?;
     if config.stats_on_exit {
         eprintln!("{}", stats_line(tenants));
     }
@@ -715,7 +690,8 @@ pub fn serve_listener(
     config: ServeConfig,
 ) -> io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
-    let registry = Registry::default();
+    let draining = AtomicBool::new(false);
+    let mut accepted = 0u64;
     let mut total = ServeSummary::default();
 
     let result = std::thread::scope(|scope| -> io::Result<()> {
@@ -746,7 +722,7 @@ pub fn serve_listener(
 
         loop {
             reap(&mut conns, &mut total, false);
-            if registry.draining() {
+            if draining.load(Ordering::SeqCst) {
                 // Stop accepting; wait for every connection to finish
                 // its in-flight work and answer its client.
                 reap(&mut conns, &mut total, true);
@@ -754,7 +730,8 @@ pub fn serve_listener(
             }
             match listener.accept() {
                 Ok((stream, peer)) => {
-                    if registry.active.load(Ordering::Relaxed) >= config.max_conns as u64 {
+                    // Every live connection is an unreaped thread here.
+                    if conns.len() >= config.max_conns {
                         refuse(stream, config.max_conns);
                         continue;
                     }
@@ -778,12 +755,10 @@ pub fn serve_listener(
                             continue;
                         }
                     };
-                    let conn = registry.connect();
-                    let registry = &registry;
+                    accepted += 1;
+                    let (conn, draining) = (accepted, &draining);
                     conns.push(scope.spawn(move || {
-                        let result = serve_conn(tenants, reader, stream, config, registry, conn);
-                        registry.disconnect();
-                        result
+                        serve_conn(tenants, reader, stream, config, draining, conn)
                     }));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -793,7 +768,7 @@ pub fn serve_listener(
                 Err(e) => {
                     // Fatal accept error: drain what is running, then
                     // surface the error.
-                    registry.begin_drain();
+                    draining.store(true, Ordering::SeqCst);
                     reap(&mut conns, &mut total, true);
                     return Err(e);
                 }

@@ -40,6 +40,18 @@
 //! **cold** (fresh store, empty caches) and counted in
 //! `tenant_recreations`.
 //!
+//! # Counters
+//!
+//! The registry-wide aggregates are obs instruments in the registry of
+//! [`TenantConfig::obs`]: the `tenants` gauge (set at each snapshot
+//! install) and the `tenant_evictions_total`,
+//! `tenant_recreations_total` and `tenant_throttled_total` counters.
+//! The scrape and the `metrics` op render them with the rest of that
+//! registry; [`TenantRegistry::stats`] (the `stats` and `tenants` ops)
+//! reads them back. Per-tenant values live in each [`TenantHandle`]
+//! and are rendered, for the `tenants` op and the scrape alike, from
+//! one table of per-tenant series.
+//!
 //! # Admission control
 //!
 //! [`TenantHandle::admit`] enforces two quotas without locks: an
@@ -56,9 +68,10 @@ use crate::engine::{Engine, EngineObs, ObsOptions};
 use crate::json::Value;
 use crate::protocol::{Request, Response, Snapshot, ThrottleKind};
 use algst_core::Session;
-use algst_obs::Registry;
+use algst_obs::{Counter, Gauge, Registry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -383,9 +396,11 @@ pub struct TenantRegistry {
     current: RwLock<Arc<TenantMap>>,
     writer: Mutex<WriterState>,
     start: Instant,
-    evictions: AtomicU64,
-    recreations: AtomicU64,
-    throttled: AtomicU64,
+    /// Live tenants in the installed map (see the module docs' Counters).
+    tenants: Arc<Gauge>,
+    evictions: Arc<Counter>,
+    recreations: Arc<Counter>,
+    throttled: Arc<Counter>,
     /// Registry lock acquisitions (view refetches, installs, admin
     /// reads). Flat across a warm replay — the zero-lock proof.
     locks: AtomicU64,
@@ -406,7 +421,12 @@ impl TenantRegistry {
     /// [`TenantRegistry::sweep_idle`] themselves — tests, mostly).
     pub fn new(config: TenantConfig) -> TenantRegistry {
         let front_obs = Arc::new(EngineObs::new(config.obs.clone()));
+        let metrics = &config.obs.registry;
         let registry = TenantRegistry {
+            tenants: metrics.gauge("tenants"),
+            evictions: metrics.counter("tenant_evictions_total"),
+            recreations: metrics.counter("tenant_recreations_total"),
+            throttled: metrics.counter("tenant_throttled_total"),
             config,
             front_obs,
             generation: AtomicU64::new(0),
@@ -418,9 +438,6 @@ impl TenantRegistry {
                 evicted: HashSet::new(),
             }),
             start: Instant::now(),
-            evictions: AtomicU64::new(0),
-            recreations: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
             locks: AtomicU64::new(0),
             stop: Arc::new(AtomicBool::new(false)),
             sweeper: Mutex::new(None),
@@ -517,7 +534,7 @@ impl TenantRegistry {
         let admission = handle.admit(want, self.now_ns());
         let refused = want - admission.granted;
         if refused > 0 {
-            self.throttled.fetch_add(refused as u64, Ordering::Relaxed);
+            self.throttled.add(refused as u64);
         }
         admission
     }
@@ -570,11 +587,11 @@ impl TenantRegistry {
                 let Some(coldest) = coldest else { break };
                 tenants.remove(&coldest);
                 writer.evicted.insert(coldest.to_string());
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.inc();
             }
         }
         if writer.evicted.contains(name) {
-            self.recreations.fetch_add(1, Ordering::Relaxed);
+            self.recreations.inc();
         }
         let handle = Arc::new(self.new_handle(name));
         tenants.insert(Arc::clone(&handle.name), Arc::clone(&handle));
@@ -603,8 +620,9 @@ impl TenantRegistry {
     /// Installs `tenants` as the next snapshot generation. The map goes
     /// in under the write lock **before** the generation publishes with
     /// `Release`, so any reader that observes the new generation
-    /// refetches at least this map.
+    /// refetches at least this map. Callers hold the writer mutex.
     fn install(&self, tenants: HashMap<Arc<str>, Arc<TenantHandle>>) -> Arc<TenantMap> {
+        self.tenants.set(tenants.len() as i64);
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let map = Arc::new(TenantMap {
             generation,
@@ -645,19 +663,20 @@ impl TenantRegistry {
             }
         });
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.evictions.add(evicted);
             self.install(tenants);
         }
         evicted as usize
     }
 
-    /// Aggregate statistics (the `stats` op's tenancy fields).
+    /// Aggregate statistics (the `stats` op's tenancy fields), read
+    /// from the obs instruments without a lock.
     pub fn stats(&self) -> RegistryStats {
         RegistryStats {
-            tenants: self.read_current().tenants.len() as u64,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            recreations: self.recreations.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
+            tenants: self.tenants.get().max(0) as u64,
+            evictions: self.evictions.get(),
+            recreations: self.recreations.get(),
+            throttled: self.throttled.get(),
         }
     }
 
@@ -689,88 +708,93 @@ impl TenantRegistry {
     }
 
     /// The `tenants` op's flat field list: registry aggregates first,
-    /// then per-tenant counters under `tenant_<name>_*` keys, tenants
-    /// in name order. Flat because the wire codec rejects nesting.
+    /// then per-tenant values under `tenant_<name>_<key>` keys (see
+    /// `TENANT_SERIES`), tenants in name order. Flat because the wire
+    /// codec rejects nesting.
     pub fn tenants_fields(&self) -> Vec<(String, Value)> {
         let stats = self.stats();
         let handles = self.handles();
         let now = self.now_ns();
-        let mut fields: Vec<(String, Value)> = Vec::with_capacity(4 + handles.len() * 6);
-        fields.push(("tenants".into(), Value::Int(stats.tenants as i64)));
-        fields.push((
-            "tenant_evictions".into(),
-            Value::Int(stats.evictions as i64),
-        ));
-        fields.push((
-            "tenant_recreations".into(),
-            Value::Int(stats.recreations as i64),
-        ));
-        fields.push((
-            "tenant_throttled".into(),
-            Value::Int(stats.throttled as i64),
-        ));
+        let mut fields: Vec<(String, Value)> = [
+            ("tenants", stats.tenants),
+            ("tenant_evictions", stats.evictions),
+            ("tenant_recreations", stats.recreations),
+            ("tenant_throttled", stats.throttled),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), Value::Int(value as i64)))
+        .collect();
         for handle in handles {
-            let name = handle.name();
-            let snapshot = handle.engine().snapshot();
-            let idle_ms =
-                now.saturating_sub(handle.last_active.load(Ordering::Relaxed)) / 1_000_000;
-            for (key, value) in [
-                ("requests", handle.requests()),
-                ("throttled", handle.throttled()),
-                ("inflight", handle.inflight()),
-                ("store_bytes", snapshot.store_bytes),
-                ("store_nodes", snapshot.nodes),
-                ("idle_ms", idle_ms),
-            ] {
-                fields.push((format!("tenant_{name}_{key}"), Value::Int(value as i64)));
+            for (key, _, read) in TENANT_SERIES {
+                fields.push((
+                    format!("tenant_{}_{key}", handle.name()),
+                    Value::Int(read(&handle, now) as i64),
+                ));
             }
         }
         fields
     }
 
     /// Tenant-labelled Prometheus series, appended to the scrape body
-    /// by the routed metrics endpoint.
+    /// by the metrics endpoint: one family per `TENANT_SERIES` entry
+    /// with a scrape name, one sample per live tenant.
     pub fn prometheus(&self) -> String {
-        let stats = self.stats();
         let handles = self.handles();
+        let now = self.now_ns();
         let mut out = String::new();
-        for (name, kind, value) in [
-            ("tenants", "gauge", stats.tenants),
-            ("tenant_evictions_total", "counter", stats.evictions),
-            ("tenant_recreations_total", "counter", stats.recreations),
-            ("tenant_throttled_total", "counter", stats.throttled),
-        ] {
-            out.push_str(&format!(
-                "# TYPE algst_{name} {kind}\nalgst_{name} {value}\n"
-            ));
-        }
-        type Series = (&'static str, &'static str, fn(&TenantHandle) -> u64);
-        let series: [Series; 5] = [
-            ("tenant_requests_total", "counter", TenantHandle::requests),
-            (
-                "tenant_throttled_requests_total",
-                "counter",
-                TenantHandle::throttled,
-            ),
-            ("tenant_inflight", "gauge", TenantHandle::inflight),
-            ("tenant_store_bytes", "gauge", TenantHandle::store_bytes),
-            ("tenant_store_nodes", "gauge", |h| {
-                h.engine().store().stats().nodes
-            }),
-        ];
-        for (name, kind, read) in series {
-            out.push_str(&format!("# TYPE algst_{name} {kind}\n"));
+        for (_, scrape, read) in TENANT_SERIES {
+            let Some((name, kind)) = scrape else { continue };
+            let _ = writeln!(out, "# TYPE algst_{name} {kind}");
             for handle in &handles {
-                out.push_str(&format!(
-                    "algst_{name}{{tenant=\"{}\"}} {}\n",
+                let _ = writeln!(
+                    out,
+                    "algst_{name}{{tenant=\"{}\"}} {}",
                     handle.name(),
-                    read(handle)
-                ));
+                    read(handle, now)
+                );
             }
         }
         out
     }
 }
+
+/// A per-tenant value: `tenants`-op key, scrape name and type (`None`:
+/// not scraped), and its reader, given the registry clock's `now`.
+type TenantSeries = (
+    &'static str,
+    Option<(&'static str, &'static str)>,
+    fn(&TenantHandle, u64) -> u64,
+);
+
+/// Every per-tenant value, once.
+const TENANT_SERIES: [TenantSeries; 6] = [
+    (
+        "requests",
+        Some(("tenant_requests_total", "counter")),
+        |h, _| h.requests(),
+    ),
+    (
+        "throttled",
+        Some(("tenant_throttled_requests_total", "counter")),
+        |h, _| h.throttled(),
+    ),
+    ("inflight", Some(("tenant_inflight", "gauge")), |h, _| {
+        h.inflight()
+    }),
+    (
+        "store_bytes",
+        Some(("tenant_store_bytes", "gauge")),
+        |h, _| h.store_bytes(),
+    ),
+    (
+        "store_nodes",
+        Some(("tenant_store_nodes", "gauge")),
+        |h, _| h.engine().store().len() as u64,
+    ),
+    ("idle_ms", None, |h, now| {
+        now.saturating_sub(h.last_active.load(Ordering::Relaxed)) / 1_000_000
+    }),
+];
 
 impl Drop for TenantRegistry {
     fn drop(&mut self) {
@@ -1048,7 +1072,10 @@ mod tests {
             text.contains("algst_tenant_store_bytes{tenant=\"acme\"} "),
             "{text}"
         );
-        assert!(text.contains("algst_tenants 1"), "{text}");
+        // The aggregates are obs instruments, scraped with the registry.
+        let aggregates = registry.metrics_registry().snapshot().prometheus("algst_");
+        assert!(aggregates.contains("algst_tenants 1"), "{aggregates}");
+        assert!(!text.contains("algst_tenants "), "{text}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Type nesting depth is bounded: a type deeper than
-//! [`MAX_TYPE_DEPTH`] gets an `error` response instead of overflowing a
-//! worker's stack, and every shape up to the bound gets its answer.
+//! Nesting depth is bounded: a type deeper than [`MAX_TYPE_DEPTH`], or
+//! a program whose expression tree is deeper than [`MAX_EXPR_DEPTH`],
+//! gets an error response instead of overflowing a worker's stack, and
+//! every shape up to the bound gets its answer.
 
 use algst_core::Session;
 use algst_server::{
     serve_listener, Engine, Op, Request, Response, ServeConfig, TenantConfig, TenantRegistry,
 };
-use algst_syntax::MAX_TYPE_DEPTH;
+use algst_syntax::{MAX_EXPR_DEPTH, MAX_TYPE_DEPTH};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -137,5 +138,92 @@ fn every_shape_at_the_bound_is_answered() {
             "shape {i}: {:?}",
             responses[1]
         );
+    }
+}
+
+/// `main : Int` with a body of each deep expression shape, `n` levels of
+/// nesting around a leaf: parentheses, a `let` chain, an application
+/// spine without parentheses, an operator spine and nested lambdas.
+fn deep_programs(n: usize) -> [String; 5] {
+    [
+        format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}1", "let x = 1 in ".repeat(n)),
+        format!("f{}", " 1".repeat(n)),
+        format!("1{}", " + 1".repeat(n)),
+        format!("{}1", "\\x -> ".repeat(n)),
+    ]
+    .map(|body| format!("main : Int\nmain = {body}"))
+}
+
+fn check_line(id: u64, source: &str) -> String {
+    format!(
+        "{{\"id\":{id},\"op\":\"check\",\"source\":\"{}\"}}\n",
+        algst_server::json::escape(source)
+    )
+}
+
+#[test]
+fn too_deep_programs_get_errors_and_the_server_stays_up() {
+    let tenants = TenantRegistry::new(TenantConfig {
+        workers: 1,
+        routing: false,
+        ..TenantConfig::default()
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()));
+        let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+        for (id, program) in deep_programs(200_000).iter().enumerate() {
+            let answer = ask(&mut conn, &check_line(id as u64, program));
+            assert!(
+                answer.contains("\"ok\":false")
+                    && answer.contains(&format!(
+                        "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+                    )),
+                "shape {id}: {answer}"
+            );
+        }
+        // The equiv queued behind them on the same connection is answered.
+        let answer = ask(&mut conn, &equiv_line(9, "!Int.End!", "Dual (?Int.End?)"));
+        assert!(answer.contains("\"verdict\":true"), "{answer}");
+        drop(conn);
+
+        // So is a second connection.
+        let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+        let answer = ask(&mut conn, &equiv_line(10, "End?", "Dual End!"));
+        assert!(answer.contains("\"verdict\":true"), "{answer}");
+        let answer = ask(&mut conn, "{\"op\":\"shutdown\"}\n");
+        assert!(answer.contains("\"shutdown\""), "{answer}");
+        drop(conn);
+        let summary = server.join().unwrap().unwrap();
+        assert_eq!(summary.connections, 2);
+    });
+}
+
+/// Each shape at the bound — a tree exactly [`MAX_EXPR_DEPTH`] high —
+/// parses, and the checker's passes over it fit a worker's stack; one
+/// level more is refused.
+#[test]
+fn every_program_shape_at_the_bound_is_answered() {
+    let engine = Engine::with_session(1, Session::new());
+    let check = |source: String| {
+        let responses = engine.process(vec![Request {
+            id: 0,
+            op: Op::Check { source },
+        }]);
+        match responses.into_iter().next().unwrap() {
+            Response::Check { error, .. } => error.unwrap_or_default(),
+            other => panic!("expected a check response, got {other:?}"),
+        }
+    };
+    let too_deep = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+    for (i, program) in deep_programs(MAX_EXPR_DEPTH - 1).into_iter().enumerate() {
+        let error = check(program);
+        assert!(!error.contains(&too_deep), "shape {i}: {error}");
+    }
+    for (i, program) in deep_programs(MAX_EXPR_DEPTH).into_iter().enumerate() {
+        let error = check(program);
+        assert!(error.contains(&too_deep), "shape {i}: {error}");
     }
 }

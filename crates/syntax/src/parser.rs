@@ -83,7 +83,7 @@ pub fn parse_type_with<B: TypeBuilder>(src: &str, builder: &mut B) -> PResult<B:
 /// Parses a single expression.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
     let mut p = Parser::new(src)?;
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
@@ -94,6 +94,17 @@ pub fn parse_expr(src: &str) -> PResult<SExpr> {
 /// pass over the type (interning, normalization, checking, printing);
 /// the bound keeps a hostile string from overflowing a thread's stack.
 pub const MAX_TYPE_DEPTH: usize = 2048;
+
+/// How deeply an expression may nest: the height of the tree the parser
+/// builds, where every node is one level above its tallest child —
+/// application and operator spines, `let` and lambda bodies included —
+/// and every pair of parentheses opens one more. Elaboration, checking
+/// and evaluation recurse along that tree; the bound keeps a hostile
+/// program from overflowing a thread's stack.
+pub const MAX_EXPR_DEPTH: usize = 2048;
+
+/// An expression with the height of its tree (see [`MAX_EXPR_DEPTH`]).
+type Node = (SExpr, usize);
 
 /// What the type productions build, one call per recognised node, each
 /// with the node's span. Children are built before their parent, in
@@ -206,6 +217,8 @@ struct Parser {
     pos: usize,
     /// Current type nesting, bounded by [`MAX_TYPE_DEPTH`].
     depth: usize,
+    /// Current expression recursion, bounded by [`MAX_EXPR_DEPTH`].
+    expr_depth: usize,
 }
 
 impl Parser {
@@ -214,6 +227,7 @@ impl Parser {
             tokens: lex(src)?,
             pos: 0,
             depth: 0,
+            expr_depth: 0,
         })
     }
 
@@ -435,7 +449,7 @@ impl Parser {
             }
         }
         self.expect(Tok::Equals)?;
-        let body = self.expr()?;
+        let (body, _) = self.expr()?;
         Ok(Decl::Binding(BindingDecl {
             name,
             params,
@@ -627,8 +641,13 @@ impl Parser {
     }
 
     // --------------------------------------------------------- expressions
+    //
+    // Every production returns its expression with the height of the
+    // tree built for it (see [`MAX_EXPR_DEPTH`]). The recursive
+    // productions also go through `nested_expr`, which bounds the
+    // parser's own recursion before any height is known.
 
-    fn expr(&mut self) -> PResult<SExpr> {
+    fn expr(&mut self) -> PResult<Node> {
         match self.peek().map(|t| t.tok.clone()) {
             Some(Tok::Backslash) => self.lambda(),
             Some(Tok::Let) => self.let_expr(),
@@ -639,7 +658,38 @@ impl Parser {
         }
     }
 
-    fn lambda(&mut self) -> PResult<SExpr> {
+    /// An expression one nesting level down.
+    fn sub_expr(&mut self) -> PResult<Node> {
+        self.nested_expr(Self::expr)
+    }
+
+    /// Parses one expression nesting level deeper, refusing to go past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested_expr(&mut self, parse: fn(&mut Self) -> PResult<Node>) -> PResult<Node> {
+        if self.expr_depth >= MAX_EXPR_DEPTH {
+            return self.expr_too_deep();
+        }
+        self.expr_depth += 1;
+        let parsed = parse(self);
+        self.expr_depth -= 1;
+        parsed
+    }
+
+    /// `expr` one level above children of height at most `height`.
+    fn node(&self, expr: SExpr, height: usize) -> PResult<Node> {
+        if height >= MAX_EXPR_DEPTH {
+            return self.expr_too_deep();
+        }
+        Ok((expr, height + 1))
+    }
+
+    fn expr_too_deep<T>(&self) -> PResult<T> {
+        self.error(format!(
+            "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    fn lambda(&mut self) -> PResult<Node> {
         let start = self.bump(); // backslash
         let mut params = Vec::new();
         loop {
@@ -660,20 +710,23 @@ impl Parser {
             return self.error("lambda needs at least one parameter");
         }
         self.expect(Tok::Arrow)?;
-        let body = self.expr()?;
+        let (body, height) = self.sub_expr()?;
         let span = start.to(body.span());
-        Ok(SExpr::Lambda(params, Box::new(body), span))
+        self.node(SExpr::Lambda(params, Box::new(body), span), height)
     }
 
-    fn let_expr(&mut self) -> PResult<SExpr> {
+    fn let_expr(&mut self) -> PResult<Node> {
         let start = self.bump(); // let
         let pat = self.pattern()?;
         self.expect(Tok::Equals)?;
-        let bound = self.expr()?;
+        let (bound, h1) = self.sub_expr()?;
         self.expect(Tok::In)?;
-        let body = self.expr()?;
+        let (body, h2) = self.sub_expr()?;
         let span = start.to(body.span());
-        Ok(SExpr::Let(pat, Box::new(bound), Box::new(body), span))
+        self.node(
+            SExpr::Let(pat, Box::new(bound), Box::new(body), span),
+            h1.max(h2),
+        )
     }
 
     fn pattern(&mut self) -> PResult<Pattern> {
@@ -706,31 +759,31 @@ impl Parser {
         }
     }
 
-    fn if_expr(&mut self) -> PResult<SExpr> {
+    fn if_expr(&mut self) -> PResult<Node> {
         let start = self.bump(); // if
-        let cond = self.expr()?;
+        let (cond, h1) = self.sub_expr()?;
         self.expect(Tok::Then)?;
-        let thn = self.expr()?;
+        let (thn, h2) = self.sub_expr()?;
         self.expect(Tok::Else)?;
-        let els = self.expr()?;
+        let (els, h3) = self.sub_expr()?;
         let span = start.to(els.span());
-        Ok(SExpr::If(
-            Box::new(cond),
-            Box::new(thn),
-            Box::new(els),
-            span,
-        ))
+        self.node(
+            SExpr::If(Box::new(cond), Box::new(thn), Box::new(els), span),
+            h1.max(h2).max(h3),
+        )
     }
 
     /// `case e of { arms }` / `match e with { arms }`.
-    fn case_expr(&mut self, separator: Tok) -> PResult<SExpr> {
+    fn case_expr(&mut self, separator: Tok) -> PResult<Node> {
         let start = self.bump(); // case/match
-        let scrutinee = self.pipe_expr()?;
+        let (scrutinee, mut height) = self.nested_expr(Self::pipe_expr)?;
         self.expect(separator)?;
         self.expect(Tok::LBrace)?;
         let mut arms = Vec::new();
         loop {
-            arms.push(self.arm()?);
+            let (arm, h) = self.arm()?;
+            arms.push(arm);
+            height = height.max(h);
             match self.peek().map(|t| t.tok.clone()) {
                 Some(Tok::Comma) => {
                     self.bump();
@@ -744,10 +797,14 @@ impl Parser {
             }
         }
         let end = self.expect(Tok::RBrace)?;
-        Ok(SExpr::Case(Box::new(scrutinee), arms, start.to(end)))
+        self.node(
+            SExpr::Case(Box::new(scrutinee), arms, start.to(end)),
+            height,
+        )
     }
 
-    fn arm(&mut self) -> PResult<SArm> {
+    /// A case arm with the height of its body.
+    fn arm(&mut self) -> PResult<(SArm, usize)> {
         let (tag, start) = self.uident()?;
         let mut binders = Vec::new();
         loop {
@@ -764,54 +821,46 @@ impl Parser {
             }
         }
         self.expect(Tok::Arrow)?;
-        let body = self.expr()?;
+        let (body, height) = self.sub_expr()?;
         let span = start.to(body.span());
-        Ok(SArm {
+        let arm = SArm {
             tag,
             binders,
             body,
             span,
-        })
+        };
+        Ok((arm, height))
     }
 
     /// `e |> f |> g` — reverse application, lowest precedence,
     /// left-associative: `x |> f |> g` is `g (f x)`.
-    fn pipe_expr(&mut self) -> PResult<SExpr> {
-        let mut lhs = self.or_expr()?;
+    fn pipe_expr(&mut self) -> PResult<Node> {
+        let (mut lhs, mut height) = self.or_expr()?;
         while self.cont_tok() == Some(&Tok::PipeGt) {
             self.bump();
             // The right operand of |> may itself be a lambda/let/etc.
-            let rhs = match self.peek().map(|t| t.tok.clone()) {
+            let (rhs, h) = match self.peek().map(|t| t.tok.clone()) {
                 Some(Tok::Backslash) => self.lambda()?,
                 _ => self.or_expr()?,
             };
             let span = lhs.span().to(rhs.span());
-            lhs = SExpr::App(Box::new(rhs), Box::new(lhs), span);
+            (lhs, height) = self.node(
+                SExpr::App(Box::new(rhs), Box::new(lhs), span),
+                height.max(h),
+            )?;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn or_expr(&mut self) -> PResult<SExpr> {
-        let mut lhs = self.and_expr()?;
-        while self.cont_tok() == Some(&Tok::OrOr) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = binop("||", lhs, rhs);
-        }
-        Ok(lhs)
+    fn or_expr(&mut self) -> PResult<Node> {
+        self.left_assoc(&[(Tok::OrOr, "||")], Self::and_expr)
     }
 
-    fn and_expr(&mut self) -> PResult<SExpr> {
-        let mut lhs = self.cmp_expr()?;
-        while self.cont_tok() == Some(&Tok::AndAnd) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = binop("&&", lhs, rhs);
-        }
-        Ok(lhs)
+    fn and_expr(&mut self) -> PResult<Node> {
+        self.left_assoc(&[(Tok::AndAnd, "&&")], Self::cmp_expr)
     }
 
-    fn cmp_expr(&mut self) -> PResult<SExpr> {
+    fn cmp_expr(&mut self) -> PResult<Node> {
         let lhs = self.add_expr()?;
         let op = match self.cont_tok() {
             Some(Tok::EqEq) => "==",
@@ -824,47 +873,53 @@ impl Parser {
         };
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(binop(op, lhs, rhs))
+        self.binop(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> PResult<SExpr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.cont_tok() {
-                Some(Tok::Plus) => "+",
-                Some(Tok::Dash) => "-",
-                _ => break,
-            };
+    fn add_expr(&mut self) -> PResult<Node> {
+        self.left_assoc(&[(Tok::Plus, "+"), (Tok::Dash, "-")], Self::mul_expr)
+    }
+
+    fn mul_expr(&mut self) -> PResult<Node> {
+        self.left_assoc(
+            &[(Tok::Star, "*"), (Tok::Slash, "/"), (Tok::Percent, "%")],
+            Self::app_expr,
+        )
+    }
+
+    /// A left-associative chain of `operand`s joined by any of `ops`.
+    fn left_assoc(
+        &mut self,
+        ops: &[(Tok, &str)],
+        operand: fn(&mut Self) -> PResult<Node>,
+    ) -> PResult<Node> {
+        let mut lhs = operand(self)?;
+        while let Some(&(_, op)) = ops.iter().find(|(tok, _)| self.cont_tok() == Some(tok)) {
             self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = binop(op, lhs, rhs);
+            let rhs = operand(self)?;
+            lhs = self.binop(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> PResult<SExpr> {
-        let mut lhs = self.app_expr()?;
-        loop {
-            let op = match self.cont_tok() {
-                Some(Tok::Star) => "*",
-                Some(Tok::Slash) => "/",
-                Some(Tok::Percent) => "%",
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.app_expr()?;
-            lhs = binop(op, lhs, rhs);
-        }
-        Ok(lhs)
+    fn binop(&self, op: &str, (lhs, h1): Node, (rhs, h2): Node) -> PResult<Node> {
+        let span = lhs.span().to(rhs.span());
+        self.node(
+            SExpr::BinOp(Symbol::intern(op), Box::new(lhs), Box::new(rhs), span),
+            h1.max(h2),
+        )
     }
 
-    fn app_expr(&mut self) -> PResult<SExpr> {
-        let mut head = self.atom()?;
+    fn app_expr(&mut self) -> PResult<Node> {
+        let (mut head, mut height) = self.atom()?;
         loop {
             if self.starts_expr_atom() {
-                let arg = self.atom()?;
+                let (arg, h) = self.atom()?;
                 let span = head.span().to(arg.span());
-                head = SExpr::App(Box::new(head), Box::new(arg), span);
+                (head, height) = self.node(
+                    SExpr::App(Box::new(head), Box::new(arg), span),
+                    height.max(h),
+                )?;
             } else if self.cont_tok() == Some(&Tok::LBracket) {
                 self.bump();
                 let mut tys = vec![self.surface_ty()?];
@@ -874,12 +929,12 @@ impl Parser {
                 }
                 let end = self.expect(Tok::RBracket)?;
                 let span = head.span().to(end);
-                head = SExpr::TApp(Box::new(head), tys, span);
+                (head, height) = self.node(SExpr::TApp(Box::new(head), tys, span), height)?;
             } else {
                 break;
             }
         }
-        Ok(head)
+        Ok((head, height))
     }
 
     fn starts_expr_atom(&self) -> bool {
@@ -897,66 +952,48 @@ impl Parser {
         )
     }
 
-    fn atom(&mut self) -> PResult<SExpr> {
-        match self.peek().map(|t| t.tok.clone()) {
-            Some(Tok::IntLit(n)) => {
-                let span = self.bump();
-                Ok(SExpr::Lit(Lit::Int(n), span))
-            }
-            Some(Tok::CharLit(c)) => {
-                let span = self.bump();
-                Ok(SExpr::Lit(Lit::Char(c), span))
-            }
-            Some(Tok::StrLit(s)) => {
-                let span = self.bump();
-                Ok(SExpr::Lit(Lit::Str(s), span))
-            }
-            Some(Tok::LIdent(x)) => {
-                let span = self.bump();
-                Ok(SExpr::Var(x, span))
-            }
+    fn atom(&mut self) -> PResult<Node> {
+        let leaf = match self.peek().map(|t| t.tok.clone()) {
+            Some(Tok::IntLit(n)) => SExpr::Lit(Lit::Int(n), self.bump()),
+            Some(Tok::CharLit(c)) => SExpr::Lit(Lit::Char(c), self.bump()),
+            Some(Tok::StrLit(s)) => SExpr::Lit(Lit::Str(s), self.bump()),
+            Some(Tok::LIdent(x)) => SExpr::Var(x, self.bump()),
             Some(Tok::UIdent(c)) => {
                 let span = self.bump();
                 match c {
-                    Symbol::TRUE => Ok(SExpr::Lit(Lit::Bool(true), span)),
-                    Symbol::FALSE => Ok(SExpr::Lit(Lit::Bool(false), span)),
-                    _ => Ok(SExpr::Con(c, span)),
+                    Symbol::TRUE => SExpr::Lit(Lit::Bool(true), span),
+                    Symbol::FALSE => SExpr::Lit(Lit::Bool(false), span),
+                    _ => SExpr::Con(c, span),
                 }
             }
             Some(Tok::SelectKw) => {
                 let start = self.bump();
                 let (tag, end) = self.uident()?;
-                Ok(SExpr::Select(tag, start.to(end)))
+                SExpr::Select(tag, start.to(end))
             }
             Some(Tok::LParen) => {
                 let start = self.bump();
                 if self.peek().map(|t| &t.tok) == Some(&Tok::RParen) {
                     let end = self.bump();
-                    return Ok(SExpr::Lit(Lit::Unit, start.to(end)));
+                    return Ok((SExpr::Lit(Lit::Unit, start.to(end)), 1));
                 }
-                let first = self.expr()?;
+                // Parentheses open a level of their own, so deep
+                // nesting is refused even where it builds no node.
+                let (first, h1) = self.sub_expr()?;
                 if self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
                     self.bump();
-                    let second = self.expr()?;
+                    let (second, h2) = self.sub_expr()?;
                     let end = self.expect(Tok::RParen)?;
-                    Ok(SExpr::Pair(
-                        Box::new(first),
-                        Box::new(second),
-                        start.to(end),
-                    ))
-                } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(first)
+                    let pair = SExpr::Pair(Box::new(first), Box::new(second), start.to(end));
+                    return self.node(pair, h1.max(h2));
                 }
+                self.expect(Tok::RParen)?;
+                return self.node(first, h1);
             }
-            _ => self.error("expected an expression"),
-        }
+            _ => return self.error("expected an expression"),
+        };
+        Ok((leaf, 1))
     }
-}
-
-fn binop(op: &str, lhs: SExpr, rhs: SExpr) -> SExpr {
-    let span = lhs.span().to(rhs.span());
-    SExpr::BinOp(Symbol::intern(op), Box::new(lhs), Box::new(rhs), span)
 }
 
 #[cfg(test)]
