@@ -1,13 +1,14 @@
-//! A thread-safe module cache: `check`-op results memoized across
+//! A thread-safe module cache: `check`-op verdicts memoized across
 //! requests.
 //!
 //! A long-running service sees the same program sources again and again
 //! (editors re-sending buffers, health checks, load generators). Type
 //! checking is pure — same source, same verdict — so the server keys a
 //! cache by the *exact source text* and pays elaboration + checking once
-//! per distinct program. Both successes and failures are cached
-//! ([`CheckError`] is `Clone`); successful modules are shared as
-//! [`Arc<Module>`] so a cache hit is a pointer bump.
+//! per distinct program. The cache keeps only what a `check` answer
+//! needs: the verdict and, for a failure, the error text. The checked
+//! [`Module`](crate::Module) itself (declarations, trees, definitions)
+//! is dropped, so the cache's footprint is the sources and the errors.
 //!
 //! The type-level warm state behind a hit is shared too: elaboration
 //! interns signatures and alias bodies through the **caller's
@@ -15,12 +16,11 @@
 //! *distinct* programs using the same types reuse each other's
 //! normalization work, without ever touching a process-global store.
 
-use crate::{check_source_in, CheckError, Module};
+use crate::check_source_in;
 use algst_core::Session;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Counters for the `stats` op.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,13 +39,14 @@ pub struct CacheStats {
 /// (whole programs), so the bound is modest.
 pub const DEFAULT_MODULE_CACHE_CAP: usize = 4096;
 
-/// Memoizes [`check_source_in`] by source text, bounded at a fixed
+/// Memoizes the verdict of [`check_source_in`] by source text, bounded at a fixed
 /// entry cap (the map is cleared when full — sources are self-contained
 /// so a dropped entry only costs one re-check).
 /// Cheap to share behind an `Arc`; all methods take `&self` (the
 /// mutable state is the per-worker [`Session`] passed per call).
 pub struct ModuleCache {
-    map: Mutex<HashMap<String, Result<Arc<Module>, CheckError>>>,
+    /// Source text → `Ok(())` or the error text.
+    map: Mutex<HashMap<String, Result<(), String>>>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -90,21 +91,23 @@ impl ModuleCache {
         self.map.lock().clear();
     }
 
-    /// [`check_source_in`] through the cache,
-    /// against the caller's `session`. The second component is true on a
-    /// cache hit. The lock is *not* held while checking, so slow
+    /// The verdict of [`check_source_in`] through the cache, against the
+    /// caller's `session`: `Ok(())` or the error text. The second
+    /// component is true on a cache hit. The lock is *not* held while checking, so slow
     /// programs do not serialize the pool; two workers racing on the
     /// same new source may both check it (same result, last write wins).
     pub fn check_source(
         &self,
         session: &mut Session,
         src: &str,
-    ) -> (Result<Arc<Module>, CheckError>, bool) {
+    ) -> (Result<(), String>, bool) {
         if let Some(hit) = self.map.lock().get(src) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit.clone(), true);
         }
-        let result = check_source_in(session, src).map(Arc::new);
+        let result = check_source_in(session, src)
+            .map(drop)
+            .map_err(|e| e.to_string());
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock();
         if map.len() >= self.cap {
@@ -140,12 +143,12 @@ mod tests {
         assert!(first.is_ok() && !cached);
         let (second, cached) = cache.check_source(&mut s, OK);
         assert!(second.is_ok() && cached);
-        assert!(Arc::ptr_eq(&first.unwrap(), &second.unwrap()));
 
         let (err, cached) = cache.check_source(&mut s, BAD);
         assert!(err.is_err() && !cached);
         let (err2, cached) = cache.check_source(&mut s, BAD);
-        assert!(err2.is_err() && cached);
+        assert!(cached);
+        assert_eq!(err2, err, "a hit returns the cached error text");
 
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
@@ -168,6 +171,47 @@ mod tests {
         let src0 = "aux0 : Unit\naux0 = ()\nmain : Unit\nmain = ()";
         let (r, cached) = cache.check_source(&mut s, src0);
         assert!(r.is_ok() && !cached);
+    }
+
+    /// What an engine worker does on `check` traffic: a few hundred
+    /// distinct generated modules (a fifth damaged) through one session.
+    /// The session's local mirror is the arena itself, one entry per
+    /// node the modules interned, and checking them all again adds
+    /// nothing: no per-id state grows with the traffic.
+    #[test]
+    fn worker_mirror_grows_with_module_nodes_only() {
+        use algst_gen::{generate_program, ProgConfig};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let modules: Vec<String> = (0..300)
+            .map(|_| {
+                let cfg = ProgConfig {
+                    spine: rng.gen_range(4..=16usize),
+                    choices: 2,
+                    poly: rng.gen_bool(0.5),
+                    damage: rng.gen_range(0..100u32) < 20,
+                };
+                generate_program(&mut rng, &cfg).source
+            })
+            .collect();
+        let mut s = Session::new();
+        let cache = ModuleCache::new();
+        let mut failures = 0;
+        for m in &modules {
+            failures += usize::from(cache.check_source(&mut s, m).0.is_err());
+        }
+        assert!(failures > 0 && failures < modules.len() / 2, "{failures} failed");
+        let nodes = s.stats().nodes;
+        let after_first = s.local().introspect();
+        assert_eq!(after_first.nodes as u64, nodes, "the mirror holds the arena only");
+
+        cache.clear();
+        for m in &modules {
+            let (_, cached) = cache.check_source(&mut s, m);
+            assert!(!cached);
+        }
+        assert_eq!(s.stats().nodes, nodes);
+        assert_eq!(s.local().introspect(), after_first, "re-checking grew the mirror");
     }
 
     #[test]

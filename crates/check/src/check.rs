@@ -12,12 +12,15 @@
 //! lambdas and pushes goals through `let`/`if`/`match` (the E-Abs'/E-App'
 //! style extensions described in Section 5).
 //!
-//! Representation split: the checker *destructures* boundary
-//! [`Type`] trees, but the context stores α-canonical
-//! [`TypeId`](algst_core::store::TypeId)s interned in the checker's
-//! [`Session`], and every equality test (E-Check, branch agreement,
-//! context agreement) is an id comparison. `∀`-instantiation (E-TApp)
-//! happens at the id level, where it is capture-free and memoized.
+//! Representation: the checker works on α-canonical
+//! [`TypeId`]s of its [`Session`] throughout. It reads
+//! [`TNode`]s to destructure types, builds new ones with `mk_node`, and
+//! normalizes with the store's memoized `nrm`. Since α-equivalent normal
+//! forms share one id, every equality test (E-Check, branch agreement,
+//! context agreement) is `==` on ids. Annotations in the core term are
+//! trees, interned where the rule reads them (E-Abs, E-Rec, E-TApp);
+//! declared constructor fields are interned once per checker
+//! ([`FieldTypes`]). A tree is extracted only to build a [`TypeError`].
 //!
 //! The session is **injected** ([`Checker::new`]): two checkers over
 //! two sessions share no state, and a server can hand every worker its
@@ -29,21 +32,40 @@ use crate::error::TypeError;
 use algst_core::expr::{Arm, Expr};
 use algst_core::kind::Kind;
 use algst_core::kindcheck::KindCtx;
-use algst_core::normalize::{dir_neg_seq, materialize_seq, nrm_pos, resugar};
-use algst_core::protocol::Declarations;
-use algst_core::subst::{subst_type, Subst};
+use algst_core::normalize::resugar;
+use algst_core::protocol::{Ctor, Declarations};
+use algst_core::store::{StoreOps, TNode, TypeId};
 use algst_core::symbol::Symbol;
-use algst_core::types::Type;
+use algst_core::types::{BaseType, Type};
 use algst_core::Session;
 use std::collections::HashMap;
+use std::rc::Rc;
+
+/// Declared constructor field types, interned on first use: the
+/// declarations hold trees, the checker works on ids. Tags are unique
+/// across protocols and datatypes, so the tag is the key.
+#[derive(Default)]
+pub struct FieldTypes(HashMap<Symbol, Rc<[TypeId]>>);
+
+impl FieldTypes {
+    /// The interned field types of `ctor`, parameters left free.
+    pub fn of(&mut self, s: &mut Session, ctor: &Ctor) -> Rc<[TypeId]> {
+        let ids = self
+            .0
+            .entry(ctor.tag)
+            .or_insert_with(|| ctor.args.iter().map(|t| s.intern(t)).collect());
+        Rc::clone(ids)
+    }
+}
 
 /// The expression typechecker. Holds the global protocol/datatype
 /// declarations `Δ`, the stack of in-scope type variables, and the
-/// [`Session`] all interning/instantiation runs against.
+/// [`Session`] every type lives in.
 pub struct Checker<'d, 's> {
     decls: &'d Declarations,
     session: &'s mut Session,
     tyvars: Vec<(Symbol, Kind)>,
+    fields: FieldTypes,
 }
 
 impl<'d, 's> Checker<'d, 's> {
@@ -52,6 +74,7 @@ impl<'d, 's> Checker<'d, 's> {
             decls,
             session,
             tyvars: Vec::new(),
+            fields: FieldTypes::default(),
         }
     }
 
@@ -67,35 +90,55 @@ impl<'d, 's> Checker<'d, 's> {
         ctx
     }
 
-    fn check_kind(&self, ty: &Type, k: Kind) -> Result<(), TypeError> {
-        self.kind_ctx().check(ty, k).map_err(TypeError::from)
+    /// Interns an annotation, checks its kind and returns its normal form.
+    fn annotation(&mut self, ty: &Type, k: Kind) -> Result<TypeId, TypeError> {
+        let id = self.session.intern(ty);
+        self.kind_ctx().check_id(self.session.local(), id, k)?;
+        Ok(self.session.nrm(id))
+    }
+
+    fn node(&mut self, id: TypeId) -> TNode {
+        self.session.node_owned(id)
+    }
+
+    fn mk(&mut self, node: TNode) -> TypeId {
+        self.session.mk_node(node)
+    }
+
+    /// The boundary tree of `id`, for a diagnostic.
+    fn show(&mut self, id: TypeId) -> Type {
+        self.session.extract(id)
     }
 
     /// Pushes a term binder, choosing linear vs. unrestricted usage from
-    /// its type (cf. [`crate::context::is_unrestricted`]).
-    fn push_term(&mut self, ctx: &mut Ctx, name: Symbol, ty: Type) {
-        let un = crate::context::is_unrestricted(self.decls, &ty);
-        ctx.push_term(self.session, name, ty, un);
+    /// its type (cf. [`Checker::is_unrestricted`]).
+    fn push_term(&mut self, ctx: &mut Ctx, name: Symbol, ty: TypeId) {
+        if self.is_unrestricted(ty) {
+            ctx.push_unrestricted(name, ty);
+        } else {
+            ctx.push_linear(name, ty);
+        }
     }
 
-    /// α-equivalence through the session: both sides intern to
-    /// α-canonical ids, so the comparison itself is integer equality
-    /// (and both trees are hash-consed for later reuse).
-    fn alpha_eq_interned(&mut self, a: &Type, b: &Type) -> bool {
-        self.session.intern(a) == self.session.intern(b)
-    }
-
-    fn expect_alpha_eq(&mut self, expected: &Type, found: &Type) -> Result<(), TypeError> {
-        if self.alpha_eq_interned(expected, found) {
+    /// E-Check's side condition: α-equality of normal forms is id
+    /// equality.
+    fn expect_eq(&mut self, expected: TypeId, found: TypeId) -> Result<(), TypeError> {
+        if expected == found {
             Ok(())
         } else {
             // Both sides are normal forms; resugar them for the
-            // diagnostic (pull reified `Dual α` out of spines, drop
-            // fresh binder names).
+            // diagnostic (pull reified `Dual α` out of spines).
             Err(TypeError::Mismatch {
-                expected: resugar(expected),
-                found: resugar(found),
+                expected: resugar(&self.show(expected)),
+                found: resugar(&self.show(found)),
             })
+        }
+    }
+
+    fn branch_mismatch(&mut self, first: TypeId, other: TypeId) -> TypeError {
+        TypeError::BranchTypeMismatch {
+            first: self.show(first),
+            other: self.show(other),
         }
     }
 
@@ -103,27 +146,23 @@ impl<'d, 's> Checker<'d, 's> {
 
     /// `Δ | Γ ⊢ e ⇒ T | Γ'` — synthesizes the type of `e`, consuming the
     /// used linear entries of `ctx` in place. The result is in normal form.
-    pub fn synth(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<Type, TypeError> {
+    pub fn synth(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<TypeId, TypeError> {
         match e {
             // E-Const (literals, builtins and session constants)
-            Expr::Lit(l) => Ok(l.type_of()),
-            Expr::Builtin(b) => Ok(b.type_of()),
-            Expr::Const(c) => type_of_const(self.decls, *c),
+            Expr::Lit(l) => Ok(self.session.intern(&l.type_of())),
+            Expr::Builtin(b) => Ok(self.session.intern(&b.type_of())),
+            Expr::Const(c) => type_of_const(self.session, self.decls, &mut self.fields, *c),
 
-            // E-Var / E-Var⋆ — the context stores interned ids; the
-            // checker destructures trees, so extract at the boundary.
-            Expr::Var(x) => ctx
-                .use_var_ty(self.session, *x)
-                .ok_or(TypeError::UnboundVariable(*x)),
+            // E-Var / E-Var⋆
+            Expr::Var(x) => ctx.use_var(*x).ok_or(TypeError::UnboundVariable(*x)),
 
             // E-Abs
             Expr::Abs(x, ann, body) => {
-                self.check_kind(ann, Kind::Value)?;
-                let v = nrm_pos(ann);
-                self.push_term(ctx, *x, v.clone());
+                let v = self.annotation(ann, Kind::Value)?;
+                self.push_term(ctx, *x, v);
                 let u = self.synth(ctx, body)?;
                 ctx.expect_consumed(*x)?;
-                Ok(Type::arrow(v, u))
+                Ok(self.mk(TNode::Arrow(v, u)))
             }
 
             Expr::AbsU(..) => Err(TypeError::NeedsAnnotation),
@@ -141,12 +180,12 @@ impl<'d, 's> Checker<'d, 's> {
                     return Ok(u);
                 }
                 let ft = self.synth(ctx, f)?;
-                match ft {
-                    Type::Arrow(dom, cod) => {
-                        self.check(ctx, a, &dom)?;
-                        Ok((*cod).clone())
+                match self.node(ft) {
+                    TNode::Arrow(dom, cod) => {
+                        self.check(ctx, a, dom)?;
+                        Ok(cod)
                     }
-                    other => Err(TypeError::NotAFunction(other)),
+                    _ => Err(TypeError::NotAFunction(self.show(ft))),
                 }
             }
 
@@ -158,7 +197,7 @@ impl<'d, 's> Checker<'d, 's> {
                 self.tyvars.push((*alpha, *kappa));
                 let t = self.synth(ctx, v);
                 self.tyvars.pop();
-                Ok(Type::forall(*alpha, *kappa, t?))
+                Ok(self.session.close(*alpha, *kappa, t?))
             }
 
             // E-TApp: β-instantiate and normalize at the id level —
@@ -167,33 +206,28 @@ impl<'d, 's> Checker<'d, 's> {
             // mostly table lookups.
             Expr::TApp(f, arg) => {
                 let ft = self.synth(ctx, f)?;
-                if let Type::Forall(_, kappa, _) = &ft {
-                    let kappa = *kappa;
-                    let mut kctx = self.kind_ctx();
-                    let s = &mut *self.session;
-                    let aid = s.intern(arg);
-                    // Kind checking only reads nodes; the session's
-                    // local mirror covers every id it just produced.
-                    kctx.check_id(s.local(), aid, kappa)
-                        .map_err(TypeError::from)?;
-                    let fid = s.intern(&ft);
-                    let inst = s.instantiate(fid, aid).expect("interned from a Forall");
-                    let n = s.nrm(inst);
-                    return Ok(s.extract_cached(n));
-                }
-                Err(TypeError::NotAForall(ft))
+                let TNode::Forall(kappa, _) = self.node(ft) else {
+                    return Err(TypeError::NotAForall(self.show(ft)));
+                };
+                let aid = self.session.intern(arg);
+                self.kind_ctx()
+                    .check_id(self.session.local(), aid, kappa)?;
+                let inst = self
+                    .session
+                    .instantiate(ft, aid)
+                    .expect("matched a Forall");
+                Ok(self.session.nrm(inst))
             }
 
             // E-Rec: unrestricted self-binding, no linear captures.
             Expr::Rec(x, ann, v) => {
-                self.check_kind(ann, Kind::Value)?;
-                let vty = nrm_pos(ann);
-                if !matches!(vty, Type::Arrow(..) | Type::Forall(..)) {
-                    return Err(TypeError::RecNotArrow(vty));
+                let vty = self.annotation(ann, Kind::Value)?;
+                if !matches!(self.node(vty), TNode::Arrow(..) | TNode::Forall(..)) {
+                    return Err(TypeError::RecNotArrow(self.show(vty)));
                 }
                 let before = ctx.linear_names();
-                ctx.push_unrestricted(self.session, *x, vty.clone());
-                self.check(ctx, v, &vty)?;
+                ctx.push_unrestricted(*x, vty);
+                self.check(ctx, v, vty)?;
                 ctx.remove(*x);
                 let after = ctx.linear_names();
                 if before != after {
@@ -210,17 +244,12 @@ impl<'d, 's> Checker<'d, 's> {
             Expr::Pair(a, b) => {
                 let ta = self.synth(ctx, a)?;
                 let tb = self.synth(ctx, b)?;
-                Ok(Type::pair(ta, tb))
+                Ok(self.mk(TNode::Pair(ta, tb)))
             }
 
             // E-Let (pair elimination)
             Expr::LetPair(x, y, bound, body) => {
-                let bt = self.synth(ctx, bound)?;
-                let Type::Pair(t, u) = bt else {
-                    return Err(TypeError::NotAPair(bt));
-                };
-                self.push_term(ctx, *x, (*t).clone());
-                self.push_term(ctx, *y, (*u).clone());
+                self.bind_pair(ctx, *x, *y, bound)?;
                 let v = self.synth(ctx, body)?;
                 ctx.expect_consumed(*y)?;
                 ctx.expect_consumed(*x)?;
@@ -229,7 +258,8 @@ impl<'d, 's> Checker<'d, 's> {
 
             // E-Let*
             Expr::LetUnit(bound, body) => {
-                self.check(ctx, bound, &Type::Unit)?;
+                let unit = self.mk(TNode::Unit);
+                self.check(ctx, bound, unit)?;
                 self.synth(ctx, body)
             }
 
@@ -243,15 +273,13 @@ impl<'d, 's> Checker<'d, 's> {
             }
 
             Expr::If(cond, thn, els) => {
-                self.check(ctx, cond, &Type::bool())?;
+                let boolean = self.mk(TNode::Base(BaseType::Bool));
+                self.check(ctx, cond, boolean)?;
                 let mut ctx2 = ctx.clone();
                 let t1 = self.synth(ctx, thn)?;
                 let t2 = self.synth(&mut ctx2, els)?;
-                if !self.alpha_eq_interned(&t1, &t2) {
-                    return Err(TypeError::BranchTypeMismatch {
-                        first: t1,
-                        other: t2,
-                    });
+                if t1 != t2 {
+                    return Err(self.branch_mismatch(t1, t2));
                 }
                 ctx.same_linear(&ctx2, self.session)
                     .map_err(|detail| TypeError::BranchContextMismatch { detail })?;
@@ -265,72 +293,85 @@ impl<'d, 's> Checker<'d, 's> {
         }
     }
 
+    /// Synthesizes `bound`, which must be a pair, and binds its
+    /// components to `x` and `y`.
+    fn bind_pair(&mut self, ctx: &mut Ctx, x: Symbol, y: Symbol, bound: &Expr) -> Result<(), TypeError> {
+        let bt = self.synth(ctx, bound)?;
+        let TNode::Pair(t, u) = self.node(bt) else {
+            return Err(TypeError::NotAPair(self.show(bt)));
+        };
+        self.push_term(ctx, x, t);
+        self.push_term(ctx, y, u);
+        Ok(())
+    }
+
     // ------------------------------------------------------------- checking
 
     /// `Δ | Γ ⊢ e ⇐ T | Γ'` — checks `e` against `expected`, which must be
     /// in normal form.
-    pub fn check(&mut self, ctx: &mut Ctx, e: &Expr, expected: &Type) -> Result<(), TypeError> {
-        match (e, expected) {
+    pub fn check(&mut self, ctx: &mut Ctx, e: &Expr, expected: TypeId) -> Result<(), TypeError> {
+        match e {
             // E-Abs' — unannotated lambda against an arrow.
-            (Expr::AbsU(x, body), Type::Arrow(dom, cod)) => {
-                self.push_term(ctx, *x, (**dom).clone());
+            Expr::AbsU(x, body) => {
+                let TNode::Arrow(dom, cod) = self.node(expected) else {
+                    return Err(TypeError::NotAFunction(self.show(expected)));
+                };
+                self.push_term(ctx, *x, dom);
                 self.check(ctx, body, cod)?;
                 ctx.expect_consumed(*x)
             }
-            (Expr::AbsU(..), other) => Err(TypeError::NotAFunction(other.clone())),
 
             // Λα:κ.v against ∀β:κ.U
-            (Expr::TAbs(alpha, kappa, v), Type::Forall(beta, kappa2, u)) if kappa == kappa2 => {
+            Expr::TAbs(alpha, kappa, v)
+                if matches!(self.node(expected), TNode::Forall(k, _) if k == *kappa) =>
+            {
                 if !v.is_value() {
                     return Err(TypeError::TAbsNotValue);
                 }
-                let goal = if alpha == beta {
-                    (**u).clone()
-                } else {
-                    subst_type(u, *beta, &Type::Var(*alpha))
-                };
+                let var = self.mk(TNode::Free(*alpha));
+                let goal = self
+                    .session
+                    .instantiate(expected, var)
+                    .expect("matched a Forall");
                 self.tyvars.push((*alpha, *kappa));
-                let r = self.check(ctx, v, &goal);
+                let r = self.check(ctx, v, goal);
                 self.tyvars.pop();
                 r
             }
 
             // Push the goal through binders and branches for better
             // propagation of expected types.
-            (Expr::Let(x, bound, body), _) => {
+            Expr::Let(x, bound, body) => {
                 let t = self.synth(ctx, bound)?;
                 self.push_term(ctx, *x, t);
                 self.check(ctx, body, expected)?;
                 ctx.expect_consumed(*x)
             }
-            (Expr::LetUnit(bound, body), _) => {
-                self.check(ctx, bound, &Type::Unit)?;
+            Expr::LetUnit(bound, body) => {
+                let unit = self.mk(TNode::Unit);
+                self.check(ctx, bound, unit)?;
                 self.check(ctx, body, expected)
             }
-            (Expr::LetPair(x, y, bound, body), _) => {
-                let bt = self.synth(ctx, bound)?;
-                let Type::Pair(t, u) = bt else {
-                    return Err(TypeError::NotAPair(bt));
-                };
-                self.push_term(ctx, *x, (*t).clone());
-                self.push_term(ctx, *y, (*u).clone());
+            Expr::LetPair(x, y, bound, body) => {
+                self.bind_pair(ctx, *x, *y, bound)?;
                 self.check(ctx, body, expected)?;
                 ctx.expect_consumed(*y)?;
                 ctx.expect_consumed(*x)
             }
-            (Expr::If(cond, thn, els), _) => {
-                self.check(ctx, cond, &Type::bool())?;
+            Expr::If(cond, thn, els) => {
+                let boolean = self.mk(TNode::Base(BaseType::Bool));
+                self.check(ctx, cond, boolean)?;
                 let mut ctx2 = ctx.clone();
                 self.check(ctx, thn, expected)?;
                 self.check(&mut ctx2, els, expected)?;
                 ctx.same_linear(&ctx2, self.session)
                     .map_err(|detail| TypeError::BranchContextMismatch { detail })
             }
-            (Expr::Case(scrutinee, arms), _) => self
+            Expr::Case(scrutinee, arms) => self
                 .case_expr(ctx, scrutinee, arms, Some(expected))
                 .map(|_| ()),
             // E-App' for an applied unannotated lambda in checking mode.
-            (Expr::App(f, a), _) if matches!(&**f, Expr::AbsU(..)) => {
+            Expr::App(f, a) if matches!(&**f, Expr::AbsU(..)) => {
                 let Expr::AbsU(x, body) = &**f else {
                     unreachable!("guarded by matches!")
                 };
@@ -339,19 +380,28 @@ impl<'d, 's> Checker<'d, 's> {
                 self.check(ctx, body, expected)?;
                 ctx.expect_consumed(*x)
             }
-            (Expr::Con(tag, args), Type::Data(..)) => self
-                .synth_con(ctx, *tag, args, Some(expected))
-                .and_then(|t| self.expect_alpha_eq(expected, &t)),
+            Expr::Con(tag, args) if matches!(self.node(expected), TNode::Data(..)) => {
+                let t = self.synth_con(ctx, *tag, args, Some(expected))?;
+                self.expect_eq(expected, t)
+            }
 
             // E-Check: synthesize and compare up to α-equivalence.
             _ => {
                 let found = self.synth(ctx, e)?;
-                self.expect_alpha_eq(expected, &found)
+                self.expect_eq(expected, found)
             }
         }
     }
 
     // ------------------------------------------------------ shared helpers
+
+    /// The normal form of `field` with the declaration's `params`
+    /// replaced by `args`.
+    fn instantiate_field(&mut self, field: TypeId, params: &[Symbol], args: &[TypeId]) -> TypeId {
+        let map: HashMap<Symbol, TypeId> = params.iter().copied().zip(args.iter().copied()).collect();
+        let t = self.session.subst_free(field, &map);
+        self.session.nrm(t)
+    }
 
     /// Constructor application. When `expected` is a `Data` type, the
     /// parameter instantiation is taken from it; otherwise it is inferred
@@ -361,64 +411,66 @@ impl<'d, 's> Checker<'d, 's> {
         ctx: &mut Ctx,
         tag: Symbol,
         args: &[Expr],
-        expected: Option<&Type>,
-    ) -> Result<Type, TypeError> {
+        expected: Option<TypeId>,
+    ) -> Result<TypeId, TypeError> {
         let (decl, k) = self
             .decls
             .data_of_tag(tag)
             .ok_or(TypeError::UnboundConstructor(tag))?;
-        let (name, params, ctor_args) =
-            (decl.name, decl.params.clone(), decl.ctors[k].args.clone());
-        if ctor_args.len() != args.len() {
+        let (name, params) = (decl.name, &decl.params);
+        let fields = self.fields.of(self.session, &decl.ctors[k]);
+        if fields.len() != args.len() {
             return Err(TypeError::CtorArity {
                 tag,
-                expected: ctor_args.len(),
+                expected: fields.len(),
                 found: args.len(),
             });
         }
 
-        if let Some(Type::Data(dname, dargs)) = expected {
-            if *dname == name && dargs.len() == params.len() {
-                // Check-mode: instantiate from the expected type.
-                let subst = Subst::parallel(&params, dargs);
-                for (arg, pat) in args.iter().zip(&ctor_args) {
-                    let goal = nrm_pos(&subst.apply(pat));
-                    self.check(ctx, arg, &goal)?;
+        if let Some(expected) = expected {
+            if let TNode::Data(dname, dargs) = self.node(expected) {
+                if dname == name && dargs.len() == params.len() {
+                    // Check-mode: instantiate from the expected type.
+                    for (arg, &field) in args.iter().zip(fields.iter()) {
+                        let goal = self.instantiate_field(field, params, &dargs);
+                        self.check(ctx, arg, goal)?;
+                    }
+                    return Ok(expected);
                 }
-                return Ok(expected.expect("matched Some above").clone());
             }
         }
 
         if params.is_empty() {
-            for (arg, pat) in args.iter().zip(&ctor_args) {
-                let goal = nrm_pos(pat);
-                self.check(ctx, arg, &goal)?;
+            for (arg, &field) in args.iter().zip(fields.iter()) {
+                let goal = self.session.nrm(field);
+                self.check(ctx, arg, goal)?;
             }
-            return Ok(Type::Data(name, Vec::new()));
+            return Ok(self.mk(TNode::Data(name, Vec::new())));
         }
 
         // Synthesis-mode inference: match declared argument types against
         // the synthesized ones to solve for the data parameters.
-        let mut solved: HashMap<Symbol, Type> = HashMap::new();
-        for (arg, pat) in args.iter().zip(&ctor_args) {
+        let mut solved: HashMap<Symbol, TypeId> = HashMap::new();
+        for (arg, &field) in args.iter().zip(fields.iter()) {
             let actual = self.synth(ctx, arg)?;
-            if !match_type(&nrm_pos(pat), &actual, &params, &mut solved) {
+            let pattern = self.session.nrm(field);
+            if !match_type(self.session, pattern, actual, params, &mut solved) {
                 return Err(TypeError::Mismatch {
-                    expected: nrm_pos(pat),
-                    found: actual,
+                    expected: self.show(pattern),
+                    found: self.show(actual),
                 });
             }
         }
-        let inst: Vec<Type> = params
+        let inst: Vec<TypeId> = params
             .iter()
             .map(|p| {
                 solved
                     .get(p)
-                    .cloned()
+                    .copied()
                     .ok_or(TypeError::CannotInferCtorParams(tag))
             })
             .collect::<Result<_, _>>()?;
-        Ok(Type::Data(name, inst))
+        Ok(self.mk(TNode::Data(name, inst)))
     }
 
     /// `match e with {Cᵢ xᵢ → eᵢ}` over a channel (rule E-Match) or a
@@ -429,61 +481,57 @@ impl<'d, 's> Checker<'d, 's> {
         ctx: &mut Ctx,
         scrutinee: &Expr,
         arms: &[Arm],
-        goal: Option<&Type>,
-    ) -> Result<Type, TypeError> {
+        goal: Option<TypeId>,
+    ) -> Result<TypeId, TypeError> {
         let st = self.synth(ctx, scrutinee)?;
 
-        // Determine, per arm tag, the list of types to bind.
-        enum Kinded {
-            /// Channel match: single binder at the continuation type.
-            Channel(HashMap<Symbol, Type>),
-            /// Data case: one binder per field.
-            Data(HashMap<Symbol, Vec<Type>>),
-        }
-
-        let (decl_name, table) = match &st {
-            Type::In(payload, cont) => match &**payload {
-                Type::Proto(rho, us) => {
-                    let decl = self
-                        .decls
-                        .protocol(*rho)
-                        .ok_or(TypeError::UnboundTag(*rho))?;
-                    let subst = Subst::parallel(&decl.params, us);
-                    let mut map = HashMap::new();
-                    for c in &decl.ctors {
-                        // xᵢ : §(−(T̄ᵢ[Ū/ᾱ])).S
-                        let payloads: Vec<Type> = c.args.iter().map(|t| subst.apply(t)).collect();
-                        let bound = materialize_seq(
-                            dir_neg_seq(payloads.iter().map(nrm_pos).collect()),
-                            (**cont).clone(),
-                        );
-                        map.insert(c.tag, nrm_pos(&bound));
-                    }
-                    (decl.name, Kinded::Channel(map))
-                }
-                _ => return Err(TypeError::NotMatchable(st.clone())),
-            },
-            Type::Data(dname, us) => {
+        // Per declared tag, the types its arm binds: the continuation
+        // for a channel match (one binder), the fields for a data case.
+        let mut table: HashMap<Symbol, Vec<TypeId>> = HashMap::new();
+        let mut declared: Vec<Symbol> = Vec::new();
+        let decl_name = match self.node(st) {
+            TNode::In(payload, cont) => {
+                let TNode::Proto(rho, us) = self.node(payload) else {
+                    return Err(TypeError::NotMatchable(self.show(st)));
+                };
                 let decl = self
                     .decls
-                    .data(*dname)
-                    .ok_or(TypeError::UnknownTypeName(*dname))?;
-                let subst = Subst::parallel(&decl.params, us);
-                let mut map = HashMap::new();
+                    .protocol(rho)
+                    .ok_or(TypeError::UnboundTag(rho))?;
                 for c in &decl.ctors {
-                    let tys: Vec<Type> = c.args.iter().map(|t| nrm_pos(&subst.apply(t))).collect();
-                    map.insert(c.tag, tys);
+                    // xᵢ : §(−(T̄ᵢ[Ū/ᾱ])).S, normal since its payloads
+                    // and S are
+                    let mut bound = cont;
+                    for &field in self.fields.of(self.session, c).iter().rev() {
+                        let payload = self.instantiate_field(field, &decl.params, &us);
+                        let payload = self.session.dir_neg(payload);
+                        bound = self.session.materialize(payload, bound);
+                    }
+                    table.insert(c.tag, vec![bound]);
+                    declared.push(c.tag);
                 }
-                (decl.name, Kinded::Data(map))
+                decl.name
             }
-            other => return Err(TypeError::NotMatchable(other.clone())),
+            TNode::Data(dname, us) => {
+                let decl = self
+                    .decls
+                    .data(dname)
+                    .ok_or(TypeError::UnknownTypeName(dname))?;
+                for c in &decl.ctors {
+                    let fields = self.fields.of(self.session, c);
+                    let tys = fields
+                        .iter()
+                        .map(|&f| self.instantiate_field(f, &decl.params, &us))
+                        .collect();
+                    table.insert(c.tag, tys);
+                    declared.push(c.tag);
+                }
+                decl.name
+            }
+            _ => return Err(TypeError::NotMatchable(self.show(st))),
         };
 
         // Exhaustiveness: arms must cover the declared tags exactly.
-        let declared: Vec<Symbol> = match &table {
-            Kinded::Channel(m) => m.keys().copied().collect(),
-            Kinded::Data(m) => m.keys().copied().collect(),
-        };
         let used: Vec<Symbol> = arms.iter().map(|a| a.tag).collect();
         let missing: Vec<Symbol> = declared
             .iter()
@@ -512,38 +560,24 @@ impl<'d, 's> Checker<'d, 's> {
         // Type each arm on a clone of the post-scrutinee context; all arms
         // must agree on output type and leftover context.
         let base = ctx.clone();
-        let mut result: Option<(Type, Ctx)> = None;
+        let mut result: Option<(TypeId, Ctx)> = None;
         for arm in arms {
             let mut bctx = base.clone();
-            match &table {
-                Kinded::Channel(m) => {
-                    if arm.binders.len() != 1 {
-                        return Err(TypeError::WrongArmArity {
-                            tag: arm.tag,
-                            expected: 1,
-                            found: arm.binders.len(),
-                        });
-                    }
-                    self.push_term(&mut bctx, arm.binders[0], m[&arm.tag].clone());
-                }
-                Kinded::Data(m) => {
-                    let tys = &m[&arm.tag];
-                    if arm.binders.len() != tys.len() {
-                        return Err(TypeError::WrongArmArity {
-                            tag: arm.tag,
-                            expected: tys.len(),
-                            found: arm.binders.len(),
-                        });
-                    }
-                    for (b, t) in arm.binders.iter().zip(tys) {
-                        self.push_term(&mut bctx, *b, t.clone());
-                    }
-                }
+            let tys = &table[&arm.tag];
+            if arm.binders.len() != tys.len() {
+                return Err(TypeError::WrongArmArity {
+                    tag: arm.tag,
+                    expected: tys.len(),
+                    found: arm.binders.len(),
+                });
+            }
+            for (b, &t) in arm.binders.iter().zip(tys) {
+                self.push_term(&mut bctx, *b, t);
             }
             let vt = match goal {
                 Some(t) => {
                     self.check(&mut bctx, &arm.body, t)?;
-                    t.clone()
+                    t
                 }
                 None => self.synth(&mut bctx, &arm.body)?,
             };
@@ -553,11 +587,8 @@ impl<'d, 's> Checker<'d, 's> {
             match &result {
                 None => result = Some((vt, bctx)),
                 Some((t0, ctx0)) => {
-                    if !self.alpha_eq_interned(t0, &vt) {
-                        return Err(TypeError::BranchTypeMismatch {
-                            first: t0.clone(),
-                            other: vt,
-                        });
+                    if *t0 != vt {
+                        return Err(self.branch_mismatch(*t0, vt));
                     }
                     ctx0.same_linear(&bctx, self.session)
                         .map_err(|detail| TypeError::BranchContextMismatch { detail })?;
@@ -568,49 +599,83 @@ impl<'d, 's> Checker<'d, 's> {
         *ctx = out_ctx;
         Ok(vt)
     }
+
+    /// Types whose values may be freely dropped and duplicated.
+    ///
+    /// This realizes the implementation-level kind split of the paper's
+    /// Section 5 (`Tᵘⁿ < Tˡⁱⁿ`; the formal system in the paper body is
+    /// uniformly linear):
+    ///
+    /// * base types are unrestricted;
+    /// * pairs are unrestricted when both components are;
+    /// * datatypes are unrestricted when every constructor field is
+    ///   (coinductively, so recursive datatypes like `Ast` qualify);
+    /// * function and ∀-types are treated as unrestricted, matching the
+    ///   artifact's examples (e.g. the generic `stream` server applies its
+    ///   `Service a` argument repeatedly). This is an approximation: the
+    ///   artifact tracks the linearity of *captured* variables through
+    ///   kinds, which we do not model — a closure over a channel can be
+    ///   duplicated here. Session types, protocols and type variables are
+    ///   linear.
+    pub fn is_unrestricted(&mut self, ty: TypeId) -> bool {
+        self.unrestricted_under(ty, &mut Vec::new())
+    }
+
+    fn unrestricted_under(&mut self, ty: TypeId, assumed: &mut Vec<Symbol>) -> bool {
+        match self.node(ty) {
+            TNode::Unit | TNode::Base(_) => true,
+            TNode::Arrow(..) | TNode::Forall(..) => true,
+            TNode::Pair(a, b) => {
+                self.unrestricted_under(a, assumed) && self.unrestricted_under(b, assumed)
+            }
+            TNode::Data(name, args) => {
+                if assumed.contains(&name) {
+                    return true; // coinductive: assume while checking
+                }
+                let Some(decl) = self.decls.data(name) else {
+                    return false;
+                };
+                if !args.iter().all(|&a| self.unrestricted_under(a, assumed)) {
+                    return false;
+                }
+                assumed.push(name);
+                let ok = decl.ctors.iter().all(|c| {
+                    let fields = self.fields.of(self.session, c);
+                    fields.iter().all(|&f| self.unrestricted_under(f, assumed))
+                });
+                assumed.pop();
+                ok
+            }
+            _ => false,
+        }
+    }
 }
 
 /// First-order matching of a declared constructor argument type (with
 /// `params` as match variables) against a concrete type. Repeated
-/// parameters must match α-equivalent types.
+/// parameters must match the same id.
 fn match_type(
-    pattern: &Type,
-    actual: &Type,
+    s: &mut Session,
+    pattern: TypeId,
+    actual: TypeId,
     params: &[Symbol],
-    solved: &mut HashMap<Symbol, Type>,
+    solved: &mut HashMap<Symbol, TypeId>,
 ) -> bool {
-    match (pattern, actual) {
-        (Type::Var(v), _) if params.contains(v) => match solved.get(v) {
-            Some(prev) => prev.alpha_eq(actual),
-            None => {
-                solved.insert(*v, actual.clone());
-                true
-            }
-        },
-        (Type::Unit, Type::Unit) => true,
-        (Type::Base(a), Type::Base(b)) => a == b,
-        (Type::Var(a), Type::Var(b)) => a == b,
-        (Type::EndIn, Type::EndIn) | (Type::EndOut, Type::EndOut) => true,
-        (Type::Arrow(a1, a2), Type::Arrow(b1, b2))
-        | (Type::Pair(a1, a2), Type::Pair(b1, b2))
-        | (Type::In(a1, a2), Type::In(b1, b2))
-        | (Type::Out(a1, a2), Type::Out(b1, b2)) => {
-            match_type(a1, b1, params, solved) && match_type(a2, b2, params, solved)
+    let mut go = |s: &mut Session, p, a| match_type(s, p, a, params, solved);
+    match (s.node_owned(pattern), s.node_owned(actual)) {
+        (TNode::Free(v), _) if params.contains(&v) => {
+            return *solved.entry(v).or_insert(actual) == actual;
         }
-        (Type::Dual(a), Type::Dual(b)) | (Type::Neg(a), Type::Neg(b)) => {
-            match_type(a, b, params, solved)
+        (TNode::Arrow(a1, a2), TNode::Arrow(b1, b2))
+        | (TNode::Pair(a1, a2), TNode::Pair(b1, b2))
+        | (TNode::In(a1, a2), TNode::In(b1, b2))
+        | (TNode::Out(a1, a2), TNode::Out(b1, b2)) => go(s, a1, b1) && go(s, a2, b2),
+        (TNode::Dual(a), TNode::Dual(b)) | (TNode::Neg(a), TNode::Neg(b)) => go(s, a, b),
+        (TNode::Proto(na, aa), TNode::Proto(nb, ab)) | (TNode::Data(na, aa), TNode::Data(nb, ab)) => {
+            na == nb && aa.len() == ab.len() && aa.iter().zip(&ab).all(|(&p, &a)| go(s, p, a))
         }
-        (Type::Proto(na, aa), Type::Proto(nb, ab)) | (Type::Data(na, aa), Type::Data(nb, ab)) => {
-            na == nb
-                && aa.len() == ab.len()
-                && aa
-                    .iter()
-                    .zip(ab)
-                    .all(|(p, a)| match_type(p, a, params, solved))
-        }
-        // Binders inside constructor fields: require exact α-equality and
-        // no parameters inside (conservative).
-        (Type::Forall(..), Type::Forall(..)) => pattern.alpha_eq(actual),
-        _ => false,
+        // Leaves and binders inside constructor fields: require the same
+        // id (binders: exact α-equality, no parameters inside).
+        _ => pattern == actual,
     }
 }

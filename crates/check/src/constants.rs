@@ -11,104 +11,114 @@
 //!                                  (protocol ρ ᾱ = {Cᵢ T̄ᵢ}, k ∈ I)
 //! ```
 //!
-//! All returned types are in normal form, as the typing rules require.
+//! All returned types are interned normal forms, as the typing rules
+//! require: `select`'s payloads are normalized before they are
+//! materialized, and the rest are normal as written. Binders are nameless; extraction names them `a`, `b`, …,
+//! except that `select` names its parameter binders after the protocol's.
 
+use crate::check::FieldTypes;
 use crate::error::TypeError;
 use algst_core::expr::Const;
 use algst_core::kind::Kind;
-use algst_core::normalize::{dir_pos_seq, materialize_seq, nrm_pos};
 use algst_core::protocol::Declarations;
-use algst_core::subst::Subst;
-use algst_core::symbol::Symbol;
-use algst_core::types::Type;
+use algst_core::store::{StoreOps, TNode, TypeId};
+use algst_core::Session;
 
-/// Computes `typeof(c)`.
+/// Computes `typeof(c)` in `s`; `fields` interns the protocol field
+/// types `select` reads.
 ///
 /// # Errors
 /// Fails only for `select C` when `C` is not a declared protocol tag.
-pub fn type_of_const(decls: &Declarations, c: Const) -> Result<Type, TypeError> {
+pub fn type_of_const(
+    s: &mut Session,
+    decls: &Declarations,
+    fields: &mut FieldTypes,
+    c: Const,
+) -> Result<TypeId, TypeError> {
+    let unit = s.mk_node(TNode::Unit);
+    // The de-Bruijn index of the innermost binder (0) or the one outside it.
+    let bound = |s: &mut Session, i| s.mk_node(TNode::Bound(i));
+    // Each type below is built in normal form.
     let t = match c {
-        Const::Fork => Type::arrow(Type::arrow(Type::Unit, Type::Unit), Type::Unit),
+        Const::Fork => {
+            let thunk = s.mk_node(TNode::Arrow(unit, unit));
+            s.mk_node(TNode::Arrow(thunk, unit))
+        }
         Const::New => {
-            let a = Symbol::intern("a");
-            Type::forall(
-                a,
-                Kind::Session,
-                Type::pair(Type::Var(a), Type::dual(Type::Var(a))),
-            )
+            let b0 = bound(s, 0);
+            let dual = s.mk_node(TNode::Dual(b0));
+            let pair = s.mk_node(TNode::Pair(b0, dual));
+            s.mk_node(TNode::Forall(Kind::Session, pair))
         }
         Const::Receive => {
-            let a = Symbol::intern("a");
-            let b = Symbol::intern("b");
-            Type::forall(
-                a,
-                Kind::Value,
-                Type::forall(
-                    b,
-                    Kind::Session,
-                    Type::arrow(
-                        Type::input(Type::Var(a), Type::Var(b)),
-                        Type::pair(Type::Var(a), Type::Var(b)),
-                    ),
-                ),
-            )
+            let (b0, b1) = (bound(s, 0), bound(s, 1));
+            let input = s.mk_node(TNode::In(b1, b0));
+            let pair = s.mk_node(TNode::Pair(b1, b0));
+            let arrow = s.mk_node(TNode::Arrow(input, pair));
+            let inner = s.mk_node(TNode::Forall(Kind::Session, arrow));
+            s.mk_node(TNode::Forall(Kind::Value, inner))
         }
         Const::Send => {
-            let a = Symbol::intern("a");
-            let b = Symbol::intern("b");
-            Type::forall(
-                a,
-                Kind::Value,
-                Type::forall(
-                    b,
-                    Kind::Session,
-                    Type::arrow(
-                        Type::Var(a),
-                        Type::arrow(Type::output(Type::Var(a), Type::Var(b)), Type::Var(b)),
-                    ),
-                ),
-            )
+            let (b0, b1) = (bound(s, 0), bound(s, 1));
+            let output = s.mk_node(TNode::Out(b1, b0));
+            let cont = s.mk_node(TNode::Arrow(output, b0));
+            let arrow = s.mk_node(TNode::Arrow(b1, cont));
+            let inner = s.mk_node(TNode::Forall(Kind::Session, arrow));
+            s.mk_node(TNode::Forall(Kind::Value, inner))
         }
-        Const::Wait => Type::arrow(Type::EndIn, Type::Unit),
-        Const::Terminate => Type::arrow(Type::EndOut, Type::Unit),
+        Const::Wait => {
+            let end = s.mk_node(TNode::EndIn);
+            s.mk_node(TNode::Arrow(end, unit))
+        }
+        Const::Terminate => {
+            let end = s.mk_node(TNode::EndOut);
+            s.mk_node(TNode::Arrow(end, unit))
+        }
         Const::Select(tag) => {
             let (decl, k) = decls
                 .protocol_of_tag(tag)
                 .ok_or(TypeError::UnboundTag(tag))?;
-            // Freshen the protocol parameters so repeated selects cannot
-            // collide with variables already in scope.
-            let fresh: Vec<Symbol> = decl
+            // Under ∀β:S the continuation β is index 0; the parameters
+            // stay free until `close` binds them outside it.
+            let b0 = bound(s, 0);
+            let params: Vec<TypeId> = decl
                 .params
                 .iter()
-                .map(|p| Symbol::fresh(p.base_name()))
+                .map(|p| s.mk_node(TNode::Free(*p)))
                 .collect();
-            let subst = Subst::parallel(
-                &decl.params,
-                &fresh.iter().map(|v| Type::Var(*v)).collect::<Vec<_>>(),
-            );
-            let payloads: Vec<Type> = decl.ctors[k].args.iter().map(|t| subst.apply(t)).collect();
-            let beta = Symbol::fresh("s");
-            let domain = Type::output(
-                Type::Proto(decl.name, fresh.iter().map(|v| Type::Var(*v)).collect()),
-                Type::Var(beta),
-            );
+            let proto = s.mk_node(TNode::Proto(decl.name, params));
+            let domain = s.mk_node(TNode::Out(proto, b0));
             // §(+(T̄ₖ)).β
-            let codomain = materialize_seq(dir_pos_seq(payloads), Type::Var(beta));
-            let mut ty = Type::arrow(domain, codomain);
-            ty = Type::forall(beta, Kind::Session, ty);
-            for v in fresh.into_iter().rev() {
-                ty = Type::forall(v, Kind::Protocol, ty);
+            let mut codomain = b0;
+            for &field in fields.of(s, &decl.ctors[k]).iter().rev() {
+                let payload = s.nrm(field);
+                let payload = s.dir_pos(payload);
+                codomain = s.materialize(payload, codomain);
+            }
+            let arrow = s.mk_node(TNode::Arrow(domain, codomain));
+            let mut ty = s.mk_node(TNode::Forall(Kind::Session, arrow));
+            for p in decl.params.iter().rev() {
+                ty = s.close(*p, Kind::Protocol, ty);
             }
             ty
         }
     };
-    Ok(nrm_pos(&t))
+    Ok(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use algst_core::protocol::{Ctor, ProtocolDecl};
+    use algst_core::symbol::Symbol;
+    use algst_core::types::Type;
+
+    /// `typeof(c)` as a tree, through a fresh session.
+    fn type_of(d: &Declarations, c: Const) -> Result<Type, TypeError> {
+        let mut s = Session::new();
+        let id = type_of_const(&mut s, d, &mut FieldTypes::default(), c)?;
+        Ok(s.extract(id))
+    }
 
     fn decls() -> Declarations {
         let mut d = Declarations::new();
@@ -143,19 +153,19 @@ mod tests {
     fn constants_have_paper_types() {
         let d = Declarations::new();
         assert_eq!(
-            type_of_const(&d, Const::Fork).unwrap().to_string(),
+            type_of(&d, Const::Fork).unwrap().to_string(),
             "(Unit -> Unit) -> Unit"
         );
         assert_eq!(
-            type_of_const(&d, Const::New).unwrap().to_string(),
+            type_of(&d, Const::New).unwrap().to_string(),
             "forall (a:S). (a, Dual a)"
         );
         assert_eq!(
-            type_of_const(&d, Const::Wait).unwrap().to_string(),
+            type_of(&d, Const::Wait).unwrap().to_string(),
             "End? -> Unit"
         );
         assert_eq!(
-            type_of_const(&d, Const::Terminate).unwrap().to_string(),
+            type_of(&d, Const::Terminate).unwrap().to_string(),
             "End! -> Unit"
         );
     }
@@ -164,7 +174,7 @@ mod tests {
     fn select_neg_pushes_fields_with_polarity() {
         // select NegC : ∀β:S. !ArithC.β → !Int.?Int.β  (paper Section 2.2)
         let d = decls();
-        let t = type_of_const(&d, Const::Select(Symbol::intern("NegC"))).unwrap();
+        let t = type_of(&d, Const::Select(Symbol::intern("NegC"))).unwrap();
         let Type::Forall(_, Kind::Session, body) = &t else {
             panic!("expected ∀β:S, got {t}")
         };
@@ -178,7 +188,7 @@ mod tests {
     #[test]
     fn select_add_sends_two_receives_one() {
         let d = decls();
-        let t = type_of_const(&d, Const::Select(Symbol::intern("AddC"))).unwrap();
+        let t = type_of(&d, Const::Select(Symbol::intern("AddC"))).unwrap();
         let Type::Forall(_, _, body) = &t else {
             panic!()
         };
@@ -192,7 +202,7 @@ mod tests {
     fn select_parameterized_freshens_params() {
         // select NextC : ∀a:P.∀β:S. !(StreamC a).β → §(+(a, StreamC a)).β
         let d = decls();
-        let t = type_of_const(&d, Const::Select(Symbol::intern("NextC"))).unwrap();
+        let t = type_of(&d, Const::Select(Symbol::intern("NextC"))).unwrap();
         let Type::Forall(a1, Kind::Protocol, body) = &t else {
             panic!("expected ∀a:P, got {t}")
         };
@@ -215,7 +225,7 @@ mod tests {
     fn select_unknown_tag_errors() {
         let d = decls();
         assert!(matches!(
-            type_of_const(&d, Const::Select(Symbol::intern("NoSuchTag"))),
+            type_of(&d, Const::Select(Symbol::intern("NoSuchTag"))),
             Err(TypeError::UnboundTag(_))
         ));
     }
@@ -233,11 +243,14 @@ mod tests {
             Const::Select(Symbol::intern("NegC")),
             Const::Select(Symbol::intern("NextC")),
         ] {
-            let t = type_of_const(&d, c).unwrap();
+            let t = type_of(&d, c).unwrap();
             assert!(
                 algst_core::normalize::is_normal(&t),
                 "typeof({c:?}) not normal: {t}"
             );
+            let mut s = Session::new();
+            let id = type_of_const(&mut s, &d, &mut FieldTypes::default(), c).unwrap();
+            assert_eq!(s.nrm(id), id, "typeof({c:?}) is not its own nrm");
         }
     }
 }

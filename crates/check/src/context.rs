@@ -6,22 +6,20 @@
 //! entries (`x :⋆ T`, used for recursive bindings, globals and builtins)
 //! survive lookup.
 //!
-//! Entries store interned [`TypeId`]s, not trees: every type is interned
-//! into the checker's [`Session`] on the way in. Because ids are
-//! α-canonical, comparing the outgoing contexts of branches
-//! ([`Ctx::same_linear`], rule E-Match's `Γ₃ =α Γᵢ` side condition) is a
-//! per-entry integer comparison instead of a tree walk — and cloning a
-//! context for a branch copies small ids, never types.
+//! Entries are interned [`TypeId`]s in normal form, exactly what the
+//! checker produces and consumes. Because ids are α-canonical,
+//! comparing the outgoing contexts of branches ([`Ctx::same_linear`],
+//! rule E-Match's `Γ₃ =α Γᵢ` side condition) is a per-entry integer
+//! comparison, and cloning a context for a branch copies small ids.
 //!
 //! Ids are only meaningful in the session (and its siblings) that
-//! created them; every interning/extracting method therefore takes the
-//! `&mut Session` the surrounding check runs against — there is no
-//! ambient store a `Ctx` could silently reach instead.
+//! created them. A `Ctx` never touches a store itself, except to
+//! extract the types a branch-mismatch diagnostic shows, from the
+//! `&mut Session` the caller passes in.
 
 use crate::error::TypeError;
 use algst_core::store::TypeId;
 use algst_core::symbol::Symbol;
-use algst_core::types::Type;
 use algst_core::Session;
 
 /// How an entry may be used.
@@ -62,12 +60,7 @@ impl Ctx {
         self.entries.is_empty()
     }
 
-    pub fn push_linear(&mut self, s: &mut Session, name: Symbol, ty: Type) {
-        let id = s.intern(&ty);
-        self.push_linear_id(name, id);
-    }
-
-    pub fn push_linear_id(&mut self, name: Symbol, ty: TypeId) {
+    pub fn push_linear(&mut self, name: Symbol, ty: TypeId) {
         self.entries.push(Entry {
             name,
             ty,
@@ -75,22 +68,7 @@ impl Ctx {
         });
     }
 
-    /// Pushes a term binder with an explicitly chosen usage discipline.
-    /// Use [`is_unrestricted`] to compute it from the binder's type.
-    pub fn push_term(&mut self, s: &mut Session, name: Symbol, ty: Type, unrestricted: bool) {
-        if unrestricted {
-            self.push_unrestricted(s, name, ty);
-        } else {
-            self.push_linear(s, name, ty);
-        }
-    }
-
-    pub fn push_unrestricted(&mut self, s: &mut Session, name: Symbol, ty: Type) {
-        let id = s.intern(&ty);
-        self.push_unrestricted_id(name, id);
-    }
-
-    pub fn push_unrestricted_id(&mut self, name: Symbol, ty: TypeId) {
+    pub fn push_unrestricted(&mut self, name: Symbol, ty: TypeId) {
         self.entries.push(Entry {
             name,
             ty,
@@ -107,15 +85,6 @@ impl Ctx {
             Usage::Linear => Some(self.entries.remove(ix).ty),
             Usage::Unrestricted => Some(self.entries[ix].ty),
         }
-    }
-
-    /// Like [`Ctx::use_var`], but extracting the boundary [`Type`] for
-    /// callers that destructure it. Extraction is memoized per id, so a
-    /// global referenced many times pays one tree build, then shallow
-    /// clones (extracted trees share subterms via `Arc`).
-    pub fn use_var_ty(&mut self, s: &mut Session, name: Symbol) -> Option<Type> {
-        let id = self.use_var(name)?;
-        Some(s.extract_cached(id))
     }
 
     /// True if `name` is still present (most recent binding).
@@ -187,56 +156,6 @@ impl Ctx {
     }
 }
 
-/// Types whose values may be freely dropped and duplicated.
-///
-/// This realizes the implementation-level kind split of the paper's
-/// Section 5 (`Tᵘⁿ < Tˡⁱⁿ`; the formal system in the paper body is
-/// uniformly linear):
-///
-/// * base types are unrestricted;
-/// * pairs are unrestricted when both components are;
-/// * datatypes are unrestricted when every constructor field is
-///   (coinductively, so recursive datatypes like `Ast` qualify);
-/// * function and ∀-types are treated as unrestricted, matching the
-///   artifact's examples (e.g. the generic `stream` server applies its
-///   `Service a` argument repeatedly). This is an approximation: the
-///   artifact tracks the linearity of *captured* variables through kinds,
-///   which we do not model — a closure over a channel can be duplicated
-///   here. Session types, protocols and type variables are linear.
-pub fn is_unrestricted(decls: &algst_core::protocol::Declarations, ty: &Type) -> bool {
-    fn go(
-        decls: &algst_core::protocol::Declarations,
-        ty: &Type,
-        assumed: &mut Vec<Symbol>,
-    ) -> bool {
-        match ty {
-            Type::Unit | Type::Base(_) => true,
-            Type::Arrow(..) | Type::Forall(..) => true,
-            Type::Pair(a, b) => go(decls, a, assumed) && go(decls, b, assumed),
-            Type::Data(name, args) => {
-                if assumed.contains(name) {
-                    return true; // coinductive: assume while checking
-                }
-                let Some(decl) = decls.data(*name) else {
-                    return false;
-                };
-                if !args.iter().all(|a| go(decls, a, assumed)) {
-                    return false;
-                }
-                assumed.push(*name);
-                let ok = decl
-                    .ctors
-                    .iter()
-                    .all(|c| c.args.iter().all(|f| go(decls, f, assumed)));
-                assumed.pop();
-                ok
-            }
-            _ => false,
-        }
-    }
-    go(decls, ty, &mut Vec::new())
-}
-
 fn diff_message(s: &mut Session, a: &[&Entry], b: &[&Entry]) -> String {
     let mut show = |es: &[&Entry]| {
         if es.is_empty() {
@@ -255,6 +174,7 @@ fn diff_message(s: &mut Session, a: &[&Entry], b: &[&Entry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algst_core::types::Type;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -264,7 +184,7 @@ mod tests {
     fn linear_use_consumes() {
         let mut s = Session::new();
         let mut ctx = Ctx::new();
-        ctx.push_linear(&mut s, sym("c"), Type::EndOut);
+        ctx.push_linear(sym("c"), s.intern(&Type::EndOut));
         assert!(ctx.use_var(sym("c")).is_some());
         assert!(ctx.use_var(sym("c")).is_none());
     }
@@ -273,7 +193,7 @@ mod tests {
     fn unrestricted_use_persists() {
         let mut s = Session::new();
         let mut ctx = Ctx::new();
-        ctx.push_unrestricted(&mut s, sym("f"), Type::arrow(Type::Unit, Type::Unit));
+        ctx.push_unrestricted(sym("f"), s.intern(&Type::arrow(Type::Unit, Type::Unit)));
         assert!(ctx.use_var(sym("f")).is_some());
         assert!(ctx.use_var(sym("f")).is_some());
     }
@@ -282,26 +202,26 @@ mod tests {
     fn shadowing_uses_innermost() {
         let mut s = Session::new();
         let mut ctx = Ctx::new();
-        ctx.push_linear(&mut s, sym("x"), Type::int());
-        ctx.push_linear(&mut s, sym("x"), Type::bool());
-        let t = ctx.use_var_ty(&mut s, sym("x")).unwrap();
-        assert_eq!(t, Type::bool());
-        let t = ctx.use_var_ty(&mut s, sym("x")).unwrap();
-        assert_eq!(t, Type::int());
+        ctx.push_linear(sym("x"), s.intern(&Type::int()));
+        ctx.push_linear(sym("x"), s.intern(&Type::bool()));
+        let t = ctx.use_var(sym("x")).unwrap();
+        assert_eq!(s.extract(t), Type::bool());
+        let t = ctx.use_var(sym("x")).unwrap();
+        assert_eq!(s.extract(t), Type::int());
     }
 
     #[test]
     fn expect_consumed_flags_leftover_linear() {
         let mut s = Session::new();
         let mut ctx = Ctx::new();
-        ctx.push_linear(&mut s, sym("c"), Type::EndOut);
+        ctx.push_linear(sym("c"), s.intern(&Type::EndOut));
         assert!(matches!(
             ctx.expect_consumed(sym("c")),
             Err(TypeError::UnusedLinear(_))
         ));
         // Unrestricted leftovers are popped silently.
         let mut ctx = Ctx::new();
-        ctx.push_unrestricted(&mut s, sym("g"), Type::Unit);
+        ctx.push_unrestricted(sym("g"), s.intern(&Type::Unit));
         ctx.expect_consumed(sym("g")).unwrap();
         assert!(!ctx.contains(sym("g")));
     }
@@ -310,10 +230,10 @@ mod tests {
     fn same_linear_ignores_unrestricted() {
         let mut s = Session::new();
         let mut a = Ctx::new();
-        a.push_unrestricted(&mut s, sym("f"), Type::Unit);
-        a.push_linear(&mut s, sym("c"), Type::EndIn);
+        a.push_unrestricted(sym("f"), s.intern(&Type::Unit));
+        a.push_linear(sym("c"), s.intern(&Type::EndIn));
         let mut b = Ctx::new();
-        b.push_linear(&mut s, sym("c"), Type::EndIn);
+        b.push_linear(sym("c"), s.intern(&Type::EndIn));
         a.same_linear(&b, &mut s).unwrap();
         b.use_var(sym("c"));
         assert!(a.same_linear(&b, &mut s).is_err());
@@ -325,17 +245,9 @@ mod tests {
         // Entries interned to the same id despite different binder names.
         let mut s = Session::new();
         let mut a = Ctx::new();
-        a.push_linear(
-            &mut s,
-            sym("h"),
-            Type::forall("x", Kind::Session, Type::var("x")),
-        );
+        a.push_linear(sym("h"), s.intern(&Type::forall("x", Kind::Session, Type::var("x"))));
         let mut b = Ctx::new();
-        b.push_linear(
-            &mut s,
-            sym("h"),
-            Type::forall("y", Kind::Session, Type::var("y")),
-        );
+        b.push_linear(sym("h"), s.intern(&Type::forall("y", Kind::Session, Type::var("y"))));
         a.same_linear(&b, &mut s).unwrap();
     }
 }

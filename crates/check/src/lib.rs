@@ -36,7 +36,8 @@ pub use context::Ctx;
 pub use error::{CheckError, TypeError};
 
 use algst_core::expr::Expr;
-use algst_core::normalize::nrm_pos;
+use algst_core::kind::Kind;
+use algst_core::kindcheck::KindCtx;
 use algst_core::protocol::Declarations;
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
@@ -75,7 +76,6 @@ pub struct Module {
     pub decls: Declarations,
     /// Resolved (source-shaped) signatures, in order.
     sigs: Vec<(Symbol, Type)>,
-    norm_sigs: HashMap<Symbol, Type>,
     defs: Vec<(Symbol, Arc<Expr>)>,
     def_map: HashMap<Symbol, Arc<Expr>>,
 }
@@ -87,9 +87,10 @@ impl Module {
         self.sigs.iter().find(|(n, _)| *n == sym).map(|(_, t)| t)
     }
 
-    /// The normalized signature of `name`.
-    pub fn norm_sig(&self, name: &str) -> Option<&Type> {
-        self.norm_sigs.get(&Symbol::intern(name))
+    /// The normalized signature of `name`, computed on demand in a
+    /// fresh session (the checker's session is not kept).
+    pub fn norm_sig(&self, name: &str) -> Option<Type> {
+        self.sig(name).map(|t| Session::new().normalize(t))
     }
 
     /// The elaborated definition of `name`.
@@ -154,23 +155,24 @@ pub fn check_program(program: &Program) -> Result<Module, CheckError> {
 pub fn check_program_in(session: &mut Session, program: &Program) -> Result<Module, CheckError> {
     let elaborate::Elaborated { decls, sigs, defs } = elaborate::elaborate(program, session)?;
 
-    // Kind-check signatures and build the global (unrestricted) context.
-    let mut kctx = algst_core::kindcheck::KindCtx::new(&decls);
-    let mut norm_sigs = HashMap::new();
+    // Intern and kind-check signatures once; their normal forms are the
+    // global (unrestricted) context and the definitions' goals.
+    let mut kctx = KindCtx::new(&decls);
+    let mut goals = HashMap::new();
     let mut ctx = Ctx::new();
     for (name, ty) in &sigs {
-        kctx.check(ty, algst_core::kind::Kind::Value)?;
-        let n = nrm_pos(ty);
-        ctx.push_unrestricted(session, *name, n.clone());
-        norm_sigs.insert(*name, n);
+        let id = session.intern(ty);
+        kctx.check_id(session.local(), id, Kind::Value)?;
+        let n = session.nrm(id);
+        ctx.push_unrestricted(*name, n);
+        goals.insert(*name, n);
     }
 
     // Check every definition against its (normalized) signature.
     let mut checker = Checker::new(&decls, session);
     for (name, def) in &defs {
-        let goal = norm_sigs[name].clone();
         checker
-            .check(&mut ctx, def, &goal)
+            .check(&mut ctx, def, goals[name])
             .map_err(CheckError::Type)?;
     }
 
@@ -179,7 +181,6 @@ pub fn check_program_in(session: &mut Session, program: &Program) -> Result<Modu
     Ok(Module {
         decls,
         sigs,
-        norm_sigs,
         defs,
         def_map,
     })

@@ -15,9 +15,9 @@ use crate::context::Ctx;
 use crate::error::TypeError;
 use algst_core::expr::Process;
 use algst_core::kind::Kind;
-use algst_core::normalize::{nrm_neg, nrm_pos};
+use algst_core::kindcheck::KindCtx;
 use algst_core::protocol::Declarations;
-use algst_core::types::Type;
+use algst_core::store::{StoreOps, TNode};
 use algst_core::Session;
 
 /// Checks `Γ ⊢ p` with `ctx` threaded through the process tree, against
@@ -30,18 +30,18 @@ pub fn check_process(
 ) -> Result<(), TypeError> {
     match p {
         Process::Thread(e) => {
-            let mut checker = Checker::new(decls, session);
-            checker.check(ctx, e, &Type::Unit)
+            let unit = session.mk_node(TNode::Unit);
+            Checker::new(decls, session).check(ctx, e, unit)
         }
         Process::Par(p1, p2) => {
             check_process(session, decls, ctx, p1)?;
             check_process(session, decls, ctx, p2)
         }
         Process::New(x, y, ty, body) => {
-            let mut kctx = algst_core::kindcheck::KindCtx::new(decls);
-            kctx.check(ty, Kind::Session)?;
-            ctx.push_linear(session, *x, nrm_pos(ty));
-            ctx.push_linear(session, *y, nrm_neg(ty));
+            let id = session.intern(ty);
+            KindCtx::new(decls).check_id(session.local(), id, Kind::Session)?;
+            ctx.push_linear(*x, session.nrm(id));
+            ctx.push_linear(*y, session.nrm_neg(id));
             check_process(session, decls, ctx, body)?;
             ctx.expect_consumed(*y)?;
             ctx.expect_consumed(*x)
@@ -65,6 +65,7 @@ pub fn check_process_closed(decls: &Declarations, p: &Process) -> Result<(), Typ
 mod tests {
     use super::*;
     use algst_core::expr::{Const, Expr};
+    use algst_core::types::Type;
 
     #[test]
     fn closed_thread_checks() {

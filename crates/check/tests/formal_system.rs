@@ -36,7 +36,8 @@ fn synth(
     ctx: &mut Ctx,
     e: &Expr,
 ) -> Result<Type, TypeError> {
-    Checker::new(decls, s).synth(ctx, e)
+    let t = Checker::new(decls, s).synth(ctx, e)?;
+    Ok(s.extract(t))
 }
 
 #[test]
@@ -75,8 +76,9 @@ fn unannotated_lambda_has_no_synthesis_rule() {
     ));
     // But it checks against an arrow (E-Abs').
     let mut ctx = Ctx::new();
+    let goal = s.intern(&Type::arrow(Type::int(), Type::int()));
     Checker::new(&d, &mut s)
-        .check(&mut ctx, &e, &Type::arrow(Type::int(), Type::int()))
+        .check(&mut ctx, &e, goal)
         .unwrap();
 }
 
@@ -106,7 +108,8 @@ fn rec_cannot_capture_linear_variables() {
     );
     let rec = Expr::rec("f", Type::arrow(Type::Unit, Type::Unit), body);
     let mut ctx = Ctx::new();
-    ctx.push_linear(&mut s, Symbol::intern("c"), Type::EndOut);
+    let ty = s.intern(&Type::EndOut);
+    ctx.push_linear(Symbol::intern("c"), ty);
     assert!(matches!(
         synth(&mut s, &d, &mut ctx, &rec),
         Err(TypeError::LinearInRecursive { .. })
@@ -150,7 +153,8 @@ fn leftover_threading_through_pairs() {
     let d = decls();
     let mut s = Session::new();
     let mut ctx = Ctx::new();
-    ctx.push_linear(&mut s, Symbol::intern("c"), Type::EndOut);
+    let ty = s.intern(&Type::EndOut);
+    ctx.push_linear(Symbol::intern("c"), ty);
     let e = Expr::pair(
         Expr::app(Expr::Const(Const::Terminate), Expr::var("c")),
         Expr::int(1),
@@ -213,11 +217,8 @@ fn match_pushes_continuations_with_polarity() {
     };
     let e = Expr::case(Expr::var("ch"), vec![neg_arm, add_arm]);
     let mut ctx = Ctx::new();
-    ctx.push_linear(
-        &mut s,
-        Symbol::intern("ch"),
-        nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)),
-    );
+    let ty = s.intern(&nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)));
+    ctx.push_linear(Symbol::intern("ch"), ty);
     let t = synth(&mut s, &d, &mut ctx, &e).unwrap();
     assert_eq!(t, Type::Unit);
 }
@@ -239,11 +240,8 @@ fn match_with_wrong_arm_type_fails() {
     };
     let e = Expr::case(Expr::var("ch"), vec![bad_arm, other]);
     let mut ctx = Ctx::new();
-    ctx.push_linear(
-        &mut s,
-        Symbol::intern("ch"),
-        nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)),
-    );
+    let ty = s.intern(&nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)));
+    ctx.push_linear(Symbol::intern("ch"), ty);
     assert!(synth(&mut s, &d, &mut ctx, &e).is_err());
 }
 
@@ -257,11 +255,8 @@ fn select_then_send_roundtrip_types() {
         Expr::var("ch"),
     );
     let mut ctx = Ctx::new();
-    ctx.push_linear(
-        &mut s,
-        Symbol::intern("ch"),
-        Type::output(Type::proto("FArith", vec![]), Type::EndOut),
-    );
+    let ty = s.intern(&Type::output(Type::proto("FArith", vec![]), Type::EndOut));
+    ctx.push_linear(Symbol::intern("ch"), ty);
     let t = synth(&mut s, &d, &mut ctx, &e).unwrap();
     assert_eq!(t.to_string(), "!Int.?Int.End!");
 }
@@ -289,8 +284,10 @@ fn branches_must_agree_on_leftovers() {
         Expr::unit(),
     );
     let mut ctx = Ctx::new();
-    ctx.push_unrestricted(&mut s, Symbol::intern("b"), Type::bool());
-    ctx.push_linear(&mut s, Symbol::intern("c"), Type::EndOut);
+    let ty = s.intern(&Type::bool());
+    ctx.push_unrestricted(Symbol::intern("b"), ty);
+    let ty = s.intern(&Type::EndOut);
+    ctx.push_linear(Symbol::intern("c"), ty);
     assert!(matches!(
         synth(&mut s, &d, &mut ctx, &e),
         Err(TypeError::BranchContextMismatch { .. })

@@ -198,9 +198,13 @@ impl<'d> KindCtx<'d> {
     /// [`KindCtx::synth`], but walking [`TNode`]s directly. Binder kinds
     /// of the nameless `∀`s are tracked in a de-Bruijn stack; free
     /// variables resolve through the named bindings of this context.
+    /// `id` must be binder-closed. On failure the tree judgment runs on
+    /// the extracted type, so the error names the offending subterm with
+    /// the binder names it was written with.
     pub fn synth_id(&mut self, store: &TypeStore, id: TypeId) -> Result<Kind, KindError> {
         let mut bound = Vec::new();
         self.synth_id_under(store, id, &mut bound)
+            .map_err(|e| self.synth(&store.extract(id)).err().unwrap_or(e))
     }
 
     fn synth_id_under(
@@ -276,7 +280,8 @@ impl<'d> KindCtx<'d> {
         }
     }
 
-    /// `Δ ⊢ T ⇐ κ` on an interned id (rule T-Sub).
+    /// `Δ ⊢ T ⇐ κ` on an interned id (rule T-Sub), with errors named as
+    /// in [`KindCtx::synth_id`].
     pub fn check_id(
         &mut self,
         store: &TypeStore,
@@ -285,6 +290,7 @@ impl<'d> KindCtx<'d> {
     ) -> Result<(), KindError> {
         let mut bound = Vec::new();
         self.check_id_under(store, id, expected, &mut bound)
+            .map_err(|e| self.check(&store.extract(id), expected).err().unwrap_or(e))
     }
 
     fn check_id_under(
@@ -298,8 +304,10 @@ impl<'d> KindCtx<'d> {
         if found.is_subkind_of(expected) {
             Ok(())
         } else {
+            // A subterm under a binder cannot be extracted on its own;
+            // the public entry points re-derive the error from the tree.
             Err(KindError::NotSubkind {
-                ty: store.extract(id),
+                ty: Type::Unit,
                 found,
                 expected,
             })

@@ -185,11 +185,6 @@ impl Session {
         self.worker.extract(id)
     }
 
-    /// [`Session::extract`] with a per-id memo (trees share subterms).
-    pub fn extract_cached(&mut self, id: TypeId) -> Type {
-        self.worker.extract_cached(id)
-    }
-
     /// Tree-node count of the type behind `id`.
     pub fn node_count(&mut self, id: TypeId) -> u64 {
         self.worker.node_count(id)
@@ -396,6 +391,9 @@ impl StoreOps for Session {
     }
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.worker.note_binder_hint(id, name)
+    }
+    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
+        self.worker.binder_hint(id)
     }
 }
 

@@ -982,7 +982,7 @@ pub struct WorkerStore {
     /// worker's epoch: the snapshot owns the arena its ids name.
     snapshot: Arc<Snapshot>,
     /// Prefix-consistent mirror of the pinned arena; also holds the
-    /// local memo caches, binder-name hints and the extraction memo.
+    /// local memo caches and binder-name hints.
     local: TypeStore,
     /// Memo entries computed here and not yet published.
     delta_pos: Vec<(TypeId, TypeId)>,
@@ -1205,12 +1205,6 @@ impl WorkerStore {
         self.local.extract(id)
     }
 
-    /// [`WorkerStore::extract`] with the mirror's per-id memo.
-    pub fn extract_cached(&mut self, id: TypeId) -> Type {
-        self.sync_to(id);
-        self.local.extract_cached(id)
-    }
-
     /// Tree-node count of the type behind `id`.
     pub fn node_count(&mut self, id: TypeId) -> u64 {
         self.sync_to(id);
@@ -1333,6 +1327,10 @@ impl StoreOps for WorkerStore {
         // shows the names *it* first interned, exactly like the previous
         // thread-local store.
         self.local.record_binder_hint(id, name);
+    }
+
+    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
+        self.local.binder_hint(id)
     }
 }
 

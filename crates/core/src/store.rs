@@ -123,10 +123,6 @@ pub struct TypeStore {
     /// types still share an id — only how [`TypeStore::extract`] renders
     /// binders back.
     binder_hints: HashMap<TypeId, Symbol>,
-    /// Memo for [`TypeStore::extract_cached`]: whole-tree extraction per
-    /// id. Entries share subtrees via [`Arc`], so a hit is a cheap
-    /// top-node clone.
-    extract_memo: HashMap<TypeId, Type>,
 }
 
 impl fmt::Debug for TypeStore {
@@ -207,15 +203,12 @@ impl TypeStore {
     /// Records the binder name a `Forall` id was first written with
     /// (best-effort, display-only — identity is unaffected). Fresh
     /// `%`-suffixed names from capture-avoiding substitution are not
-    /// worth remembering; later names never override the first. A cached
-    /// extraction of this exact id made before the hint existed is
-    /// dropped; enclosing cached trees keep their canonical names. The
+    /// worth remembering; later names never override the first. The
     /// map probe comes first: re-interning a hinted `Forall` must not
     /// take the symbol interner's lock.
     pub(crate) fn record_binder_hint(&mut self, id: TypeId, name: Symbol) {
         if !self.binder_hints.contains_key(&id) && !name.as_str().contains('%') {
             self.binder_hints.insert(id, name);
-            self.extract_memo.remove(&id);
         }
     }
 
@@ -239,19 +232,6 @@ impl TypeStore {
         let mut binders: Vec<Symbol> = Vec::new();
         let mut next = 0usize;
         self.extract_under(id, &mut binders, &mut next, &free)
-    }
-
-    /// [`TypeStore::extract`] with a per-id memo: repeated extraction of
-    /// the same id (e.g. every context lookup of a global's signature)
-    /// costs one map hit and a shallow clone — extracted trees share
-    /// subterms via [`Arc`].
-    pub fn extract_cached(&mut self, id: TypeId) -> Type {
-        if let Some(t) = self.extract_memo.get(&id) {
-            return t.clone();
-        }
-        let t = self.extract(id);
-        self.extract_memo.insert(id, t.clone());
-        t
     }
 
     fn collect_free(&self, id: TypeId, seen: &mut HashSet<TypeId>, acc: &mut HashSet<Symbol>) {
@@ -468,7 +448,6 @@ impl TypeStore {
                 .enumerate()
                 .filter(|(i, m)| **m == Some(TypeId::from_index(*i)))
                 .count(),
-            extract_memo_entries: self.extract_memo.len(),
         }
     }
 
@@ -577,8 +556,6 @@ pub struct StoreIntrospection {
     /// `nrm⁺` entries that map an id to itself (normal forms; always
     /// ≥ half of `nrm_pos_entries` thanks to fixpoint seeding).
     pub nrm_fixpoints: usize,
-    /// Cached whole-tree extractions.
-    pub extract_memo_entries: usize,
 }
 
 // ------------------------------------------------------------- StoreOps
@@ -625,6 +602,9 @@ pub trait StoreOps {
     /// Notes the binder name a `Forall` id was first written with
     /// (display-only; implementations may ignore it).
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol);
+
+    /// The display hint noted for a `Forall` id, if any.
+    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol>;
 
     // ------------------------------------------------- provided algorithms
 
@@ -719,6 +699,20 @@ pub trait StoreOps {
         let mut memo = HashMap::new();
         Some(replace_bound(self, body, 0, arg, &mut memo))
     }
+
+    /// `∀var:κ. body`: binds the free variable `var` of `body` — the
+    /// inverse of [`StoreOps::instantiate`]. `var` becomes the binder's
+    /// display hint.
+    fn close(&mut self, var: Symbol, kind: Kind, body: TypeId) -> TypeId
+    where
+        Self: Sized,
+    {
+        let mut memo = HashMap::new();
+        let body = bind_free(self, body, var, 0, &mut memo);
+        let id = self.mk_node(TNode::Forall(kind, body));
+        self.note_binder_hint(id, var);
+        id
+    }
 }
 
 impl StoreOps for TypeStore {
@@ -752,6 +746,10 @@ impl StoreOps for TypeStore {
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.record_binder_hint(id, name);
+    }
+
+    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
+        self.binder_hints.get(&id).copied()
     }
 }
 
@@ -1044,6 +1042,55 @@ fn replace_bound<S: StoreOps>(
     r
 }
 
+/// Replaces `Free(var)` in `id` by the index of the binder `depth`
+/// levels out.
+fn bind_free<S: StoreOps>(
+    s: &mut S,
+    id: TypeId,
+    var: Symbol,
+    depth: u32,
+    memo: &mut HashMap<(TypeId, u32), TypeId>,
+) -> TypeId {
+    if let Some(&r) = memo.get(&(id, depth)) {
+        return r;
+    }
+    let mut go = |s: &mut S, t: TypeId, d: u32| bind_free(s, t, var, d, memo);
+    let node = match s.node_owned(id) {
+        TNode::Free(v) if v == var => TNode::Bound(depth),
+        TNode::Unit
+        | TNode::Base(_)
+        | TNode::Free(_)
+        | TNode::Bound(_)
+        | TNode::EndIn
+        | TNode::EndOut => return id,
+        TNode::Forall(k, body) => {
+            // Keep the inner binder's display name on the rebuilt node.
+            let body = go(s, body, depth + 1);
+            let r = s.mk_node(TNode::Forall(k, body));
+            if let Some(hint) = s.binder_hint(id) {
+                s.note_binder_hint(r, hint);
+            }
+            memo.insert((id, depth), r);
+            return r;
+        }
+        TNode::Arrow(a, b) => TNode::Arrow(go(s, a, depth), go(s, b, depth)),
+        TNode::Pair(a, b) => TNode::Pair(go(s, a, depth), go(s, b, depth)),
+        TNode::In(p, t) => TNode::In(go(s, p, depth), go(s, t, depth)),
+        TNode::Out(p, t) => TNode::Out(go(s, p, depth), go(s, t, depth)),
+        TNode::Dual(t) => TNode::Dual(go(s, t, depth)),
+        TNode::Neg(p) => TNode::Neg(go(s, p, depth)),
+        TNode::Proto(name, args) => {
+            TNode::Proto(name, args.into_iter().map(|a| go(s, a, depth)).collect())
+        }
+        TNode::Data(name, args) => {
+            TNode::Data(name, args.into_iter().map(|a| go(s, a, depth)).collect())
+        }
+    };
+    let r = s.mk_node(node);
+    memo.insert((id, depth), r);
+    r
+}
+
 /// Canonical binder names for extraction: `a`, `b`, …, `z`, `a1`, `b1`, …
 /// skipping names that occur free in the type being extracted or are
 /// already bound in the enclosing scope (hinted names included).
@@ -1084,7 +1131,7 @@ mod tests {
         let (a, b) = (s.intern(&t), s.intern(&u));
         s.equivalent_ids(a, b);
         let n = s.nrm_neg(a);
-        s.extract_cached(n);
+        s.extract(n);
         s.check_invariants().expect("store invariants violated");
         let intro = s.introspect();
         assert!(intro.nodes > 0 && intro.nrm_pos_entries > 0);
@@ -1213,21 +1260,6 @@ mod tests {
         let wid = s.intern(&w);
         let back = s.extract(wid);
         assert!(w.alpha_eq(&back), "{w} vs {back}");
-    }
-
-    #[test]
-    fn extract_cached_returns_the_same_tree() {
-        let mut s = TypeStore::new();
-        let t = Type::forall(
-            "s",
-            Kind::Session,
-            Type::output(Type::int(), Type::var("s")),
-        );
-        let id = s.intern(&t);
-        let a = s.extract_cached(id);
-        let b = s.extract_cached(id);
-        assert_eq!(a, b);
-        assert!(a.alpha_eq(&t));
     }
 
     #[test]

@@ -96,13 +96,14 @@ fn check_preservation(src: &str) -> (Expr, usize) {
         let mut ctx = Ctx::new();
         for (name, _) in module.defs() {
             if let Some(sig) = module.norm_sig(name.as_str()) {
-                ctx.push_unrestricted(session, name, sig.clone());
+                ctx.push_unrestricted(name, session.intern(&sig));
             }
         }
         ctx
     };
 
-    let expected = nrm_pos(module.norm_sig("probe").expect("signature"));
+    let expected = nrm_pos(&module.norm_sig("probe").expect("signature"));
+    let expected = session.intern(&expected);
     let mut steps = 0usize;
     loop {
         // Theorem 4.2: the *checking* judgment is preserved (reducts may
@@ -111,7 +112,7 @@ fn check_preservation(src: &str) -> (Expr, usize) {
         let mut ctx = fresh_ctx(&mut session);
         let mut checker = Checker::new(&module.decls, &mut session);
         checker
-            .check(&mut ctx, &current, &expected)
+            .check(&mut ctx, &current, expected)
             .unwrap_or_else(|e| {
                 panic!("reduct no longer checks after {steps} steps: {e}\n  {current:?}")
             });

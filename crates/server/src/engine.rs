@@ -33,8 +33,8 @@
 //!   lookups, and its response says `"warm":true`.
 //! * the **parse cache**: source string → interned [`TypeId`], skipping
 //!   lex/parse/resolve for repeated type strings.
-//! * the **module cache** (`check` op): source → checked
-//!   [`Module`](algst_check::Module), see [`algst_check::cache`].
+//! * the **module cache** (`check` op): source → verdict and error
+//!   text, see [`algst_check::cache`].
 //!
 //! Each worker counts its requests in one local tally (`LocalObs`:
 //! plain integers and local histograms), so the per-request warm path
@@ -777,7 +777,8 @@ fn worker_loop(
 /// at [`MAX_TYPE_DEPTH`](algst_syntax::MAX_TYPE_DEPTH). The worst shapes
 /// at that bound need about 4 MiB in a release build and 32 MiB in a
 /// debug build. Pages are only committed once a request nests that deep.
-const WORKER_STACK_BYTES: usize = 64 << 20;
+/// The `algst check`/`run` commands run on a thread of the same size.
+pub const WORKER_STACK_BYTES: usize = 64 << 20;
 
 /// Per-stage timings of one cold request, for the slow-request trace.
 /// Warm requests leave everything at zero.
@@ -930,7 +931,7 @@ fn handle(
             Response::Check {
                 id,
                 ok: result.is_ok(),
-                error: result.err().map(|e| e.to_string()),
+                error: result.err(),
                 cached,
                 ns,
             }

@@ -42,7 +42,7 @@ pub mod resolve;
 pub mod serve;
 pub mod tenant;
 
-pub use engine::{Engine, ObsOptions};
+pub use engine::{Engine, ObsOptions, WORKER_STACK_BYTES};
 pub use metrics_http::{serve_metrics, MetricsServer};
 pub use protocol::{parse_request, Op, Request, Response, Snapshot, ThrottleKind};
 pub use serve::{serve_listener, serve_session, serve_stdio, serve_tcp, ServeConfig, ServeSummary};

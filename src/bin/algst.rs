@@ -56,7 +56,7 @@ use algst::runtime::Interp;
 use algst::Pipeline;
 use algst_server::{
     serve_metrics, serve_stdio, serve_tcp, ObsOptions, ServeConfig, TenantConfig, TenantQuotas,
-    TenantRegistry,
+    TenantRegistry, WORKER_STACK_BYTES,
 };
 use std::io::Read;
 use std::process::ExitCode;
@@ -532,16 +532,18 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Cli::Check(opts) => with_module(&opts, |file, module| {
-            println!("{file}: ok");
-            for (name, _) in module.defs() {
-                if let Some(ty) = module.sig(name.as_str()) {
-                    println!("  {name} : {ty}");
+        Cli::Check(opts) => on_worker_stack(move || {
+            with_module(&opts, |file, module| {
+                println!("{file}: ok");
+                for (name, _) in module.defs() {
+                    if let Some(ty) = module.sig(name.as_str()) {
+                        println!("  {name} : {ty}");
+                    }
                 }
-            }
-            ExitCode::SUCCESS
+                ExitCode::SUCCESS
+            })
         }),
-        Cli::Run(opts) => {
+        Cli::Run(opts) => on_worker_stack(move || {
             let entry = opts.entry.clone();
             let capacity = opts.capacity;
             let timeout = opts.timeout;
@@ -555,8 +557,22 @@ fn main() -> ExitCode {
                     }
                 }
             })
-        }
+        }),
     }
+}
+
+/// Runs a command on a thread with an engine worker's stack: parsing and
+/// checking recurse along a program's nesting, and a program at the
+/// parser's depth bounds needs more than the main thread's stack in a
+/// debug build.
+fn on_worker_stack(command: impl FnOnce() -> ExitCode + Send + 'static) -> ExitCode {
+    std::thread::Builder::new()
+        .name("algst-main".to_owned())
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn(command)
+        .expect("spawn the command thread")
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn with_module(

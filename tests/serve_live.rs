@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, ChildStderr, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 type Object = Vec<(String, Value)>;
@@ -536,5 +537,119 @@ fn idle_sweeper_evicts_quiet_tenants() {
     );
     assert!(int(&t, "tenant_evictions") >= 2, "{t:?}");
     client.shutdown();
+    server.wait_success();
+}
+
+/// 8 concurrent clients pipeline interleaved equiv/check traffic down
+/// their own connections (per-connection order and verdicts asserted),
+/// then a `shutdown` lands while every client has a burst in flight.
+/// Graceful drain: each client still reads every answer it is owed, in
+/// order, then EOF, and the server exits 0.
+#[test]
+fn eight_pipelined_clients_then_drain_on_shutdown() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 200;
+    const BURST: usize = 60;
+    const PAIRS: [(&str, &str, bool); 7] = [
+        ("!Int.End!", "Dual (?Int.End?)", true),
+        ("?Repeat Int.End?", "?Repeat Int.End?", true),
+        (
+            "forall (s:S). !Int.s -> s",
+            "forall (r:S). !Int.r -> r",
+            true,
+        ),
+        ("Dual (Dual End!)", "End!", true),
+        ("!Int.End!", "!Bool.End!", false),
+        ("End?", "End!", false),
+        ("!(-Int).End!", "!Int.End!", false),
+    ];
+    const CHECKS: [(&str, bool); 2] = [
+        ("main : Unit\nmain = ()", true),
+        ("main : Int\nmain = ()", false),
+    ];
+    fn equiv(id: usize, (lhs, rhs, _): (&str, &str, bool)) -> String {
+        format!("{{\"id\":{id},\"op\":\"equiv\",\"lhs\":\"{lhs}\",\"rhs\":\"{rhs}\"}}")
+    }
+
+    let server = Server::start(&["--workers", "4"]);
+    let (written_tx, written_rx) = mpsc::channel();
+    let mut go = Vec::new();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let mut client = server.connect();
+            let written = written_tx.clone();
+            let (go_tx, go_rx) = mpsc::channel::<()>();
+            go.push(go_tx);
+            std::thread::spawn(move || {
+                // Phase 1: interleaved equiv/check, fully pipelined.
+                let mut lines = Vec::new();
+                let mut expect = Vec::new();
+                for i in 0..ROUNDS {
+                    let id = c * 10_000 + i + 1;
+                    if i % 5 == 4 {
+                        let (source, ok) = CHECKS[(c + i) % CHECKS.len()];
+                        lines.push(format!(
+                            "{{\"id\":{id},\"op\":\"check\",\"source\":\"{}\"}}",
+                            json::escape(source)
+                        ));
+                        expect.push((id, "check", "ok", ok));
+                    } else {
+                        let pair = PAIRS[(c + i) % PAIRS.len()];
+                        lines.push(equiv(id, pair));
+                        expect.push((id, "equiv", "verdict", pair.2));
+                    }
+                }
+                client.send(&lines);
+                for (id, op, field, want) in expect {
+                    let r = client.recv();
+                    assert_eq!(int(&r, "id"), id as i64, "client {c}: out of order: {r:?}");
+                    assert_eq!(str_of(&r, "op"), op, "client {c}: {r:?}");
+                    assert_eq!(flag(&r, field), want, "client {c}: {r:?}");
+                }
+                // Phase 2: write a burst, then let shutdown land while it
+                // is in flight.
+                let burst: Vec<String> = (0..BURST)
+                    .map(|i| equiv(500_000 + i + 1, PAIRS[(c + i) % PAIRS.len()]))
+                    .collect();
+                client.send(&burst);
+                written.send(()).unwrap();
+                go_rx.recv().unwrap();
+                // Drain: exactly BURST answers, in order, with correct
+                // verdicts, then EOF.
+                for i in 0..BURST {
+                    let mut line = String::new();
+                    let read = client.reader.read_line(&mut line).unwrap();
+                    assert!(read > 0, "client {c}: EOF after {i}/{BURST} drained");
+                    let r = json::parse_object(line.trim()).unwrap();
+                    assert_eq!(int(&r, "id"), (500_000 + i + 1) as i64, "client {c}: {r:?}");
+                    let want = PAIRS[(c + i) % PAIRS.len()].2;
+                    assert_eq!(flag(&r, "verdict"), want, "client {c}: {r:?}");
+                }
+                let mut rest = String::new();
+                let read = client.reader.read_line(&mut rest).unwrap();
+                assert_eq!(read, 0, "client {c}: data after drain: {rest}");
+            })
+        })
+        .collect();
+    drop(written_tx);
+    // Every burst is fully written (a client that failed earlier stops
+    // the wait; joining below reports its panic).
+    for _ in 0..CLIENTS {
+        if written_rx.recv_timeout(Duration::from_secs(120)).is_err() {
+            break;
+        }
+    }
+    let reply = server.connect().ask(r#"{"op":"shutdown"}"#);
+    assert_eq!(str_of(&reply, "op"), "shutdown", "{reply:?}");
+    assert!(flag(&reply, "ok"), "{reply:?}");
+    for go in go {
+        let _ = go.send(());
+    }
+    for (c, client) in clients.into_iter().enumerate() {
+        if let Err(panic) = client.join() {
+            eprintln!("client {c} failed");
+            std::panic::resume_unwind(panic);
+        }
+    }
     server.wait_success();
 }
