@@ -96,11 +96,7 @@ impl ModuleCache {
     /// component is true on a cache hit. The lock is *not* held while checking, so slow
     /// programs do not serialize the pool; two workers racing on the
     /// same new source may both check it (same result, last write wins).
-    pub fn check_source(
-        &self,
-        session: &mut Session,
-        src: &str,
-    ) -> (Result<(), String>, bool) {
+    pub fn check_source(&self, session: &mut Session, src: &str) -> (Result<(), String>, bool) {
         if let Some(hit) = self.map.lock().get(src) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit.clone(), true);
@@ -200,10 +196,16 @@ mod tests {
         for m in &modules {
             failures += usize::from(cache.check_source(&mut s, m).0.is_err());
         }
-        assert!(failures > 0 && failures < modules.len() / 2, "{failures} failed");
+        assert!(
+            failures > 0 && failures < modules.len() / 2,
+            "{failures} failed"
+        );
         let nodes = s.stats().nodes;
         let after_first = s.local().introspect();
-        assert_eq!(after_first.nodes as u64, nodes, "the mirror holds the arena only");
+        assert_eq!(
+            after_first.nodes as u64, nodes,
+            "the mirror holds the arena only"
+        );
 
         cache.clear();
         for m in &modules {
@@ -211,7 +213,11 @@ mod tests {
             assert!(!cached);
         }
         assert_eq!(s.stats().nodes, nodes);
-        assert_eq!(s.local().introspect(), after_first, "re-checking grew the mirror");
+        assert_eq!(
+            s.local().introspect(),
+            after_first,
+            "re-checking grew the mirror"
+        );
     }
 
     #[test]

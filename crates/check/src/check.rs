@@ -210,12 +210,8 @@ impl<'d, 's> Checker<'d, 's> {
                     return Err(TypeError::NotAForall(self.show(ft)));
                 };
                 let aid = self.session.intern(arg);
-                self.kind_ctx()
-                    .check_id(self.session.local(), aid, kappa)?;
-                let inst = self
-                    .session
-                    .instantiate(ft, aid)
-                    .expect("matched a Forall");
+                self.kind_ctx().check_id(self.session.local(), aid, kappa)?;
+                let inst = self.session.instantiate(ft, aid).expect("matched a Forall");
                 Ok(self.session.nrm(inst))
             }
 
@@ -295,7 +291,13 @@ impl<'d, 's> Checker<'d, 's> {
 
     /// Synthesizes `bound`, which must be a pair, and binds its
     /// components to `x` and `y`.
-    fn bind_pair(&mut self, ctx: &mut Ctx, x: Symbol, y: Symbol, bound: &Expr) -> Result<(), TypeError> {
+    fn bind_pair(
+        &mut self,
+        ctx: &mut Ctx,
+        x: Symbol,
+        y: Symbol,
+        bound: &Expr,
+    ) -> Result<(), TypeError> {
         let bt = self.synth(ctx, bound)?;
         let TNode::Pair(t, u) = self.node(bt) else {
             return Err(TypeError::NotAPair(self.show(bt)));
@@ -322,8 +324,7 @@ impl<'d, 's> Checker<'d, 's> {
             }
 
             // Λα:κ.v against ∀β:κ.U
-            Expr::TAbs(alpha, kappa, v)
-                if matches!(self.node(expected), TNode::Forall(k, _) if k == *kappa) =>
+            Expr::TAbs(alpha, kappa, v) if matches!(self.node(expected), TNode::Forall(k, _) if k == *kappa) =>
             {
                 if !v.is_value() {
                     return Err(TypeError::TAbsNotValue);
@@ -398,7 +399,8 @@ impl<'d, 's> Checker<'d, 's> {
     /// The normal form of `field` with the declaration's `params`
     /// replaced by `args`.
     fn instantiate_field(&mut self, field: TypeId, params: &[Symbol], args: &[TypeId]) -> TypeId {
-        let map: HashMap<Symbol, TypeId> = params.iter().copied().zip(args.iter().copied()).collect();
+        let map: HashMap<Symbol, TypeId> =
+            params.iter().copied().zip(args.iter().copied()).collect();
         let t = self.session.subst_free(field, &map);
         self.session.nrm(t)
     }
@@ -494,10 +496,7 @@ impl<'d, 's> Checker<'d, 's> {
                 let TNode::Proto(rho, us) = self.node(payload) else {
                     return Err(TypeError::NotMatchable(self.show(st)));
                 };
-                let decl = self
-                    .decls
-                    .protocol(rho)
-                    .ok_or(TypeError::UnboundTag(rho))?;
+                let decl = self.decls.protocol(rho).ok_or(TypeError::UnboundTag(rho))?;
                 for c in &decl.ctors {
                     // xᵢ : §(−(T̄ᵢ[Ū/ᾱ])).S, normal since its payloads
                     // and S are
@@ -617,7 +616,7 @@ impl<'d, 's> Checker<'d, 's> {
     ///   kinds, which we do not model — a closure over a channel can be
     ///   duplicated here. Session types, protocols and type variables are
     ///   linear.
-    pub fn is_unrestricted(&mut self, ty: TypeId) -> bool {
+    fn is_unrestricted(&mut self, ty: TypeId) -> bool {
         self.unrestricted_under(ty, &mut Vec::new())
     }
 
@@ -663,15 +662,14 @@ fn match_type(
 ) -> bool {
     let mut go = |s: &mut Session, p, a| match_type(s, p, a, params, solved);
     match (s.node_owned(pattern), s.node_owned(actual)) {
-        (TNode::Free(v), _) if params.contains(&v) => {
-            return *solved.entry(v).or_insert(actual) == actual;
-        }
+        (TNode::Free(v), _) if params.contains(&v) => *solved.entry(v).or_insert(actual) == actual,
         (TNode::Arrow(a1, a2), TNode::Arrow(b1, b2))
         | (TNode::Pair(a1, a2), TNode::Pair(b1, b2))
         | (TNode::In(a1, a2), TNode::In(b1, b2))
         | (TNode::Out(a1, a2), TNode::Out(b1, b2)) => go(s, a1, b1) && go(s, a2, b2),
         (TNode::Dual(a), TNode::Dual(b)) | (TNode::Neg(a), TNode::Neg(b)) => go(s, a, b),
-        (TNode::Proto(na, aa), TNode::Proto(nb, ab)) | (TNode::Data(na, aa), TNode::Data(nb, ab)) => {
+        (TNode::Proto(na, aa), TNode::Proto(nb, ab))
+        | (TNode::Data(na, aa), TNode::Data(nb, ab)) => {
             na == nb && aa.len() == ab.len() && aa.iter().zip(&ab).all(|(&p, &a)| go(s, p, a))
         }
         // Leaves and binders inside constructor fields: require the same

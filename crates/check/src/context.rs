@@ -245,9 +245,15 @@ mod tests {
         // Entries interned to the same id despite different binder names.
         let mut s = Session::new();
         let mut a = Ctx::new();
-        a.push_linear(sym("h"), s.intern(&Type::forall("x", Kind::Session, Type::var("x"))));
+        a.push_linear(
+            sym("h"),
+            s.intern(&Type::forall("x", Kind::Session, Type::var("x"))),
+        );
         let mut b = Ctx::new();
-        b.push_linear(sym("h"), s.intern(&Type::forall("y", Kind::Session, Type::var("y"))));
+        b.push_linear(
+            sym("h"),
+            s.intern(&Type::forall("y", Kind::Session, Type::var("y"))),
+        );
         a.same_linear(&b, &mut s).unwrap();
     }
 }

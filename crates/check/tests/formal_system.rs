@@ -77,9 +77,7 @@ fn unannotated_lambda_has_no_synthesis_rule() {
     // But it checks against an arrow (E-Abs').
     let mut ctx = Ctx::new();
     let goal = s.intern(&Type::arrow(Type::int(), Type::int()));
-    Checker::new(&d, &mut s)
-        .check(&mut ctx, &e, goal)
-        .unwrap();
+    Checker::new(&d, &mut s).check(&mut ctx, &e, goal).unwrap();
 }
 
 #[test]
@@ -217,7 +215,10 @@ fn match_pushes_continuations_with_polarity() {
     };
     let e = Expr::case(Expr::var("ch"), vec![neg_arm, add_arm]);
     let mut ctx = Ctx::new();
-    let ty = s.intern(&nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)));
+    let ty = s.intern(&nrm_pos(&Type::input(
+        Type::proto("FArith", vec![]),
+        Type::EndIn,
+    )));
     ctx.push_linear(Symbol::intern("ch"), ty);
     let t = synth(&mut s, &d, &mut ctx, &e).unwrap();
     assert_eq!(t, Type::Unit);
@@ -240,7 +241,10 @@ fn match_with_wrong_arm_type_fails() {
     };
     let e = Expr::case(Expr::var("ch"), vec![bad_arm, other]);
     let mut ctx = Ctx::new();
-    let ty = s.intern(&nrm_pos(&Type::input(Type::proto("FArith", vec![]), Type::EndIn)));
+    let ty = s.intern(&nrm_pos(&Type::input(
+        Type::proto("FArith", vec![]),
+        Type::EndIn,
+    )));
     ctx.push_linear(Symbol::intern("ch"), ty);
     assert!(synth(&mut s, &d, &mut ctx, &e).is_err());
 }

@@ -78,5 +78,10 @@ fn error_text_matches_the_golden_file() {
             diffs.push(format!("{name}\n  want: {want}\n  got:  {got}"));
         }
     }
-    assert!(diffs.is_empty(), "{} case(s) differ:\n{}", diffs.len(), diffs.join("\n"));
+    assert!(
+        diffs.is_empty(),
+        "{} case(s) differ:\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
 }

@@ -682,8 +682,10 @@ pub trait StoreOps {
         if map.is_empty() {
             return id;
         }
-        let mut memo = HashMap::new();
-        subst_free_rec(self, id, map, &mut memo)
+        rebuild(self, id, 0, &mut |_, id, node, _| match node {
+            TNode::Free(v) => Some(map.get(v).copied().unwrap_or(id)),
+            _ => None,
+        })
     }
 
     /// β-instantiation of the outermost `∀` binder of `forall_id` with
@@ -696,8 +698,18 @@ pub trait StoreOps {
             return None;
         };
         debug_assert_eq!(self.binders_needed(arg), 0, "open argument to instantiate");
-        let mut memo = HashMap::new();
-        Some(replace_bound(self, body, 0, arg, &mut memo))
+        Some(rebuild(self, body, 0, &mut |s, id, node, depth| {
+            // A subtree that cannot reach the eliminated binder is
+            // unchanged; an index above it steps down by one.
+            if s.binders_needed(id) <= depth {
+                return Some(id);
+            }
+            match *node {
+                TNode::Bound(i) if i == depth => Some(arg),
+                TNode::Bound(i) => Some(s.mk_node(TNode::Bound(i - 1))),
+                _ => None,
+            }
+        }))
     }
 
     /// `∀var:κ. body`: binds the free variable `var` of `body` — the
@@ -707,8 +719,10 @@ pub trait StoreOps {
     where
         Self: Sized,
     {
-        let mut memo = HashMap::new();
-        let body = bind_free(self, body, var, 0, &mut memo);
+        let body = rebuild(self, body, 0, &mut |s, _, node, depth| match node {
+            TNode::Free(v) if *v == var => Some(s.mk_node(TNode::Bound(depth))),
+            _ => None,
+        });
         let id = self.mk_node(TNode::Forall(kind, body));
         self.note_binder_hint(id, var);
         id
@@ -904,191 +918,63 @@ fn nrm_neg_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
     n
 }
 
-fn subst_free_rec<S: StoreOps>(
-    s: &mut S,
-    id: TypeId,
-    map: &HashMap<Symbol, TypeId>,
-    memo: &mut HashMap<TypeId, TypeId>,
-) -> TypeId {
-    if let Some(&r) = memo.get(&id) {
-        return r;
-    }
-    let r = match s.node_owned(id) {
-        TNode::Free(v) => map.get(&v).copied().unwrap_or(id),
-        TNode::Unit | TNode::Base(_) | TNode::Bound(_) | TNode::EndIn | TNode::EndOut => id,
-        TNode::Arrow(a, b) => {
-            let a = subst_free_rec(s, a, map, memo);
-            let b = subst_free_rec(s, b, map, memo);
-            s.mk_node(TNode::Arrow(a, b))
-        }
-        TNode::Pair(a, b) => {
-            let a = subst_free_rec(s, a, map, memo);
-            let b = subst_free_rec(s, b, map, memo);
-            s.mk_node(TNode::Pair(a, b))
-        }
-        TNode::Forall(k, body) => {
-            let body = subst_free_rec(s, body, map, memo);
-            s.mk_node(TNode::Forall(k, body))
-        }
-        TNode::In(p, t) => {
-            let p = subst_free_rec(s, p, map, memo);
-            let t = subst_free_rec(s, t, map, memo);
-            s.mk_node(TNode::In(p, t))
-        }
-        TNode::Out(p, t) => {
-            let p = subst_free_rec(s, p, map, memo);
-            let t = subst_free_rec(s, t, map, memo);
-            s.mk_node(TNode::Out(p, t))
-        }
-        TNode::Dual(t) => {
-            let t = subst_free_rec(s, t, map, memo);
-            s.mk_node(TNode::Dual(t))
-        }
-        TNode::Neg(p) => {
-            let p = subst_free_rec(s, p, map, memo);
-            s.mk_node(TNode::Neg(p))
-        }
-        TNode::Proto(name, args) => {
-            let args = args
-                .into_iter()
-                .map(|a| subst_free_rec(s, a, map, memo))
-                .collect();
-            s.mk_node(TNode::Proto(name, args))
-        }
-        TNode::Data(name, args) => {
-            let args = args
-                .into_iter()
-                .map(|a| subst_free_rec(s, a, map, memo))
-                .collect();
-            s.mk_node(TNode::Data(name, args))
-        }
-    };
-    memo.insert(id, r);
-    r
-}
-
-fn replace_bound<S: StoreOps>(
+/// Rebuilds `id` bottom-up, `depth` binders deep. `visit` sees every
+/// node first and may answer its replacement; leaves it does not answer
+/// are kept. Rebuilt binders keep their display hints. Memoized per
+/// `(id, depth)`, so shared subtrees are rebuilt once per depth.
+fn rebuild<S: StoreOps>(
     s: &mut S,
     id: TypeId,
     depth: u32,
-    arg: TypeId,
-    memo: &mut HashMap<(TypeId, u32), TypeId>,
+    visit: &mut impl FnMut(&mut S, TypeId, &TNode, u32) -> Option<TypeId>,
 ) -> TypeId {
-    // A subtree that cannot reach the target binder is unchanged —
-    // this also makes the memo sound for subtrees shared at several
-    // depths (they are all in this closed class or keyed by depth).
-    if s.binders_needed(id) <= depth {
-        return id;
-    }
-    if let Some(&r) = memo.get(&(id, depth)) {
-        return r;
-    }
-    let r = match s.node_owned(id) {
-        TNode::Bound(i) if i == depth => arg,
-        // An index above the eliminated binder steps down by one.
-        TNode::Bound(i) if i > depth => s.mk_node(TNode::Bound(i - 1)),
-        TNode::Bound(_) => id,
-        TNode::Forall(k, body) => {
-            let body = replace_bound(s, body, depth + 1, arg, memo);
-            s.mk_node(TNode::Forall(k, body))
+    fn go<S: StoreOps>(
+        s: &mut S,
+        id: TypeId,
+        depth: u32,
+        visit: &mut impl FnMut(&mut S, TypeId, &TNode, u32) -> Option<TypeId>,
+        memo: &mut HashMap<(TypeId, u32), TypeId>,
+    ) -> TypeId {
+        if let Some(&r) = memo.get(&(id, depth)) {
+            return r;
         }
-        TNode::Arrow(a, b) => {
-            let a = replace_bound(s, a, depth, arg, memo);
-            let b = replace_bound(s, b, depth, arg, memo);
-            s.mk_node(TNode::Arrow(a, b))
+        let node = s.node_owned(id);
+        if let Some(r) = visit(s, id, &node, depth) {
+            return r;
         }
-        TNode::Pair(a, b) => {
-            let a = replace_bound(s, a, depth, arg, memo);
-            let b = replace_bound(s, b, depth, arg, memo);
-            s.mk_node(TNode::Pair(a, b))
-        }
-        TNode::In(p, t) => {
-            let p = replace_bound(s, p, depth, arg, memo);
-            let t = replace_bound(s, t, depth, arg, memo);
-            s.mk_node(TNode::In(p, t))
-        }
-        TNode::Out(p, t) => {
-            let p = replace_bound(s, p, depth, arg, memo);
-            let t = replace_bound(s, t, depth, arg, memo);
-            s.mk_node(TNode::Out(p, t))
-        }
-        TNode::Dual(t) => {
-            let t = replace_bound(s, t, depth, arg, memo);
-            s.mk_node(TNode::Dual(t))
-        }
-        TNode::Neg(p) => {
-            let p = replace_bound(s, p, depth, arg, memo);
-            s.mk_node(TNode::Neg(p))
-        }
-        TNode::Proto(name, args) => {
-            let args = args
-                .into_iter()
-                .map(|a| replace_bound(s, a, depth, arg, memo))
-                .collect();
-            s.mk_node(TNode::Proto(name, args))
-        }
-        TNode::Data(name, args) => {
-            let args = args
-                .into_iter()
-                .map(|a| replace_bound(s, a, depth, arg, memo))
-                .collect();
-            s.mk_node(TNode::Data(name, args))
-        }
-        TNode::Unit | TNode::Base(_) | TNode::Free(_) | TNode::EndIn | TNode::EndOut => {
-            unreachable!("leaf nodes need no binders")
-        }
-    };
-    memo.insert((id, depth), r);
-    r
-}
-
-/// Replaces `Free(var)` in `id` by the index of the binder `depth`
-/// levels out.
-fn bind_free<S: StoreOps>(
-    s: &mut S,
-    id: TypeId,
-    var: Symbol,
-    depth: u32,
-    memo: &mut HashMap<(TypeId, u32), TypeId>,
-) -> TypeId {
-    if let Some(&r) = memo.get(&(id, depth)) {
-        return r;
-    }
-    let mut go = |s: &mut S, t: TypeId, d: u32| bind_free(s, t, var, d, memo);
-    let node = match s.node_owned(id) {
-        TNode::Free(v) if v == var => TNode::Bound(depth),
-        TNode::Unit
-        | TNode::Base(_)
-        | TNode::Free(_)
-        | TNode::Bound(_)
-        | TNode::EndIn
-        | TNode::EndOut => return id,
-        TNode::Forall(k, body) => {
-            // Keep the inner binder's display name on the rebuilt node.
-            let body = go(s, body, depth + 1);
-            let r = s.mk_node(TNode::Forall(k, body));
+        let mut sub = |s: &mut S, t: TypeId, d: u32| go(s, t, d, visit, memo);
+        let node = match node {
+            TNode::Unit
+            | TNode::Base(_)
+            | TNode::Free(_)
+            | TNode::Bound(_)
+            | TNode::EndIn
+            | TNode::EndOut => return id,
+            TNode::Forall(k, body) => TNode::Forall(k, sub(s, body, depth + 1)),
+            TNode::Arrow(a, b) => TNode::Arrow(sub(s, a, depth), sub(s, b, depth)),
+            TNode::Pair(a, b) => TNode::Pair(sub(s, a, depth), sub(s, b, depth)),
+            TNode::In(p, t) => TNode::In(sub(s, p, depth), sub(s, t, depth)),
+            TNode::Out(p, t) => TNode::Out(sub(s, p, depth), sub(s, t, depth)),
+            TNode::Dual(t) => TNode::Dual(sub(s, t, depth)),
+            TNode::Neg(p) => TNode::Neg(sub(s, p, depth)),
+            TNode::Proto(name, args) => {
+                TNode::Proto(name, args.into_iter().map(|a| sub(s, a, depth)).collect())
+            }
+            TNode::Data(name, args) => {
+                TNode::Data(name, args.into_iter().map(|a| sub(s, a, depth)).collect())
+            }
+        };
+        let is_binder = matches!(node, TNode::Forall(..));
+        let r = s.mk_node(node);
+        if is_binder {
             if let Some(hint) = s.binder_hint(id) {
                 s.note_binder_hint(r, hint);
             }
-            memo.insert((id, depth), r);
-            return r;
         }
-        TNode::Arrow(a, b) => TNode::Arrow(go(s, a, depth), go(s, b, depth)),
-        TNode::Pair(a, b) => TNode::Pair(go(s, a, depth), go(s, b, depth)),
-        TNode::In(p, t) => TNode::In(go(s, p, depth), go(s, t, depth)),
-        TNode::Out(p, t) => TNode::Out(go(s, p, depth), go(s, t, depth)),
-        TNode::Dual(t) => TNode::Dual(go(s, t, depth)),
-        TNode::Neg(p) => TNode::Neg(go(s, p, depth)),
-        TNode::Proto(name, args) => {
-            TNode::Proto(name, args.into_iter().map(|a| go(s, a, depth)).collect())
-        }
-        TNode::Data(name, args) => {
-            TNode::Data(name, args.into_iter().map(|a| go(s, a, depth)).collect())
-        }
-    };
-    let r = s.mk_node(node);
-    memo.insert((id, depth), r);
-    r
+        memo.insert((id, depth), r);
+        r
+    }
+    go(s, id, depth, visit, &mut HashMap::new())
 }
 
 /// Canonical binder names for extraction: `a`, `b`, …, `z`, `a1`, `b1`, …
