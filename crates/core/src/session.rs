@@ -392,9 +392,6 @@ impl StoreOps for Session {
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.worker.note_binder_hint(id, name)
     }
-    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
-        self.worker.binder_hint(id)
-    }
 }
 
 #[cfg(test)]

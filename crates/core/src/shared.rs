@@ -1328,10 +1328,6 @@ impl StoreOps for WorkerStore {
         // thread-local store.
         self.local.record_binder_hint(id, name);
     }
-
-    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
-        self.local.binder_hint(id)
-    }
 }
 
 impl Drop for WorkerStore {

@@ -603,9 +603,6 @@ pub trait StoreOps {
     /// (display-only; implementations may ignore it).
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol);
 
-    /// The display hint noted for a `Forall` id, if any.
-    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol>;
-
     // ------------------------------------------------- provided algorithms
 
     /// Interns a boundary [`Type`] with α-canonical (de Bruijn) binders.
@@ -760,10 +757,6 @@ impl StoreOps for TypeStore {
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.record_binder_hint(id, name);
-    }
-
-    fn binder_hint(&mut self, id: TypeId) -> Option<Symbol> {
-        self.binder_hints.get(&id).copied()
     }
 }
 
@@ -920,8 +913,8 @@ fn nrm_neg_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
 
 /// Rebuilds `id` bottom-up, `depth` binders deep. `visit` sees every
 /// node first and may answer its replacement; leaves it does not answer
-/// are kept. Rebuilt binders keep their display hints. Memoized per
-/// `(id, depth)`, so shared subtrees are rebuilt once per depth.
+/// are kept. Memoized per `(id, depth)`, so shared subtrees are rebuilt
+/// once per depth.
 fn rebuild<S: StoreOps>(
     s: &mut S,
     id: TypeId,
@@ -964,13 +957,7 @@ fn rebuild<S: StoreOps>(
                 TNode::Data(name, args.into_iter().map(|a| sub(s, a, depth)).collect())
             }
         };
-        let is_binder = matches!(node, TNode::Forall(..));
         let r = s.mk_node(node);
-        if is_binder {
-            if let Some(hint) = s.binder_hint(id) {
-                s.note_binder_hint(r, hint);
-            }
-        }
         memo.insert((id, depth), r);
         r
     }
