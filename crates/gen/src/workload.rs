@@ -6,7 +6,7 @@
 //! arguments arrive in either order, and cold pairs are interleaved with
 //! warm ones. [`equiv_workload`] models that: it takes the suites'
 //! ground-truth pairs and samples a request sequence with repetition
-//! and random orientation — deterministic in the seed, so soak tests
+//! and random orientation — deterministic in the seed, so replay tests
 //! and benchmarks are reproducible.
 
 use crate::suite::{build_suite, Suite, SuiteKind};
@@ -213,10 +213,9 @@ pub fn cold_heavy_workload(
 
 /// `tenants` independently-seeded suite pairs: tenant `t` gets its own
 /// `(equivalent, non-equivalent)` protocol universe, so by construction
-/// no type, verdict, or cache entry is shared across tenants. This is
-/// the tenant-skew generator shared by the soak harness's churn
-/// universe and the multi-tenant serving benchmark.
-pub fn tenant_suites(tenants: usize, cases: usize, seed: u64) -> Vec<[Suite; 2]> {
+/// no type, verdict, or cache entry is shared across tenants. The
+/// universes behind [`tenant_workloads`].
+fn tenant_suites(tenants: usize, cases: usize, seed: u64) -> Vec<[Suite; 2]> {
     (0..tenants)
         .map(|t| {
             let s = seed + 101 * t as u64;
@@ -228,10 +227,11 @@ pub fn tenant_suites(tenants: usize, cases: usize, seed: u64) -> Vec<[Suite; 2]>
         .collect()
 }
 
-/// Per-tenant request streams over [`tenant_suites`]: tenant `t`
-/// replays `requests` queries drawn only from its own universe (its
-/// stream is seeded apart from its neighbours', so streams differ even
-/// though each is deterministic).
+/// Per-tenant request streams: tenant `t` gets its own independently
+/// seeded `(equivalent, non-equivalent)` suite pair and replays
+/// `requests` queries drawn only from that universe (its stream is
+/// seeded apart from its neighbours', so streams differ even though
+/// each is deterministic).
 pub fn tenant_workloads(tenants: usize, cases: usize, requests: usize, seed: u64) -> Vec<Workload> {
     tenant_suites(tenants, cases, seed)
         .iter()

@@ -376,6 +376,8 @@ struct ConnReader<'a> {
 impl ConnReader<'_> {
     fn run<R: Read>(&mut self, mut input: R) -> ReadEnd {
         let mut buf: Vec<u8> = Vec::with_capacity(8192);
+        // Leading bytes of `buf` already searched for a newline.
+        let mut scanned = 0usize;
         let mut chunk = [0u8; 8192];
         let mut last_data = Instant::now();
         let mut drain_deadline: Option<Instant> = None;
@@ -387,7 +389,7 @@ impl ConnReader<'_> {
             // backpressure wait in flush_pending), so the stage
             // histogram reflects reader CPU work per consumed chunk.
             let span = (!buf.is_empty() && self.tenants.obs().enabled()).then(Span::begin);
-            let stop = self.consume_lines(&mut buf);
+            let stop = self.consume_lines(&mut buf, &mut scanned);
             if let Some(span) = span {
                 self.tenants.obs().record_read_parse(span.elapsed_ns());
             }
@@ -470,12 +472,18 @@ impl ConnReader<'_> {
     /// Parses and enqueues every complete line in `buf`, draining them
     /// from the front. Returns true when a `shutdown` op was consumed
     /// (remaining buffered input is intentionally discarded).
-    fn consume_lines(&mut self, buf: &mut Vec<u8>) -> bool {
+    ///
+    /// `scanned` is how many leading bytes of `buf` an earlier call
+    /// already found free of newlines; the search resumes there, so a
+    /// line arriving in many reads is scanned once, not once per read.
+    fn consume_lines(&mut self, buf: &mut Vec<u8>, scanned: &mut usize) -> bool {
         let mut start = 0usize;
+        let mut from = *scanned;
         let mut stop = false;
-        while let Some(nl) = buf[start..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[start..start + nl]);
-            start += nl + 1;
+        while let Some(nl) = buf[from..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&buf[start..from + nl]);
+            start = from + nl + 1;
+            from = start;
             if self.push_line(line.trim()) {
                 stop = true;
                 break;
@@ -485,6 +493,7 @@ impl ConnReader<'_> {
             }
         }
         buf.drain(..start);
+        *scanned = if stop { 0 } else { buf.len() };
         stop
     }
 
@@ -871,6 +880,56 @@ mod tests {
         assert_eq!(
             json::get(&lines[4], "op").and_then(json::Value::as_str),
             Some("shutdown")
+        );
+    }
+
+    /// Hands out its bytes at most 8 KiB per read, as a socket does.
+    struct Chunked<'a>(&'a [u8]);
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(8192);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// The reader resumes its newline search where the last read's
+    /// search stopped, so one long line costs time linear in its length:
+    /// 4x the bytes may take at most 8x the time (a rescan from byte 0
+    /// after every read makes it ~16x).
+    #[test]
+    fn long_lines_are_read_in_linear_time() {
+        let best_of_3 = |bytes: usize| {
+            let tail = br#""lhs":"!Int.End!","rhs":"Dual (?Int.End?)"}"#;
+            let mut line = br#"{"op":"equiv","#.to_vec();
+            line.resize(bytes - tail.len() - 1, b' ');
+            line.extend_from_slice(tail);
+            line.push(b'\n');
+            (0..3)
+                .map(|_| {
+                    let tenants = unrouted(1);
+                    let mut out = Vec::new();
+                    let started = Instant::now();
+                    let summary =
+                        serve_session(&tenants, Chunked(&line), &mut out, ServeConfig::default())
+                            .unwrap();
+                    let elapsed = started.elapsed();
+                    assert_eq!(summary.responses, 1, "{bytes} B line");
+                    let reply = json::parse_object(std::str::from_utf8(&out).unwrap().trim())
+                        .unwrap_or_else(|e| panic!("{bytes} B line: {e}"));
+                    assert_eq!(json::get(&reply, "verdict"), Some(&json::Value::Bool(true)));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        };
+        let one = best_of_3(1 << 20);
+        let four = best_of_3(4 << 20);
+        assert!(
+            four <= one * 8,
+            "4 MiB line took {four:?}, 1 MiB line {one:?}"
         );
     }
 

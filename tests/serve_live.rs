@@ -277,12 +277,22 @@ fn serve_50_mixed_requests_scrape_metrics_check_the_trace() {
         "algst_check_requests_total 8",
         "# TYPE algst_request_service_ns histogram",
         "algst_request_service_ns_count 50",
-        "algst_queue_sojourn_ns_count",
         "algst_conns_active 1",
         "algst_store_nodes ",
         "algst_store_lock_acquisitions_total ",
     ] {
         assert!(text.contains(needle), "scrape missing {needle:?}:\n{text}");
+    }
+    // The batch path's stage histograms recorded something.
+    for stage in [
+        "algst_queue_sojourn_ns_count ",
+        "algst_batch_publish_ns_count ",
+    ] {
+        let count: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(stage)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("scrape has no {stage:?} sample:\n{text}"));
+        assert!(count > 0, "{stage}is zero");
     }
     client.shutdown();
     server.wait_success();
