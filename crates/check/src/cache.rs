@@ -9,6 +9,9 @@
 //! needs: the verdict and, for a failure, the error text. The checked
 //! [`Module`](crate::Module) itself (declarations, trees, definitions)
 //! is dropped, so the cache's footprint is the sources and the errors.
+//! It holds no [`TypeId`](algst_core::store::TypeId) either, so an entry
+//! stays valid across store compactions: a server engine keeps the cache
+//! when it compacts its store.
 //!
 //! The type-level warm state behind a hit is shared too: elaboration
 //! interns signatures and alias bodies through the **caller's
@@ -82,13 +85,6 @@ impl ModuleCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Drops every cached entry (e.g. after a store compaction, when
-    /// the engine wants the next check of each source to re-elaborate
-    /// and re-warm the new epoch).
-    pub fn clear(&self) {
-        self.map.lock().clear();
     }
 
     /// The verdict of [`check_source_in`] through the cache, against the
@@ -207,7 +203,7 @@ mod tests {
             "the mirror holds the arena only"
         );
 
-        cache.clear();
+        let cache = ModuleCache::new();
         for m in &modules {
             let (_, cached) = cache.check_source(&mut s, m);
             assert!(!cached);

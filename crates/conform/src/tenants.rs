@@ -10,11 +10,11 @@
 //!
 //! 1. every tenant's verdict matches a fresh single-threaded
 //!    [`TypeStore`] oracle on its own pair, cold on first contact and
-//!    warm on the second (the per-tenant verdict cache works);
+//!    warm on the second (the per-tenant `nrm` memo works);
 //! 2. tenant stores are pairwise distinct allocations, so a `TypeId`
 //!    minted in one tenant cannot be meaningful in another;
 //! 3. a tenant asked about a *neighbor's* pair answers correctly but
-//!    **cold** — the neighbor's verdict-cache entry did not leak;
+//!    **cold** — the neighbor's memoized normal forms did not leak;
 //! 4. overflowing `max_tenants` LRU-evicts the coldest tenant, whose
 //!    recreation on next contact is **cold again** (no cache survives
 //!    the eviction) while its neighbors stay warm.

@@ -163,6 +163,14 @@ impl Session {
         self.worker.equivalent_ids(a, b)
     }
 
+    /// How many normal forms this session has computed so far (memo
+    /// misses). Never resets, so an unchanged count across
+    /// [`Session::equivalent_ids`] means the answer was two memo
+    /// lookups and an id comparison.
+    pub fn nrm_computed(&self) -> u64 {
+        self.worker.nrm_computed()
+    }
+
     /// True when `id` is already recorded as its own normal form — the
     /// no-traversal fast path.
     pub fn is_normalized(&mut self, id: TypeId) -> bool {

@@ -590,6 +590,7 @@ impl SharedStore {
             local_hits: 0,
             snapshot_hits: 0,
             misses: 0,
+            nrm_computed: 0,
         }
     }
 
@@ -995,6 +996,9 @@ pub struct WorkerStore {
     local_hits: u64,
     snapshot_hits: u64,
     misses: u64,
+    /// Normal forms this worker has computed (memo misses), over its
+    /// whole life: unlike `misses`, never folded away by a publish.
+    nrm_computed: u64,
 }
 
 impl std::fmt::Debug for WorkerStore {
@@ -1032,6 +1036,14 @@ impl WorkerStore {
     /// epoch (cleared by [`WorkerStore::repin`]).
     pub fn is_stale(&self) -> bool {
         self.stale
+    }
+
+    /// How many `nrm⁺`/`nrm⁻` normal forms this worker has computed so
+    /// far. Monotone: publishes and repins leave it alone, so the
+    /// difference across a call says whether the call found every
+    /// normal form it needed in a memo.
+    pub fn nrm_computed(&self) -> u64 {
+        self.nrm_computed
     }
 
     /// Re-reads the generation counter (acquire load, no RMW) and
@@ -1277,6 +1289,7 @@ impl StoreOps for WorkerStore {
             return Some(n);
         }
         self.misses += 1;
+        self.nrm_computed += 1;
         None
     }
 
@@ -1309,6 +1322,7 @@ impl StoreOps for WorkerStore {
             return Some(n);
         }
         self.misses += 1;
+        self.nrm_computed += 1;
         None
     }
 

@@ -13,26 +13,18 @@
 //! Nothing in the engine reaches a process-global store, so two engines
 //! in one process are fully isolated (see `tests/isolation.rs`).
 //!
-//! Above the store sit the request-level caches. Like the type store
-//! itself, they are **two-tier** so the warm path is lock-free:
+//! An `equiv` needs no verdict cache: with both sides interned,
+//! [`Session::equivalent_ids`] is two lock-free `nrm` memo lookups and
+//! an id comparison. Its response says `"warm":true` when it computed
+//! no normal form. Above the store sit two request-level caches:
 //!
-//! * each worker keeps **private** verdict and parse maps
-//!   (`WorkerCaches`) answering repeated pairs/strings with zero
-//!   shared-memory traffic — sound because a verdict for a pair of ids
-//!   and the id for a source string never change;
-//! * behind them sit the **shared, sharded** fallback maps, consulted
-//!   (and filled) only on a worker's first miss, so one worker's cold
-//!   computation still warms every other worker's fallback. Every
-//!   shard-lock acquisition is counted in `cache_locks`.
-//!
-//! The caches:
-//!
-//! * the **per-pair verdict cache** (`equiv` memo): a canonically
-//!   ordered `(TypeId, TypeId) → bool` map. A repeated pair — the
-//!   dominant case under real traffic — skips even the `nrm` memo
-//!   lookups, and its response says `"warm":true`.
 //! * the **parse cache**: source string → interned [`TypeId`], skipping
-//!   lex/parse/resolve for repeated type strings.
+//!   lex/parse/resolve for repeated type strings. Like the type store it
+//!   is **two-tier**, so the warm path is lock-free: a worker-private
+//!   map answers repeats with zero shared-memory traffic; the **shared,
+//!   sharded** fallback behind it is consulted (and filled) only on a
+//!   worker's first miss, so one worker's cold parse warms the others.
+//!   Every shard-lock acquisition is counted in `cache_locks`.
 //! * the **module cache** (`check` op): source → verdict and error
 //!   text, see [`algst_check::cache`].
 //!
@@ -64,20 +56,24 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Lock shards for the shared fallback caches. Worker-local caches
-/// absorb the warm path; the shards only see each worker's first miss
-/// on a key, so a small fixed count is plenty.
+/// Lock shards for the shared fallback parse cache. Worker-local
+/// caches absorb the warm path; the shards only see each worker's first
+/// miss on a key, so a small fixed count is plenty.
 const SHARDS: usize = 16;
 
-/// Entry cap per shared fallback shard (verdicts and parses alike). A
-/// full shard is cleared: entries are pure memos, so eviction costs at
-/// most one recomputation per key, and clearing keeps the policy O(1)
-/// with no recency bookkeeping on the warm path.
-const SHARD_CAP: usize = 65_536;
+/// Entry cap per shared shard and per worker-private map. A full map is
+/// cleared: entries are pure memos, so eviction costs at most one
+/// recomputation per key, and clearing keeps the policy O(1) with no
+/// recency bookkeeping on the warm path.
+const CACHE_CAP: usize = 65_536;
 
-/// Entry cap for each worker-private cache map, same clear-on-full
-/// policy as the shared shards.
-const WORKER_CACHE_CAP: usize = 65_536;
+/// Inserts into a parse map, clearing it first when it is full.
+fn insert_capped(map: &mut HashMap<String, TypeId>, src: &str, id: TypeId) {
+    if map.len() >= CACHE_CAP {
+        map.clear();
+    }
+    map.insert(src.to_owned(), id);
+}
 
 /// What the workers send back per batch: the submitter's sequence tag
 /// plus the responses, in batch order. The tag lets a submitter with
@@ -110,36 +106,26 @@ impl std::fmt::Debug for Batch {
     }
 }
 
-/// One epoch-tagged shard of a shared fallback cache. `TypeId`s are
+/// One epoch-tagged shard of the shared parse cache. `TypeId`s are
 /// only meaningful within a store epoch, so every shard carries the
 /// epoch its entries belong to: a reader on a different epoch misses,
 /// a writer on a *newer* epoch clears-and-retags, and a write from an
 /// *older* epoch (a worker that has not repinned yet) is dropped.
-struct EpochShard<K, V> {
+#[derive(Default)]
+struct EpochShard {
     epoch: u64,
-    map: HashMap<K, V>,
+    map: HashMap<String, TypeId>,
 }
 
-impl<K: Eq + std::hash::Hash, V: Copy> EpochShard<K, V> {
-    fn new() -> EpochShard<K, V> {
-        EpochShard {
-            epoch: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get<Q>(&self, epoch: u64, key: &Q) -> Option<V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Eq + std::hash::Hash + ?Sized,
-    {
+impl EpochShard {
+    fn get(&self, epoch: u64, src: &str) -> Option<TypeId> {
         if self.epoch != epoch {
             return None;
         }
-        self.map.get(key).copied()
+        self.map.get(src).copied()
     }
 
-    fn put(&mut self, epoch: u64, key: K, value: V) {
+    fn put(&mut self, epoch: u64, src: &str, id: TypeId) {
         use std::cmp::Ordering as Cmp;
         match self.epoch.cmp(&epoch) {
             Cmp::Greater => return, // stale writer: drop
@@ -149,27 +135,23 @@ impl<K: Eq + std::hash::Hash, V: Copy> EpochShard<K, V> {
             }
             Cmp::Equal => {}
         }
-        if self.map.len() >= SHARD_CAP {
-            self.map.clear();
-        }
-        self.map.insert(key, value);
+        insert_capped(&mut self.map, src, id);
     }
 }
 
 /// Request-level shared state (everything above the type store).
 struct EngineState {
-    /// Shared fallback verdict cache, keyed by canonically ordered ids.
-    verdicts: Vec<RwLock<EpochShard<(TypeId, TypeId), bool>>>,
     /// Shared fallback parse cache (successes only; errors are rare and
     /// cheap to reproduce).
-    parses: Vec<RwLock<EpochShard<String, TypeId>>>,
+    parses: Vec<RwLock<EpochShard>>,
     modules: ModuleCache,
     workers: usize,
     requests: AtomicU64,
+    /// `equiv` requests answered without / with computing a normal form.
     equiv_hits: AtomicU64,
     equiv_misses: AtomicU64,
-    /// Shard-lock acquisitions on the fallback caches. Flat across a
-    /// warm replay (worker-local caches answer everything).
+    /// Shard-lock acquisitions on the fallback parse cache. Flat across
+    /// a warm replay (worker-local caches answer everything).
     cache_locks: AtomicU64,
     /// Compaction policy: compact when the store's estimated live bytes
     /// exceed this (0 = no byte bound).
@@ -183,42 +165,10 @@ struct EngineState {
     compacting: parking_lot::Mutex<()>,
 }
 
-/// Per-worker private caches over [`EngineState`]'s shared fallbacks.
-/// Both maps memo facts that are fixed *within a store epoch* (a
-/// verdict for a pair of interned ids; the id a source string parses
-/// to). The worker drops the whole struct when its session repins to a
-/// new epoch, and each map clears at [`WORKER_CACHE_CAP`].
-#[derive(Default)]
-struct WorkerCaches {
-    verdicts: HashMap<(TypeId, TypeId), bool>,
-    parses: HashMap<String, TypeId>,
-}
-
-impl WorkerCaches {
-    fn put_verdict(&mut self, key: (TypeId, TypeId), v: bool) {
-        if self.verdicts.len() >= WORKER_CACHE_CAP {
-            self.verdicts.clear();
-        }
-        self.verdicts.insert(key, v);
-    }
-
-    fn put_parse(&mut self, src: &str, id: TypeId) {
-        if self.parses.len() >= WORKER_CACHE_CAP {
-            self.parses.clear();
-        }
-        self.parses.insert(src.to_owned(), id);
-    }
-}
-
 impl EngineState {
     fn new(workers: usize) -> EngineState {
         EngineState {
-            verdicts: (0..SHARDS)
-                .map(|_| RwLock::new(EpochShard::new()))
-                .collect(),
-            parses: (0..SHARDS)
-                .map(|_| RwLock::new(EpochShard::new()))
-                .collect(),
+            parses: (0..SHARDS).map(|_| RwLock::default()).collect(),
             modules: ModuleCache::new(),
             workers,
             requests: AtomicU64::new(0),
@@ -234,14 +184,12 @@ impl EngineState {
 
     /// Snapshot of the request-level state, `store` merged in.
     fn snapshot(&self, store: &SharedStore) -> Snapshot {
-        let (equiv_entries, parse_entries) = self.entries();
         let mut snap = Snapshot {
             requests: self.requests.load(Ordering::Relaxed),
             workers: self.workers,
-            equiv_entries,
             equiv_hits: self.equiv_hits.load(Ordering::Relaxed),
             equiv_misses: self.equiv_misses.load(Ordering::Relaxed),
-            parse_entries,
+            parse_entries: self.parse_entries(),
             cache_locks: self.cache_locks.load(Ordering::Relaxed),
             ..Snapshot::default()
         };
@@ -250,24 +198,8 @@ impl EngineState {
         snap
     }
 
-    fn pair_shard(key: (TypeId, TypeId)) -> usize {
-        (key.0.index() ^ key.1.index().rotate_left(16)) % SHARDS
-    }
-
     fn count_cache_lock(&self) {
         self.cache_locks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn verdict_get(&self, epoch: u64, key: (TypeId, TypeId)) -> Option<bool> {
-        self.count_cache_lock();
-        self.verdicts[Self::pair_shard(key)].read().get(epoch, &key)
-    }
-
-    fn verdict_put(&self, epoch: u64, key: (TypeId, TypeId), verdict: bool) {
-        self.count_cache_lock();
-        self.verdicts[Self::pair_shard(key)]
-            .write()
-            .put(epoch, key, verdict);
     }
 
     fn str_shard(s: &str) -> usize {
@@ -286,17 +218,11 @@ impl EngineState {
         self.count_cache_lock();
         self.parses[Self::str_shard(src)]
             .write()
-            .put(epoch, src.to_owned(), id);
+            .put(epoch, src, id);
     }
 
-    fn entries(&self) -> (u64, u64) {
-        let verdicts = self
-            .verdicts
-            .iter()
-            .map(|s| s.read().map.len() as u64)
-            .sum();
-        let parses = self.parses.iter().map(|s| s.read().map.len() as u64).sum();
-        (verdicts, parses)
+    fn parse_entries(&self) -> u64 {
+        self.parses.iter().map(|s| s.read().map.len() as u64).sum()
     }
 }
 
@@ -554,12 +480,11 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Queue capacity: enough in-flight batches to keep every worker busy
-/// without buffering unbounded input.
-/// Admission window per worker queue. The cap is chosen so that the
-/// total of admitted-but-unfinished batches (queued across all queues +
-/// one in service per worker) stays roughly constant as the pool grows:
-/// queueing delay then converts into parallel service instead of
+/// Admission window per worker queue: enough in-flight batches to keep
+/// every worker busy without buffering unbounded input. The cap holds
+/// the total of admitted-but-unfinished batches (queued across all
+/// queues + one in service per worker) roughly constant as the pool
+/// grows: queueing delay then converts into parallel service instead of
 /// compounding with the worker count, keeping tail latency flat across
 /// pool sizes.
 fn queue_capacity(workers: usize) -> usize {
@@ -721,15 +646,17 @@ fn worker_loop(
     // Each worker attaches its own sibling session to the injected
     // store; the engine never touches any other store.
     let mut session = Session::with_store(shared);
-    let mut caches = WorkerCaches::default();
+    // Worker-private parse cache over the shared shards. The id a
+    // source string parses to is fixed only within a store epoch.
+    let mut parsed = HashMap::new();
     let mut lobs = LocalObs::default();
     while let Ok(batch) = rx.recv() {
         // A compaction may have installed a new store epoch since the
         // last batch. Repinning at the batch boundary keeps the whole
-        // batch on one consistent epoch; the private caches hold ids
-        // from the old epoch, so they go with it.
+        // batch on one consistent epoch; the private parse cache holds
+        // ids from the old epoch, so it goes with it.
         if session.repin() {
-            caches = WorkerCaches::default();
+            parsed.clear();
         }
         if obs.enabled() {
             lobs.batches += 1;
@@ -744,7 +671,7 @@ fn worker_loop(
             widx,
         };
         for req in batch.items {
-            out.push(handle(&mut session, &state, &mut caches, &mut ctx, req));
+            out.push(handle(&mut session, &state, &mut parsed, &mut ctx, req));
         }
         // Publish this batch's freshly computed normal forms as a new
         // store generation: the next batch on *any* worker sees them.
@@ -840,7 +767,7 @@ impl ReqCtx<'_> {
 fn handle(
     session: &mut Session,
     state: &EngineState,
-    caches: &mut WorkerCaches,
+    parsed: &mut HashMap<String, TypeId>,
     ctx: &mut ReqCtx<'_>,
     req: Request,
 ) -> Response {
@@ -849,7 +776,7 @@ fn handle(
         Op::Equiv { lhs, rhs } => {
             let start = Instant::now();
             let mut stages = Stages::default();
-            let a = match resolve_cached(session, state, caches, ctx, &mut stages, &lhs) {
+            let a = match resolve_cached(session, state, parsed, ctx, &mut stages, &lhs) {
                 Ok(a) => a,
                 Err(e) => {
                     let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -860,7 +787,7 @@ fn handle(
                     };
                 }
             };
-            let b = match resolve_cached(session, state, caches, ctx, &mut stages, &rhs) {
+            let b = match resolve_cached(session, state, parsed, ctx, &mut stages, &rhs) {
                 Ok(b) => b,
                 Err(e) => {
                     let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -871,36 +798,23 @@ fn handle(
                     };
                 }
             };
-            // Equivalence is symmetric: canonical key order doubles the
-            // cache's effective coverage.
-            let key = if a <= b { (a, b) } else { (b, a) };
-            let (verdict, warm) = if let Some(&v) = caches.verdicts.get(&key) {
-                ctx.lobs.equiv_hits += 1;
-                (v, true)
-            } else if let Some(v) = state.verdict_get(session.epoch(), key) {
-                caches.put_verdict(key, v);
-                ctx.lobs.equiv_hits += 1;
-                (v, true)
-            } else {
-                // Cold equivalence runs at µs scale: an extra timer pair
-                // is noise here and gold for attribution.
-                let span = ctx.obs.enabled().then(Span::begin);
-                let v = session.equivalent_ids(key.0, key.1);
-                if let Some(span) = span {
-                    stages.work_ns = span.record(&mut ctx.lobs.equiv_ns);
-                }
-                // Stale sessions hold (possibly) local-private ids in
-                // `key`: correct for this worker, meaningless — or worse,
-                // colliding — in any sibling's mirror. Keep the verdict
-                // private (see `resolve_cached`).
-                if !session.is_stale() {
-                    state.verdict_put(session.epoch(), key, v);
-                }
-                caches.put_verdict(key, v);
-                ctx.lobs.equiv_misses += 1;
-                (v, false)
-            };
+            // Warm means both normal forms came from the memo: the
+            // verdict was two lookups and an id comparison.
+            let computed = session.nrm_computed();
+            let verdict = session.equivalent_ids(a, b);
+            let warm = session.nrm_computed() == computed;
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            if warm {
+                ctx.lobs.equiv_hits += 1;
+            } else {
+                ctx.lobs.equiv_misses += 1;
+                // Cold equivalence runs at µs scale; everything but the
+                // cold parses is normalization.
+                stages.work_ns = ns.saturating_sub(stages.parse_ns);
+                if ctx.obs.enabled() {
+                    ctx.lobs.equiv_ns.record(stages.work_ns);
+                }
+            }
             ctx.finish(id, "equiv", warm, ns, stages);
             Response::Equiv {
                 id,
@@ -982,16 +896,16 @@ fn handle(
 fn resolve_cached(
     session: &mut Session,
     state: &EngineState,
-    caches: &mut WorkerCaches,
+    parsed: &mut HashMap<String, TypeId>,
     ctx: &mut ReqCtx<'_>,
     stages: &mut Stages,
     src: &str,
 ) -> Result<TypeId, String> {
-    if let Some(&id) = caches.parses.get(src) {
+    if let Some(&id) = parsed.get(src) {
         return Ok(id);
     }
     if let Some(id) = state.parse_get(session.epoch(), src) {
-        caches.put_parse(src, id);
+        insert_capped(parsed, src, id);
         return Ok(id);
     }
     // Cold resolve: one pass from source to id (lex, then parse straight
@@ -1009,7 +923,7 @@ fn resolve_cached(
     if !session.is_stale() {
         state.parse_put(session.epoch(), src, id);
     }
-    caches.put_parse(src, id);
+    insert_capped(parsed, src, id);
     Ok(id)
 }
 
@@ -1021,30 +935,29 @@ fn resolve_cached(
 /// loads and nothing else. When a trigger fires, one worker `try_lock`s
 /// the compaction mutex (losers go straight back to serving) and:
 ///
-/// 1. gathers **roots** from the shared fallback caches — every
-///    parse-cache value and both ids of every verdict key — under the
-///    shard locks (counted, like all shard acquisitions);
+/// 1. gathers **roots** — every value of the shared parse cache —
+///    under the shard locks (counted, like all shard acquisitions);
 /// 2. runs [`SharedStore::compact`], which keeps the roots, their
 ///    children and their memoized normal forms transitively live, so a
-///    warm replay after compaction still answers lock-free;
+///    warm replay after compaction still answers lock-free and computes
+///    no normal form;
 /// 3. rebuilds the shards in place with remapped ids under the new
-///    epoch tag. The remap is monotone in the old index, so canonically
-///    ordered verdict keys stay canonical; entries interned after root
-///    gathering are absent from the remap and dropped (cache loss, not
-///    an error — they recompute on next sight);
-/// 4. clears the module cache so subsequent `check`s re-elaborate and
-///    re-warm the new epoch's memo tables.
+///    epoch tag; entries interned after root gathering are absent from
+///    the remap and dropped (cache loss, not an error — they recompute
+///    on next sight).
+///
+/// The module cache holds no ids, so it survives every compaction.
 ///
 /// The two triggers differ in what they retain. The **interval**
 /// trigger is hygiene: it keeps the cache roots, reclaiming only nodes
 /// nothing refers to anymore (evicted cache entries, `check`
 /// elaboration garbage, memo values of dead ids). The **byte bound**
-/// is a hard bound: the caches themselves are what keep churned types
-/// live, so when the store outgrows the bound the engine *sheds* the
-/// request-level caches and compacts with zero roots — the store drops
-/// to its floor and warm state rebuilds from traffic. Growth under
-/// churn is therefore a sawtooth bounded by `max_store_bytes` plus one
-/// inter-check batch of interning.
+/// is a hard bound: the parse cache is what keeps churned types live,
+/// so when the store outgrows the bound the engine *sheds* it and
+/// compacts with zero roots — the store drops to its floor and warm
+/// state rebuilds from traffic. Growth under churn is therefore a
+/// sawtooth bounded by `max_store_bytes` plus one inter-check batch of
+/// interning.
 fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
     let max_bytes = state.max_store_bytes.load(Ordering::Relaxed);
     let interval = state.compact_interval.load(Ordering::Relaxed);
@@ -1077,13 +990,6 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
             state.count_cache_lock();
             roots.extend(shard.read().map.values().copied());
         }
-        for shard in &state.verdicts {
-            state.count_cache_lock();
-            for &(a, b) in shard.read().map.keys() {
-                roots.push(a);
-                roots.push(b);
-            }
-        }
     }
     let outcome = shared.compact(&roots);
     for shard in &state.parses {
@@ -1099,25 +1005,6 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
             shard.epoch = outcome.epoch;
         }
     }
-    for shard in &state.verdicts {
-        state.count_cache_lock();
-        let mut shard = shard.write();
-        if shard.epoch < outcome.epoch {
-            let remapped: Vec<((TypeId, TypeId), bool)> = shard
-                .map
-                .drain()
-                .filter_map(
-                    |((a, b), v)| match (outcome.remap.get(&a), outcome.remap.get(&b)) {
-                        (Some(&a), Some(&b)) => Some(((a, b), v)),
-                        _ => None,
-                    },
-                )
-                .collect();
-            shard.map.extend(remapped);
-            shard.epoch = outcome.epoch;
-        }
-    }
-    state.modules.clear();
     state.compacted_at.store(requests, Ordering::Relaxed);
     if obs.enabled() {
         obs.m.compactions.inc();
@@ -1223,11 +1110,9 @@ fn metrics_fields(
     for (key, _, value) in store_fields(&store.stats()) {
         fields.push((key.to_string(), Value::Int(value as i64)));
     }
-    let (equiv_entries, parse_entries) = state.entries();
     let modules = state.modules.stats();
     for (name, value) in [
-        ("cache_equiv_entries", equiv_entries),
-        ("cache_parse_entries", parse_entries),
+        ("cache_parse_entries", state.parse_entries()),
         ("cache_module_entries", modules.entries),
         ("cache_module_hits", modules.hits),
         ("cache_module_evictions", modules.evictions),
@@ -1257,6 +1142,16 @@ mod tests {
         }
     }
 
+    /// `(verdict, warm)` of an `equiv` response; `(ok, cached)` of a
+    /// `check` response.
+    fn answer(r: &Response) -> (bool, bool) {
+        match *r {
+            Response::Equiv { verdict, warm, .. } => (verdict, warm),
+            Response::Check { ok, cached, .. } => (ok, cached),
+            ref other => panic!("unexpected response {other:?}"),
+        }
+    }
+
     #[test]
     fn verdicts_match_equivalent_and_warm_on_repeat() {
         let engine = Engine::with_session(2, Session::new());
@@ -1264,27 +1159,13 @@ mod tests {
             equiv(1, "!Int.End!", "Dual (?Int.End?)"),
             equiv(2, "!Int.End!", "!Bool.End!"),
             equiv(3, "!Int.End!", "Dual (?Int.End?)"),
-            // Symmetric repeat also hits the pair cache.
+            // A symmetric repeat finds both normal forms memoized.
             equiv(4, "Dual (?Int.End?)", "!Int.End!"),
         ];
-        let resp = engine.process(reqs);
-        let view: Vec<(u64, bool, bool)> = resp
-            .iter()
-            .map(|r| match r {
-                Response::Equiv {
-                    id, verdict, warm, ..
-                } => (*id, *verdict, *warm),
-                other => panic!("unexpected response {other:?}"),
-            })
-            .collect();
+        let view: Vec<(bool, bool)> = engine.process(reqs).iter().map(answer).collect();
         assert_eq!(
             view,
-            vec![
-                (1, true, false),
-                (2, false, false),
-                (3, true, true),
-                (4, true, true)
-            ]
+            [(true, false), (false, false), (true, true), (true, true)]
         );
     }
 
@@ -1300,18 +1181,17 @@ mod tests {
         let engine = Engine::with_session(2, Session::new());
         let req = |id| parse_request(r#"{"op":"check","source":"main : Unit\nmain = ()"}"#, id);
         let first = engine.process(vec![req(1)]);
+        // A one-byte bound: the next batch ends in a shedding compaction.
+        engine.set_compaction(1, 0);
         let second = engine.process(vec![req(2)]);
-        match (&first[0], &second[0]) {
-            (
-                Response::Check { ok: true, .. },
-                Response::Check {
-                    ok: true,
-                    cached: true,
-                    ..
-                },
-            ) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
+        let snap = engine.snapshot();
+        assert!(snap.compactions >= 1 && snap.store_epoch >= 1);
+        // The module cache holds no ids, so the compaction left it be.
+        let third = engine.process(vec![req(3)]);
+        assert_eq!(
+            [answer(&first[0]), answer(&second[0]), answer(&third[0])],
+            [(true, false), (true, true), (true, true)]
+        );
     }
 
     #[test]
@@ -1329,10 +1209,30 @@ mod tests {
             panic!("expected stats");
         };
         assert!(snapshot.nodes > 0);
-        assert_eq!(snapshot.equiv_entries, 1);
+        assert_eq!(snapshot.parse_entries, 2);
         assert_eq!(snapshot.equiv_hits, 1);
         assert_eq!(snapshot.equiv_misses, 1);
         assert!(snapshot.requests >= 2);
+    }
+
+    #[test]
+    fn a_never_asked_pair_of_memoized_sides_is_warm() {
+        let engine = Engine::with_session(1, Session::new());
+        let (a, b) = ("!Int.End!", "Dual (?Int.End?)");
+        let (c, d) = ("?Bool.End?", "Dual (!Bool.End!)");
+        let cold = engine.process(vec![equiv(1, a, b), equiv(2, c, d)]);
+        assert_eq!(
+            cold.iter().map(answer).collect::<Vec<_>>(),
+            [(true, false); 2]
+        );
+        let before = engine.snapshot();
+        // (a, d) was never asked, but both normal forms are memoized.
+        let resp = engine.process(vec![equiv(3, a, d)]);
+        assert_eq!(answer(&resp[0]), (false, true));
+        let after = engine.snapshot();
+        assert_eq!(after.store_locks, before.store_locks);
+        assert_eq!(after.nrm_misses, before.nrm_misses);
+        assert_eq!(after.equiv_hits, before.equiv_hits + 1);
     }
 
     #[test]
@@ -1423,8 +1323,7 @@ mod tests {
             panic!("expected stats");
         };
         // The engine's own counters, which `stats` reports, still count:
-        // every request (this one too), and the verdict cache's hits and
-        // misses.
+        // every request (this one too), and the warm and cold `equiv`s.
         assert_eq!(snapshot.requests, 5);
         assert_eq!(snapshot.equiv_hits, 1);
         assert_eq!(snapshot.equiv_misses, 2);
@@ -1477,7 +1376,7 @@ mod tests {
             "snapshot_install_ns_count",
             "store_nodes",
             "store_lock_acquisitions",
-            "cache_equiv_entries",
+            "cache_parse_entries",
         ] {
             assert!(keys.contains(&required), "metrics missing {required}");
         }
@@ -1573,14 +1472,7 @@ mod tests {
         assert!(snap.store_epoch >= 1);
         // The hot pair survives every compaction (it is a cache root).
         let resp = engine.process(vec![hot()]);
-        assert!(matches!(
-            resp[0],
-            Response::Equiv {
-                verdict: true,
-                warm: true,
-                ..
-            }
-        ));
+        assert_eq!(answer(&resp[0]), (true, true));
     }
 
     #[test]
@@ -1607,9 +1499,10 @@ mod tests {
         let snap = engine.snapshot();
         assert!(snap.compactions >= 1, "byte bound must have fired");
         assert!(snap.reclaimed_bytes > 0, "shedding must reclaim bytes");
-        // Verdicts stay correct across shed epochs, warm or not.
+        // Verdicts stay correct across shed epochs. A shed keeps no
+        // normal form, so a repeat of a pair from before it is cold.
         let resp = engine.process(vec![equiv(1, &churn_ty(3), &churn_ty(3))]);
-        assert!(matches!(resp[0], Response::Equiv { verdict: true, .. }));
+        assert_eq!(answer(&resp[0]), (true, false));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!                                         registry        │ WorkerStore mirrors (publish per batch)
 //!                                                          ▼
 //!                                           SharedStore (arena + nrm memos)
-//!                                           + per-pair verdict cache ("equiv memo")
 //!                                           + parse cache + module cache
 //! ```
 //!

@@ -39,9 +39,10 @@
 //! {"id":6,"op":"error","error":"unknown op \"frobnicate\""}
 //! ```
 //!
-//! `warm` is true when the verdict was answered from the per-pair
-//! verdict cache (the pair had been decided before, by any worker);
-//! `ns` is the in-worker service time in nanoseconds.
+//! `warm` is true when answering computed no `nrm±` normal form: both
+//! sides' normal forms were already memoized in the store (by any
+//! worker, for this pair or any other), so the verdict was an id
+//! comparison; `ns` is the in-worker service time in nanoseconds.
 //!
 //! `stats` with `"delta":true` reports counters **since the previous
 //! delta call for the same tenant on the same connection** (the first
@@ -198,8 +199,8 @@ pub struct Snapshot {
     /// `nrm` memo hits / misses across all workers (as of last publish).
     pub nrm_hits: u64,
     pub nrm_misses: u64,
-    /// Per-pair verdict cache ("equiv memo"): entries, hits, misses.
-    pub equiv_entries: u64,
+    /// `equiv` requests answered warm (no normal form computed) and
+    /// cold (at least one computed).
     pub equiv_hits: u64,
     pub equiv_misses: u64,
     /// Parsed-type cache entries.
@@ -221,8 +222,8 @@ pub struct Snapshot {
     pub store_epoch: u64,
     pub compactions: u64,
     pub reclaimed_bytes: u64,
-    /// Shard-lock acquisitions on the engine's fallback verdict/parse
-    /// caches (worker-local caches absorb the warm path).
+    /// Shard-lock acquisitions on the engine's shared fallback parse
+    /// cache (worker-local caches absorb the warm path).
     pub cache_locks: u64,
     /// Connections accepted / currently open. The engine itself knows
     /// nothing about connections; the serving front-end fills these in
@@ -296,7 +297,6 @@ impl Snapshot {
             nodes: self.nodes.saturating_sub(prev.nodes),
             nrm_hits: self.nrm_hits.saturating_sub(prev.nrm_hits),
             nrm_misses: self.nrm_misses.saturating_sub(prev.nrm_misses),
-            equiv_entries: self.equiv_entries.saturating_sub(prev.equiv_entries),
             equiv_hits: self.equiv_hits.saturating_sub(prev.equiv_hits),
             equiv_misses: self.equiv_misses.saturating_sub(prev.equiv_misses),
             parse_entries: self.parse_entries.saturating_sub(prev.parse_entries),
@@ -466,7 +466,6 @@ impl Response {
                     .field_u64("nrm_hits", s.nrm_hits)
                     .field_u64("nrm_misses", s.nrm_misses)
                     .field_f64("nrm_hit_rate", s.nrm_hit_rate())
-                    .field_u64("equiv_entries", s.equiv_entries)
                     .field_u64("equiv_hits", s.equiv_hits)
                     .field_u64("equiv_misses", s.equiv_misses)
                     .field_f64("equiv_hit_rate", s.equiv_hit_rate())

@@ -1127,7 +1127,7 @@ mod tests {
         assert_ne!(
             json::get(&lines[1], "warm"),
             Some(&json::Value::Bool(true)),
-            "globex must not share acme's verdict cache"
+            "globex must not share acme's normal forms"
         );
         assert_eq!(json::get(&lines[2], "warm"), Some(&json::Value::Bool(true)));
         // The tenants op reports both tenants by name.

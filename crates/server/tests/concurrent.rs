@@ -334,7 +334,7 @@ fn over_capacity_clients_are_refused() {
 }
 
 /// Heavy shared-engine cross-talk: all connections ask about the same
-/// pairs concurrently, so verdict-cache and store publication races
+/// pairs concurrently, so parse-cache and store publication races
 /// would surface as wrong verdicts; counts are checked via `stats`.
 #[test]
 fn verdicts_stay_correct_under_connection_cross_talk() {

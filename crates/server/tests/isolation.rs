@@ -71,10 +71,10 @@ fn two_engines_share_no_state() {
     // `a` is warm across the board; `b` has seen *nothing* of it.
     let snap_a = a.snapshot();
     let snap_b = b.snapshot();
-    assert!(snap_a.nodes > 0 && snap_a.equiv_entries == 1 && snap_a.module_entries == 1);
+    assert!(snap_a.nodes > 0 && snap_a.equiv_hits == 1 && snap_a.module_entries == 1);
     assert_eq!(snap_b.requests, 0);
     assert_eq!(snap_b.nodes, 0, "b's store must not contain a's types");
-    assert_eq!(snap_b.equiv_entries, 0, "b's verdict cache must be empty");
+    assert_eq!(snap_b.equiv_hits, 0, "b must have answered nothing warm");
     assert_eq!(snap_b.parse_entries, 0, "b's parse cache must be empty");
     assert_eq!(snap_b.module_entries, 0, "b's module cache must be empty");
     assert_eq!(
@@ -84,7 +84,7 @@ fn two_engines_share_no_state() {
     );
 
     // The same traffic on `b` is answered correctly but *cold*: its
-    // first contact is a verdict-cache miss and an uncached check.
+    // first contact computes both normal forms and checks uncached.
     let responses = b.process(vec![
         equiv(1, "!Int.End!", "Dual (?Int.End?)"),
         check(2, MODULE),

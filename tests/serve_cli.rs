@@ -133,7 +133,7 @@ fn serve_answers_20_mixed_requests_over_stdio() {
     let (stdin, expect) = requests();
     let (got, stderr) = serve(&stdin, &[]);
     let warm = assert_responses(&got, &expect);
-    // The second round of pairs is answered from the verdict cache.
+    // The second round of pairs finds both normal forms memoized.
     // (>= 4, not == 8: if the pipe fragments the burst into two
     // in-flight batches, a repeat can race its original on another
     // worker and legitimately miss.)
