@@ -167,11 +167,10 @@ mod tests {
 
     /// What an engine worker does on `check` traffic: a few hundred
     /// distinct generated modules (a fifth damaged) through one session.
-    /// The session's local mirror is the arena itself, one entry per
-    /// node the modules interned, and checking them all again adds
-    /// nothing: no per-id state grows with the traffic.
+    /// Checking them all again adds nothing: no node, no memo entry and
+    /// no byte of the store grows with repeated traffic.
     #[test]
-    fn worker_mirror_grows_with_module_nodes_only() {
+    fn store_grows_with_module_nodes_only() {
         use algst_gen::{generate_program, ProgConfig};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
@@ -196,23 +195,24 @@ mod tests {
             failures > 0 && failures < modules.len() / 2,
             "{failures} failed"
         );
-        let nodes = s.stats().nodes;
-        let after_first = s.local().introspect();
-        assert_eq!(
-            after_first.nodes as u64, nodes,
-            "the mirror holds the arena only"
-        );
+        let after_first = s.stats();
+        assert!(after_first.nodes > 0 && after_first.memo_entries > 0);
 
         let cache = ModuleCache::new();
         for m in &modules {
             let (_, cached) = cache.check_source(&mut s, m);
             assert!(!cached);
         }
-        assert_eq!(s.stats().nodes, nodes);
+        let again = s.stats();
+        assert_eq!(again.nodes, after_first.nodes);
         assert_eq!(
-            s.local().introspect(),
-            after_first,
-            "re-checking grew the mirror"
+            again.memo_entries, after_first.memo_entries,
+            "re-checking recorded new normal forms"
+        );
+        assert_eq!(
+            again.live_bytes(),
+            after_first.live_bytes(),
+            "re-checking grew the store"
         );
     }
 

@@ -20,9 +20,7 @@ use algst_core::subst::Subst;
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
 use algst_core::Session;
-use algst_syntax::ast::{
-    BindingDecl, Decl, Param, Pattern, Program, SArm, SExpr, SType, SignatureDecl,
-};
+use algst_syntax::ast::{BindingDecl, Decl, Param, Pattern, SArm, SExpr, SType, SignatureDecl};
 use std::collections::{HashMap, HashSet};
 
 /// Result of elaborating a whole program.
@@ -35,14 +33,17 @@ pub struct Elaborated {
     pub defs: Vec<(Symbol, Expr)>,
 }
 
-/// Elaborates a parsed program. Alias bodies are interned into
-/// `session`, so later instantiations are id-level and capture-free.
-pub fn elaborate(program: &Program, session: &mut Session) -> Result<Elaborated, CheckError> {
+/// Elaborates a parsed program given as consecutive declaration lists
+/// (e.g. the prelude's, then the user's), read in place. Alias bodies
+/// are interned into `session`, so later instantiations are id-level
+/// and capture-free.
+pub fn elaborate(parts: &[&[Decl]], session: &mut Session) -> Result<Elaborated, CheckError> {
+    let program = || parts.iter().copied().flatten();
     // Pass 1: collect headers so names resolve regardless of order.
     let mut protocol_names: HashSet<Symbol> = HashSet::new();
     let mut data_names: HashSet<Symbol> = HashSet::new();
     let mut alias_srcs: HashMap<Symbol, (Vec<Symbol>, SType)> = HashMap::new();
-    for d in &program.decls {
+    for d in program() {
         match d {
             Decl::Protocol(td) => {
                 protocol_names.insert(td.name);
@@ -68,7 +69,7 @@ pub fn elaborate(program: &Program, session: &mut Session) -> Result<Elaborated,
 
     // Pass 2: build declaration table.
     let mut decls = Declarations::new();
-    for d in &program.decls {
+    for d in program() {
         match d {
             Decl::Protocol(td) => {
                 let ctors = td
@@ -120,7 +121,7 @@ pub fn elaborate(program: &Program, session: &mut Session) -> Result<Elaborated,
     // Pass 3: signatures.
     let mut sigs: Vec<(Symbol, Type)> = Vec::new();
     let mut sig_map: HashMap<Symbol, Type> = HashMap::new();
-    for d in &program.decls {
+    for d in program() {
         if let Decl::Signature(SignatureDecl { name, ty, .. }) = d {
             if sig_map.contains_key(name) {
                 return Err(TypeError::DuplicateDefinition(*name).into());
@@ -135,7 +136,7 @@ pub fn elaborate(program: &Program, session: &mut Session) -> Result<Elaborated,
     // Pass 4: bindings.
     let mut defs: Vec<(Symbol, Expr)> = Vec::new();
     let mut seen_defs: HashSet<Symbol> = HashSet::new();
-    for d in &program.decls {
+    for d in program() {
         if let Decl::Binding(b) = d {
             if !seen_defs.insert(b.name) {
                 return Err(TypeError::DuplicateDefinition(b.name).into());
@@ -191,13 +192,13 @@ impl Resolver<'_> {
                     .iter()
                     .map(|a| self.resolve(a))
                     .collect::<Result<_, _>>()?;
-                match name.as_str() {
-                    "Int" | "Bool" | "Char" | "String" if rargs.is_empty() => match name.as_str() {
-                        "Int" => Type::int(),
-                        "Bool" => Type::bool(),
-                        "Char" => Type::char(),
-                        _ => Type::string(),
-                    },
+                // Builtins match on the pre-interned symbols: `as_str`
+                // would take the global symbol interner's lock.
+                match *name {
+                    Symbol::INT if rargs.is_empty() => Type::int(),
+                    Symbol::BOOL if rargs.is_empty() => Type::bool(),
+                    Symbol::CHAR if rargs.is_empty() => Type::char(),
+                    Symbol::STRING if rargs.is_empty() => Type::string(),
                     _ if self.protocol_names.contains(name) => Type::Proto(*name, rargs),
                     _ if self.data_names.contains(name) => Type::Data(*name, rargs),
                     _ if self.alias_srcs.contains_key(name) => {

@@ -42,7 +42,7 @@ use algst_core::protocol::Declarations;
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
 use algst_core::Session;
-use algst_syntax::ast::Program;
+use algst_syntax::ast::{Decl, Program};
 use algst_syntax::parse_program;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -123,9 +123,7 @@ pub fn check_source(src: &str) -> Result<Module, CheckError> {
 /// nowhere else.
 pub fn check_source_in(session: &mut Session, src: &str) -> Result<Module, CheckError> {
     let user = parse_program(src)?;
-    let mut program = prelude().clone();
-    program.decls.extend(user.decls);
-    check_program_in(session, &program)
+    check_decls_in(session, &[&prelude().decls, &user.decls])
 }
 
 /// [`PRELUDE`], parsed once per process.
@@ -153,7 +151,13 @@ pub fn check_program(program: &Program) -> Result<Module, CheckError> {
 /// Elaborates and type-checks an already-parsed program against
 /// `session`.
 pub fn check_program_in(session: &mut Session, program: &Program) -> Result<Module, CheckError> {
-    let elaborate::Elaborated { decls, sigs, defs } = elaborate::elaborate(program, session)?;
+    check_decls_in(session, &[&program.decls])
+}
+
+/// Elaborates and type-checks the concatenation of `parts` against
+/// `session`, without copying any declaration.
+fn check_decls_in(session: &mut Session, parts: &[&[Decl]]) -> Result<Module, CheckError> {
+    let elaborate::Elaborated { decls, sigs, defs } = elaborate::elaborate(parts, session)?;
 
     // Intern and kind-check signatures once; their normal forms are the
     // global (unrestricted) context and the definitions' goals.

@@ -257,8 +257,8 @@ impl EquivOracles {
 
     /// The private session the metamorphic/runtime check families run
     /// against — the fuzz loop stays hermetic (nothing touches the
-    /// process-global store) and each check syncs only this store's
-    /// delta instead of re-mirroring a growing global arena.
+    /// process-global store) and each check reads only this store's
+    /// arena, not a growing global one.
     pub(crate) fn checker_session(&mut self) -> &mut Session {
         &mut self.direct
     }

@@ -6,7 +6,7 @@
 
 use crate::kind::Kind;
 use crate::protocol::Declarations;
-use crate::store::{TNode, TypeId, TypeStore};
+use crate::store::{NodeRead, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::fmt;
@@ -201,15 +201,15 @@ impl<'d> KindCtx<'d> {
     /// `id` must be binder-closed. On failure the tree judgment runs on
     /// the extracted type, so the error names the offending subterm with
     /// the binder names it was written with.
-    pub fn synth_id(&mut self, store: &TypeStore, id: TypeId) -> Result<Kind, KindError> {
+    pub fn synth_id<S: NodeRead>(&mut self, store: &S, id: TypeId) -> Result<Kind, KindError> {
         let mut bound = Vec::new();
         self.synth_id_under(store, id, &mut bound)
             .map_err(|e| self.synth(&store.extract(id)).err().unwrap_or(e))
     }
 
-    fn synth_id_under(
+    fn synth_id_under<S: NodeRead>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         bound: &mut Vec<Kind>,
     ) -> Result<Kind, KindError> {
@@ -282,9 +282,9 @@ impl<'d> KindCtx<'d> {
 
     /// `Δ ⊢ T ⇐ κ` on an interned id (rule T-Sub), with errors named as
     /// in [`KindCtx::synth_id`].
-    pub fn check_id(
+    pub fn check_id<S: NodeRead>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         expected: Kind,
     ) -> Result<(), KindError> {
@@ -293,9 +293,9 @@ impl<'d> KindCtx<'d> {
             .map_err(|e| self.check(&store.extract(id), expected).err().unwrap_or(e))
     }
 
-    fn check_id_under(
+    fn check_id_under<S: NodeRead>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         expected: Kind,
         bound: &mut Vec<Kind>,
@@ -319,6 +319,7 @@ impl<'d> KindCtx<'d> {
 mod tests {
     use super::*;
     use crate::protocol::{Ctor, ProtocolDecl};
+    use crate::store::TypeStore;
 
     fn decls_with_stream() -> Declarations {
         let mut d = Declarations::new();

@@ -19,11 +19,11 @@
 //! * [`store`] — the hash-consed type store: `Type` interned to
 //!   [`store::TypeId`] with canonical (de-Bruijn) binders, memoized
 //!   normalization, and O(1) amortized equivalence.
-//! * [`shared`] — the **sharded concurrent** lift of the store: a
-//!   process-wide append-only arena + memo shards
-//!   ([`shared::SharedStore`]) with per-thread mirrors that publish
-//!   write deltas ([`shared::WorkerStore`]), so every thread shares
-//!   warm state.
+//! * [`shared`] — the **concurrent** lift of the store: one process-wide
+//!   append-only arena whose slots carry their own `nrm±` memo slots,
+//!   plus a lock-free intern table ([`shared::SharedStore`]), read and
+//!   written by per-thread handles ([`shared::WorkerStore`]), so every
+//!   thread shares warm state and each node exists once.
 //! * [`session`] — the public entry point: an explicit [`Session`]
 //!   handle owning a worker over a shared store. All of
 //!   intern/normalize/equivalence/duality run against *its* store;

@@ -13,11 +13,11 @@
 //!   time. A `Session` is a plain value — the borrow checker rules the
 //!   same mistake out at compile time.
 //!
-//! A `Session` owns a [`WorkerStore`]: a per-thread mirror onto a
-//! sharded [`SharedStore`]. Sessions over the *same* store (created
-//! with [`Session::sibling`]) share interned nodes and memoized normal
-//! forms — that is the warm-path scaling story of the server. Sessions
-//! over *different* stores ([`Session::new`]) share nothing at all.
+//! A `Session` owns a [`WorkerStore`]: a per-thread handle onto a
+//! [`SharedStore`]. Sessions over the *same* store (created with
+//! [`Session::sibling`]) share interned nodes and memoized normal forms
+//! — that is the warm-path scaling story of the server. Sessions over
+//! *different* stores ([`Session::new`]) share nothing at all.
 //!
 //! ```
 //! use algst_core::{Session, types::Type};
@@ -36,7 +36,7 @@
 
 use crate::normalize::resugar;
 use crate::shared::{SharedStore, StoreStats, WorkerStore};
-use crate::store::{StoreOps, TNode, TypeId, TypeStore};
+use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::collections::HashMap;
@@ -105,8 +105,7 @@ impl Session {
 
     /// A new session over the **same** store as `self` — for handing to
     /// another worker thread. Siblings agree on every [`TypeId`] and
-    /// share all memoized normal forms (after [`Session::publish`], which
-    /// also runs automatically at a delta threshold and on drop).
+    /// share every memoized normal form the moment it is recorded.
     ///
     /// ```
     /// use algst_core::{Session, types::Type};
@@ -173,7 +172,7 @@ impl Session {
 
     /// True when `id` is already recorded as its own normal form — the
     /// no-traversal fast path.
-    pub fn is_normalized(&mut self, id: TypeId) -> bool {
+    pub fn is_normalized(&self, id: TypeId) -> bool {
         self.worker.is_normalized(id)
     }
 
@@ -198,12 +197,12 @@ impl Session {
         self.worker.node_count(id)
     }
 
-    /// Read-only view of the session's local mirror, for id-level code
-    /// that takes a plain [`TypeStore`] (e.g.
+    /// Read-only node view of the session's pinned arena, for id-level
+    /// code generic over [`NodeRead`](crate::store::NodeRead) (e.g.
     /// [`KindCtx::check_id`](crate::kindcheck::KindCtx::check_id)).
-    /// Every id this session has produced or looked at is present.
-    pub fn local(&self) -> &TypeStore {
-        self.worker.local()
+    /// Every id this session has produced is readable through it.
+    pub fn local(&self) -> &WorkerStore {
+        &self.worker
     }
 
     // ---------------------------------------------------------- tree level
@@ -297,21 +296,22 @@ impl Session {
 
     // ------------------------------------------------------- store plumbing
 
-    /// Merges this session's memo deltas into the shared store so
-    /// siblings get warm hits for them. Also runs automatically at a
-    /// delta-size threshold and when the session drops.
+    /// Folds this session's memo hit/miss counters into the store's
+    /// statistics (also done when the session drops). Takes no lock:
+    /// nodes and normal forms reach siblings the moment they are
+    /// recorded, without a publish.
     pub fn publish(&mut self) {
         self.worker.publish();
     }
 
-    /// Statistics of the store behind this session (its own pending
-    /// delta published first, so the caller sees its work reflected).
+    /// Statistics of the store behind this session (its own counters
+    /// published first, so the caller sees its work reflected).
     ///
     /// Besides hit/miss rates, the stats expose the store's contention
     /// profile: the snapshot generation, how many generations were
-    /// installed, how many cold interns entered the writer mutex
-    /// (`slow_path`), and the total lock acquisitions — which stay flat
-    /// across warm replays.
+    /// installed (intern-table growths and compactions), how many cold
+    /// interns entered the writer mutex (`slow_path`), and the total
+    /// lock acquisitions — which stay flat across warm replays.
     ///
     /// ```
     /// use algst_core::{Session, Type};
@@ -319,7 +319,7 @@ impl Session {
     /// assert!(session.equivalent(&Type::dual(Type::EndIn), &Type::EndOut));
     /// let stats = session.stats(); // publishes, then snapshots the store
     /// assert!(stats.slow_path > 0, "cold interning took the writer mutex");
-    /// assert!(stats.generation >= 1 && stats.snapshot_installs >= 1);
+    /// assert_eq!(stats.generation, stats.snapshot_installs);
     ///
     /// // A fully-warm replay acquires no locks at all.
     /// let locks_before = stats.lock_acquisitions;
@@ -350,10 +350,11 @@ impl Session {
     }
 
     /// True when the store has compacted past this session's pinned
-    /// epoch. Ids produced while stale are **local-private** — they
-    /// name this session's mirror only and must never be shared with
-    /// other sessions (e.g. through an id-keyed cache), even one pinned
-    /// to the same epoch. Cleared by [`Session::repin`].
+    /// epoch. A stale session keeps interning into its pinned epoch's
+    /// arena, so its ids stay valid for every session pinned to the
+    /// same epoch, and for no other: an id-keyed cache shared between
+    /// sessions must be tagged with the epoch. Cleared by
+    /// [`Session::repin`].
     pub fn is_stale(&self) -> bool {
         self.worker.is_stale()
     }
@@ -374,7 +375,8 @@ impl Session {
 
 /// A `Session` runs the same id-level algorithms as every other store:
 /// generic helpers (`Subst::apply_interned`, suite interning) accept it
-/// anywhere a [`TypeStore`] or [`WorkerStore`] is accepted.
+/// anywhere a [`TypeStore`](crate::store::TypeStore) or [`WorkerStore`]
+/// is accepted.
 impl StoreOps for Session {
     fn node_owned(&mut self, id: TypeId) -> TNode {
         self.worker.node_owned(id)

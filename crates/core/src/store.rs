@@ -173,17 +173,7 @@ impl TypeStore {
     }
 
     fn compute_needs(&self, node: &TNode) -> u32 {
-        let of = |id: &TypeId| self.needs_binders[id.index()];
-        match node {
-            TNode::Unit | TNode::Base(_) | TNode::Free(_) | TNode::EndIn | TNode::EndOut => 0,
-            TNode::Bound(i) => i + 1,
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                of(a).max(of(b))
-            }
-            TNode::Forall(_, body) => of(body).saturating_sub(1),
-            TNode::Dual(t) | TNode::Neg(t) => of(t),
-            TNode::Proto(_, args) | TNode::Data(_, args) => args.iter().map(of).max().unwrap_or(0),
-        }
+        binders_needed_of(node, |id| self.needs_binders[id.index()])
     }
 
     /// True when the subtree mentions no de-Bruijn index escaping it
@@ -200,130 +190,12 @@ impl TypeStore {
         StoreOps::intern(self, t)
     }
 
-    /// Records the binder name a `Forall` id was first written with
-    /// (best-effort, display-only — identity is unaffected). Fresh
-    /// `%`-suffixed names from capture-avoiding substitution are not
-    /// worth remembering; later names never override the first. The
-    /// map probe comes first: re-interning a hinted `Forall` must not
-    /// take the symbol interner's lock.
-    pub(crate) fn record_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        if !self.binder_hints.contains_key(&id) && !name.as_str().contains('%') {
-            self.binder_hints.insert(id, name);
-        }
-    }
-
-    /// Looks `node` up in the hash-consing map without interning it.
-    pub(crate) fn lookup_node(&self, node: &TNode) -> Option<TypeId> {
-        self.ids.get(node).copied()
-    }
-
     // ----------------------------------------------------------- extraction
 
-    /// Converts an id back to a boundary [`Type`]. Binders are named
-    /// from the hint recorded at intern time (the name the type was
-    /// first written with) when that cannot capture, falling back to
-    /// canonical names (`a`, `b`, …) that avoid the free variables of
-    /// the type. The round trip `extract ∘ intern` is the identity up to
-    /// α-equivalence (and `intern ∘ extract` is the identity on ids).
+    /// Converts an id back to a boundary [`Type`] (see
+    /// [`NodeRead::extract`]).
     pub fn extract(&self, id: TypeId) -> Type {
-        let mut free = HashSet::new();
-        let mut seen = HashSet::new();
-        self.collect_free(id, &mut seen, &mut free);
-        let mut binders: Vec<Symbol> = Vec::new();
-        let mut next = 0usize;
-        self.extract_under(id, &mut binders, &mut next, &free)
-    }
-
-    fn collect_free(&self, id: TypeId, seen: &mut HashSet<TypeId>, acc: &mut HashSet<Symbol>) {
-        if !seen.insert(id) {
-            return;
-        }
-        match self.node(id) {
-            TNode::Free(v) => {
-                acc.insert(*v);
-            }
-            TNode::Unit | TNode::Base(_) | TNode::Bound(_) | TNode::EndIn | TNode::EndOut => {}
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                self.collect_free(*a, seen, acc);
-                self.collect_free(*b, seen, acc);
-            }
-            TNode::Forall(_, body) => self.collect_free(*body, seen, acc),
-            TNode::Dual(t) | TNode::Neg(t) => self.collect_free(*t, seen, acc),
-            TNode::Proto(_, args) | TNode::Data(_, args) => {
-                for a in args {
-                    self.collect_free(*a, seen, acc);
-                }
-            }
-        }
-    }
-
-    fn extract_under(
-        &self,
-        id: TypeId,
-        binders: &mut Vec<Symbol>,
-        next: &mut usize,
-        free: &HashSet<Symbol>,
-    ) -> Type {
-        match self.node(id) {
-            TNode::Unit => Type::Unit,
-            TNode::Base(b) => Type::Base(*b),
-            TNode::Free(v) => Type::Var(*v),
-            TNode::Bound(i) => {
-                let ix = binders
-                    .len()
-                    .checked_sub(1 + *i as usize)
-                    .expect("dangling de-Bruijn index");
-                Type::Var(binders[ix])
-            }
-            TNode::Arrow(a, b) => Type::Arrow(
-                Arc::new(self.extract_under(*a, binders, next, free)),
-                Arc::new(self.extract_under(*b, binders, next, free)),
-            ),
-            TNode::Pair(a, b) => Type::Pair(
-                Arc::new(self.extract_under(*a, binders, next, free)),
-                Arc::new(self.extract_under(*b, binders, next, free)),
-            ),
-            TNode::Forall(k, body) => {
-                // Prefer the name the binder was first interned with; it
-                // must not shadow an in-scope binder (an inner Bound
-                // could silently re-bind) nor collide with a free
-                // variable of the whole type.
-                let hint = self
-                    .binder_hints
-                    .get(&id)
-                    .copied()
-                    .filter(|h| !free.contains(h) && !binders.contains(h));
-                let name = hint.unwrap_or_else(|| canonical_binder(next, binders, free));
-                binders.push(name);
-                let b = self.extract_under(*body, binders, next, free);
-                binders.pop();
-                Type::Forall(name, *k, Arc::new(b))
-            }
-            TNode::In(p, s) => Type::In(
-                Arc::new(self.extract_under(*p, binders, next, free)),
-                Arc::new(self.extract_under(*s, binders, next, free)),
-            ),
-            TNode::Out(p, s) => Type::Out(
-                Arc::new(self.extract_under(*p, binders, next, free)),
-                Arc::new(self.extract_under(*s, binders, next, free)),
-            ),
-            TNode::EndIn => Type::EndIn,
-            TNode::EndOut => Type::EndOut,
-            TNode::Dual(s) => Type::Dual(Arc::new(self.extract_under(*s, binders, next, free))),
-            TNode::Neg(p) => Type::Neg(Arc::new(self.extract_under(*p, binders, next, free))),
-            TNode::Proto(name, args) => Type::Proto(
-                *name,
-                args.iter()
-                    .map(|a| self.extract_under(*a, binders, next, free))
-                    .collect(),
-            ),
-            TNode::Data(name, args) => Type::Data(
-                *name,
-                args.iter()
-                    .map(|a| self.extract_under(*a, binders, next, free))
-                    .collect(),
-            ),
-        }
+        NodeRead::extract(self, id)
     }
 
     // -------------------------------------------------------- normalization
@@ -395,43 +267,10 @@ impl TypeStore {
 
     // -------------------------------------------------------------- queries
 
-    /// Tree-node count of the type behind `id` (the Figure-10 x-axis
-    /// measure). DAG-aware: shared subtrees are counted per occurrence
-    /// but visited once.
+    /// Tree-node count of the type behind `id` (see
+    /// [`NodeRead::node_count`]).
     pub fn node_count(&self, id: TypeId) -> u64 {
-        let mut memo: HashMap<TypeId, u64> = HashMap::new();
-        self.node_count_rec(id, &mut memo)
-    }
-
-    fn node_count_rec(&self, id: TypeId, memo: &mut HashMap<TypeId, u64>) -> u64 {
-        if let Some(&n) = memo.get(&id) {
-            return n;
-        }
-        let n = match self.node(id) {
-            TNode::Unit
-            | TNode::Base(_)
-            | TNode::Free(_)
-            | TNode::Bound(_)
-            | TNode::EndIn
-            | TNode::EndOut => 1,
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                let (a, b) = (*a, *b);
-                1 + self.node_count_rec(a, memo) + self.node_count_rec(b, memo)
-            }
-            TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => {
-                let t = *t;
-                1 + self.node_count_rec(t, memo)
-            }
-            TNode::Proto(_, args) | TNode::Data(_, args) => {
-                let args = args.clone();
-                1 + args
-                    .iter()
-                    .map(|a| self.node_count_rec(*a, memo))
-                    .sum::<u64>()
-            }
-        };
-        memo.insert(id, n);
-        n
+        NodeRead::node_count(self, id)
     }
 
     // ------------------------------------------- introspection (testing)
@@ -527,6 +366,35 @@ impl TypeStore {
     }
 }
 
+/// `1 + max escaping de-Bruijn index` of `node`'s subtree (0 = closed
+/// under binders), from the same measure `of` each child.
+pub(crate) fn binders_needed_of(node: &TNode, of: impl Fn(TypeId) -> u32) -> u32 {
+    match node {
+        TNode::Unit | TNode::Base(_) | TNode::Free(_) | TNode::EndIn | TNode::EndOut => 0,
+        TNode::Bound(i) => i + 1,
+        TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
+            of(*a).max(of(*b))
+        }
+        TNode::Forall(_, body) => of(*body).saturating_sub(1),
+        TNode::Dual(t) | TNode::Neg(t) => of(*t),
+        TNode::Proto(_, args) | TNode::Data(_, args) => {
+            args.iter().map(|a| of(*a)).max().unwrap_or(0)
+        }
+    }
+}
+
+/// Records the binder name a `Forall` id was first written with
+/// (best-effort, display-only — identity is unaffected). Fresh
+/// `%`-suffixed names from capture-avoiding substitution are not worth
+/// remembering; later names never override the first. The map probe
+/// comes first: re-interning a hinted `Forall` must not take the symbol
+/// interner's lock.
+pub(crate) fn note_hint(hints: &mut HashMap<TypeId, Symbol>, id: TypeId, name: Symbol) {
+    if !hints.contains_key(&id) && !name.as_str().contains('%') {
+        hints.insert(id, name);
+    }
+}
+
 /// Child ids of a node, for the introspection walk.
 fn node_children(node: &TNode) -> Vec<TypeId> {
     match node {
@@ -558,6 +426,167 @@ pub struct StoreIntrospection {
     pub nrm_fixpoints: usize,
 }
 
+// ------------------------------------------------------------- NodeRead
+
+/// Read-only access to interned nodes: everything extraction and
+/// id-level kind checking need. Implemented by the single-threaded
+/// [`TypeStore`] and by the concurrent
+/// [`WorkerStore`](crate::shared::WorkerStore), which reads its pinned
+/// epoch's shared arena directly.
+pub trait NodeRead {
+    /// The node behind `id`.
+    fn node(&self, id: TypeId) -> &TNode;
+
+    /// The binder name the `Forall` id was first interned with, if one
+    /// was recorded (display only).
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol>;
+
+    /// Converts an id back to a boundary [`Type`]. Binders are named
+    /// from the hint recorded at intern time (the name the type was
+    /// first written with) when that cannot capture, falling back to
+    /// canonical names (`a`, `b`, …) that avoid the free variables of
+    /// the type. The round trip `extract ∘ intern` is the identity up to
+    /// α-equivalence (and `intern ∘ extract` is the identity on ids).
+    fn extract(&self, id: TypeId) -> Type
+    where
+        Self: Sized,
+    {
+        let mut free = HashSet::new();
+        collect_free(self, id, &mut HashSet::new(), &mut free);
+        extract_under(self, id, &mut Vec::new(), &mut 0, &free)
+    }
+
+    /// Tree-node count of the type behind `id` (the Figure-10 x-axis
+    /// measure). DAG-aware: shared subtrees are counted per occurrence
+    /// but visited once.
+    fn node_count(&self, id: TypeId) -> u64
+    where
+        Self: Sized,
+    {
+        node_count_rec(self, id, &mut HashMap::new())
+    }
+}
+
+impl NodeRead for TypeStore {
+    fn node(&self, id: TypeId) -> &TNode {
+        &self.nodes[id.index()]
+    }
+
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol> {
+        self.binder_hints.get(&id).copied()
+    }
+}
+
+fn collect_free<S: NodeRead>(
+    s: &S,
+    id: TypeId,
+    seen: &mut HashSet<TypeId>,
+    acc: &mut HashSet<Symbol>,
+) {
+    if !seen.insert(id) {
+        return;
+    }
+    match s.node(id) {
+        TNode::Free(v) => {
+            acc.insert(*v);
+        }
+        TNode::Unit | TNode::Base(_) | TNode::Bound(_) | TNode::EndIn | TNode::EndOut => {}
+        TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
+            collect_free(s, *a, seen, acc);
+            collect_free(s, *b, seen, acc);
+        }
+        TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => collect_free(s, *t, seen, acc),
+        TNode::Proto(_, args) | TNode::Data(_, args) => {
+            for a in args {
+                collect_free(s, *a, seen, acc);
+            }
+        }
+    }
+}
+
+fn extract_under<S: NodeRead>(
+    s: &S,
+    id: TypeId,
+    binders: &mut Vec<Symbol>,
+    next: &mut usize,
+    free: &HashSet<Symbol>,
+) -> Type {
+    let mut sub =
+        |t: &TypeId, binders: &mut Vec<Symbol>| Arc::new(extract_under(s, *t, binders, next, free));
+    match s.node(id) {
+        TNode::Unit => Type::Unit,
+        TNode::Base(b) => Type::Base(*b),
+        TNode::Free(v) => Type::Var(*v),
+        TNode::Bound(i) => {
+            let ix = binders
+                .len()
+                .checked_sub(1 + *i as usize)
+                .expect("dangling de-Bruijn index");
+            Type::Var(binders[ix])
+        }
+        TNode::Arrow(a, b) => Type::Arrow(sub(a, binders), sub(b, binders)),
+        TNode::Pair(a, b) => Type::Pair(sub(a, binders), sub(b, binders)),
+        TNode::Forall(k, body) => {
+            // Prefer the name the binder was first interned with; it
+            // must not shadow an in-scope binder (an inner Bound could
+            // silently re-bind) nor collide with a free variable of the
+            // whole type.
+            let hint = s
+                .binder_hint(id)
+                .filter(|h| !free.contains(h) && !binders.contains(h));
+            let name = hint.unwrap_or_else(|| canonical_binder(next, binders, free));
+            binders.push(name);
+            let b = extract_under(s, *body, binders, next, free);
+            binders.pop();
+            Type::Forall(name, *k, Arc::new(b))
+        }
+        TNode::In(p, t) => Type::In(sub(p, binders), sub(t, binders)),
+        TNode::Out(p, t) => Type::Out(sub(p, binders), sub(t, binders)),
+        TNode::EndIn => Type::EndIn,
+        TNode::EndOut => Type::EndOut,
+        TNode::Dual(t) => Type::Dual(sub(t, binders)),
+        TNode::Neg(p) => Type::Neg(sub(p, binders)),
+        TNode::Proto(name, args) => Type::Proto(
+            *name,
+            args.iter()
+                .map(|a| extract_under(s, *a, binders, next, free))
+                .collect(),
+        ),
+        TNode::Data(name, args) => Type::Data(
+            *name,
+            args.iter()
+                .map(|a| extract_under(s, *a, binders, next, free))
+                .collect(),
+        ),
+    }
+}
+
+fn node_count_rec<S: NodeRead>(s: &S, id: TypeId, memo: &mut HashMap<TypeId, u64>) -> u64 {
+    if let Some(&n) = memo.get(&id) {
+        return n;
+    }
+    let n = match s.node(id) {
+        TNode::Unit
+        | TNode::Base(_)
+        | TNode::Free(_)
+        | TNode::Bound(_)
+        | TNode::EndIn
+        | TNode::EndOut => 1,
+        TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
+            1 + node_count_rec(s, *a, memo) + node_count_rec(s, *b, memo)
+        }
+        TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => 1 + node_count_rec(s, *t, memo),
+        TNode::Proto(_, args) | TNode::Data(_, args) => {
+            1 + args
+                .iter()
+                .map(|a| node_count_rec(s, *a, memo))
+                .sum::<u64>()
+        }
+    };
+    memo.insert(id, n);
+    n
+}
+
 // ------------------------------------------------------------- StoreOps
 
 /// The primitive store interface the id-level algorithms are generic
@@ -565,19 +594,21 @@ pub struct StoreIntrospection {
 ///
 /// Two implementations exist: the single-threaded [`TypeStore`] (arena,
 /// maps and memos all private to one owner) and the concurrent
-/// [`WorkerStore`](crate::shared::WorkerStore) (a per-worker mirror of a
-/// process-wide [`SharedStore`](crate::shared::SharedStore), with memo
-/// deltas published back). Because `intern`, `nrm⁺`/`nrm⁻`,
+/// [`WorkerStore`](crate::shared::WorkerStore) (a per-worker handle that
+/// reads and writes the arena, intern table and memo slots of a
+/// process-wide [`SharedStore`](crate::shared::SharedStore)). Because
+/// `intern`, `nrm⁺`/`nrm⁻`,
 /// substitution and β-instantiation are all written once against this
 /// trait, the two stores cannot drift semantically: they run the same
 /// code over the same [`TNode`] grammar, differing only in where nodes
 /// and memo entries live.
 ///
 /// All methods take `&mut self` — even reads — because the concurrent
-/// implementation lazily syncs its local mirror on first touch of an id.
+/// implementation counts memo hits and misses and may adopt a newer
+/// intern table on a miss.
 pub trait StoreOps {
-    /// The node behind `id` (cloned; the concurrent store may first have
-    /// to copy it into the local mirror).
+    /// The node behind `id`, cloned (the algorithms intern while they
+    /// hold it).
     fn node_owned(&mut self, id: TypeId) -> TNode;
 
     /// Hash-conses `node` into an id. Children of `node` must already be
@@ -756,7 +787,7 @@ impl StoreOps for TypeStore {
     }
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        self.record_binder_hint(id, name);
+        note_hint(&mut self.binder_hints, id, name);
     }
 }
 

@@ -5,7 +5,7 @@
 //! replay acquires zero store locks).
 
 use algst_core::shared::SharedStore;
-use algst_core::store::TypeId;
+use algst_core::store::{TypeId, TypeStore};
 use algst_core::types::Type;
 use std::collections::HashMap;
 
@@ -182,5 +182,65 @@ fn warm_replay_acquires_zero_locks() {
     assert_eq!(
         after.generation, baseline.generation,
         "warm replay installed a generation"
+    );
+}
+
+/// Eight threads intern overlapping slices of the family while the
+/// intern table grows several times under them: every thread gets the
+/// same id for the same type, the arena holds each distinct node once,
+/// and a worker still holding the first, pre-growth table resolves
+/// every node by refreshing — none of its lookups goes cold.
+#[test]
+fn table_growth_under_eight_threads_keeps_ids_agreed() {
+    let shared = SharedStore::new_arc();
+    let mut early = shared.worker();
+    early.intern(&family(0));
+    let installs_before = shared.stats().snapshot_installs;
+
+    let recorded: Vec<Vec<(usize, TypeId)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|ti| {
+                let shared = &shared;
+                scope.spawn(move || {
+                    let mut w = shared.worker();
+                    (ti * 64..ti * 64 + 512)
+                        .map(|i| (i, w.intern(&family(i))))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut by_index: HashMap<usize, TypeId> = HashMap::new();
+    for &(i, id) in recorded.iter().flatten() {
+        if let Some(prev) = by_index.insert(i, id) {
+            assert_eq!(prev, id, "threads disagree on the id of family({i})");
+        }
+    }
+    let mut distinct = TypeStore::new();
+    distinct.intern(&family(0));
+    for &i in by_index.keys() {
+        distinct.intern(&family(i));
+    }
+    let stats = shared.stats();
+    assert_eq!(
+        stats.nodes as usize,
+        distinct.len(),
+        "a node was interned twice"
+    );
+    assert!(
+        stats.snapshot_installs - installs_before >= 3,
+        "expected at least three table growths, saw {}",
+        stats.snapshot_installs - installs_before
+    );
+
+    for (&i, &id) in &by_index {
+        assert_eq!(early.intern(&family(i)), id, "family({i}) moved");
+    }
+    assert_eq!(
+        shared.stats().slow_path,
+        stats.slow_path,
+        "a pre-growth table must refresh, not intern anew"
     );
 }

@@ -4,9 +4,10 @@
 //! Requests travel in **batches** (`Vec<Request>` per channel message),
 //! so channel synchronization amortizes over many requests — essential
 //! when a warm `equiv` is tens of nanoseconds of actual work. Each
-//! worker owns a sibling [`Session`] of the engine's injected one and
-//! **publishes its memo deltas after every batch**, so normal forms
-//! computed for one client warm every other worker's next batch.
+//! worker owns a sibling [`Session`] of the engine's injected one. The
+//! store has one copy of each node and memo slot, so a normal form one
+//! worker computes for one client is warm for every other worker the
+//! moment it is recorded; the per-batch publish only folds counters.
 //!
 //! **Every** op runs against the injected session — `equiv` resolution
 //! and interning, and the `check` op's elaboration/checking alike.
@@ -916,13 +917,10 @@ fn resolve_cached(
     if let Some(span) = span {
         stages.parse_ns += span.record(&mut ctx.lobs.parse_ns);
     }
-    // A session that is (or just went) stale interns local-private ids:
-    // they name this worker's mirror only, so they may warm the private
-    // cache but must never enter the shared shard — another worker at
-    // the same pinned epoch would read them against a different mirror.
-    if !session.is_stale() {
-        state.parse_put(session.epoch(), src, id);
-    }
+    // The id names the session's pinned epoch, which every worker
+    // pinned to it shares; the shard's epoch tag drops it once the
+    // shard has moved to a newer epoch.
+    state.parse_put(session.epoch(), src, id);
     insert_capped(parsed, src, id);
     Ok(id)
 }
@@ -1023,7 +1021,7 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
 /// pass counter's scrape name stays apart from the registry counter
 /// `store_compactions_total`, so one exposition never carries two TYPE
 /// lines for the same family.
-pub(crate) fn store_fields(s: &StoreStats) -> [(&'static str, &'static str, u64); 17] {
+pub(crate) fn store_fields(s: &StoreStats) -> [(&'static str, &'static str, u64); 16] {
     [
         ("store_arena_bytes", "store_arena_bytes", s.arena_bytes),
         ("store_bytes", "store_bytes", s.live_bytes()),
@@ -1034,11 +1032,6 @@ pub(crate) fn store_fields(s: &StoreStats) -> [(&'static str, &'static str, u64)
         ),
         ("store_epoch", "store_epoch", s.epoch),
         ("store_generation", "store_generation", s.generation),
-        (
-            "store_intern_entries",
-            "store_intern_entries",
-            s.intern_entries,
-        ),
         (
             "store_lock_acquisitions",
             "store_lock_acquisitions_total",

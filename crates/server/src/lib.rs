@@ -14,9 +14,9 @@
 //!
 //! ```text
 //! stdin/TCP ──lines──► reader ──batches──► tenant ──► worker pool ──► writer ──► stdout/TCP
-//!                                         registry        │ WorkerStore mirrors (publish per batch)
+//!                                         registry        │ WorkerStore handles (lock-free reads)
 //!                                                          ▼
-//!                                           SharedStore (arena + nrm memos)
+//!                                           SharedStore (arena + memo slots + intern table)
 //!                                           + parse cache + module cache
 //! ```
 //!
