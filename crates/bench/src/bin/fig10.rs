@@ -25,7 +25,9 @@
 //! noise of each other, and a strict `warm ≤ cold` intermittently
 //! flaked. The observed margin (max over cases of `warm − cold`) is
 //! reported per suite in the JSON as `warm_margin_ns`, so a drifting
-//! warm path is visible long before it trips the gate.
+//! warm path is visible long before it trips the gate. Every run exits
+//! non-zero when it has no aggregate or a suite without rows: such a
+//! record measured nothing.
 //! (`--count` is accepted as an alias of `--cases`.)
 
 use algst_bench::{measure_case, ms, suite_stats, Measurement, SuiteStats};
@@ -109,6 +111,10 @@ fn main() {
     if let Some(path) = &args.json_path {
         write_json(path, &args, &suites);
     }
+    if let Err(e) = check_record(&suites) {
+        eprintln!("fig10: {e}");
+        std::process::exit(1);
+    }
     if args.check_warm {
         let mut violations = 0usize;
         let mut max_margin_ns = i64::MIN;
@@ -138,6 +144,17 @@ fn main() {
             "--check-warm: ok (warm <= cold + {WARM_EPSILON_NS} ns on every case; \
              max observed margin {max_margin_ns} ns)"
         );
+    }
+}
+
+/// The record's aggregates (one per suite) and rows must not be empty.
+fn check_record(suites: &[(SuiteKind, Vec<Measurement>)]) -> Result<(), String> {
+    if suites.is_empty() {
+        return Err("no suite ran: the record has no aggregates".into());
+    }
+    match suites.iter().find(|(_, rows)| rows.is_empty()) {
+        Some((kind, _)) => Err(format!("suite {} has no rows", suite_name(*kind))),
+        None => Ok(()),
     }
 }
 
@@ -375,4 +392,25 @@ fn run_suite(kind: SuiteKind, args: &Args) -> Vec<Measurement> {
         eprintln!("wrote {path}");
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_without_aggregates_or_rows_is_refused() {
+        assert!(check_record(&[]).is_err());
+        let kind = SuiteKind::Equivalent;
+        assert!(check_record(&[(kind, Vec::new())]).is_err());
+        let row = Measurement {
+            case_id: 0,
+            nodes: 1,
+            algst: Duration::from_nanos(1),
+            algst_warm: Duration::from_nanos(1),
+            freest: None,
+            agreed: true,
+        };
+        assert!(check_record(&[(kind, vec![row])]).is_ok());
+    }
 }

@@ -5,21 +5,22 @@
 //! (editors re-sending buffers, health checks, load generators). Type
 //! checking is pure — same source, same verdict — so the server keys a
 //! cache by the *exact source text* and pays elaboration + checking once
-//! per distinct program. The cache keeps only what a `check` answer
-//! needs: the verdict and, for a failure, the error text. The checked
-//! [`Module`](crate::Module) itself (declarations, trees, definitions)
-//! is dropped, so the cache's footprint is the sources and the errors.
-//! It holds no [`TypeId`](algst_core::store::TypeId) either, so an entry
-//! stays valid across store compactions: a server engine keeps the cache
+//! per distinct program. A miss checks only the module's own
+//! declarations: the prelude is checked once per process, and its
+//! bindings are not even elaborated here. The cache keeps only what a
+//! `check` answer needs: the verdict and, for a failure, the error text.
+//! No [`Module`](crate::Module) is built, and no
+//! [`TypeId`](algst_core::store::TypeId) is kept, so an entry stays
+//! valid across store compactions: a server engine keeps the cache
 //! when it compacts its store.
 //!
 //! The type-level warm state behind a hit is shared too: elaboration
-//! interns signatures and alias bodies through the **caller's
+//! interns every signature and annotation through the **caller's
 //! [`Session`]** — the one each engine worker passes in — so even
-//! *distinct* programs using the same types reuse each other's
-//! normalization work, without ever touching a process-global store.
+//! *distinct* programs using the same types reuse each other's nodes
+//! and normal forms, without ever touching a process-global store.
 
-use crate::check_source_in;
+use crate::verdict_in;
 use algst_core::Session;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -42,9 +43,10 @@ pub struct CacheStats {
 /// (whole programs), so the bound is modest.
 pub const DEFAULT_MODULE_CACHE_CAP: usize = 4096;
 
-/// Memoizes the verdict of [`check_source_in`] by source text, bounded at a fixed
-/// entry cap (the map is cleared when full — sources are self-contained
-/// so a dropped entry only costs one re-check).
+/// Memoizes the verdict of [`check_source_in`](crate::check_source_in)
+/// by source text, bounded at a fixed entry cap (the map is cleared when
+/// full — sources are self-contained so a dropped entry only costs one
+/// re-check).
 /// Cheap to share behind an `Arc`; all methods take `&self` (the
 /// mutable state is the per-worker [`Session`] passed per call).
 pub struct ModuleCache {
@@ -87,19 +89,18 @@ impl ModuleCache {
         }
     }
 
-    /// The verdict of [`check_source_in`] through the cache, against the
-    /// caller's `session`: `Ok(())` or the error text. The second
-    /// component is true on a cache hit. The lock is *not* held while checking, so slow
-    /// programs do not serialize the pool; two workers racing on the
-    /// same new source may both check it (same result, last write wins).
+    /// The verdict of [`check_source_in`](crate::check_source_in)
+    /// through the cache, against the caller's `session`: `Ok(())` or the
+    /// error text. The second component is true on a cache hit. The lock
+    /// is *not* held while checking, so slow programs do not serialize
+    /// the pool; two workers racing on the same new source may both check
+    /// it (same result, last write wins).
     pub fn check_source(&self, session: &mut Session, src: &str) -> (Result<(), String>, bool) {
         if let Some(hit) = self.map.lock().get(src) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit.clone(), true);
         }
-        let result = check_source_in(session, src)
-            .map(drop)
-            .map_err(|e| e.to_string());
+        let result = verdict_in(session, src).map_err(|e| e.to_string());
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock();
         if map.len() >= self.cap {

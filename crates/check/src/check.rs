@@ -17,14 +17,17 @@
 //! [`TNode`]s to destructure types, builds new ones with `mk_node`, and
 //! normalizes with the store's memoized `nrm`. Since α-equivalent normal
 //! forms share one id, every equality test (E-Check, branch agreement,
-//! context agreement) is `==` on ids. Annotations in the core term are
-//! trees, interned where the rule reads them (E-Abs, E-Rec, E-TApp);
-//! declared constructor fields are interned once per checker
-//! ([`FieldTypes`]). A tree is extracted only to build a [`TypeError`].
+//! context agreement) is `==` on ids. The core term's annotations are
+//! ids of the same session, interned once by the elaborator: E-Abs,
+//! E-Rec and E-TApp only kind-check and normalize them. Literal, builtin
+//! and constant types are built node by node; declared constructor
+//! fields are interned once per checker ([`FieldTypes`]). A tree is
+//! extracted only to build a [`TypeError`].
 //!
 //! The session is **injected** ([`Checker::new`]): two checkers over
 //! two sessions share no state, and a server can hand every worker its
-//! own engine.
+//! own engine. A module's check runs its own definitions only; the
+//! prelude's are checked once per process ([`crate::check_source_in`]).
 
 use crate::constants::type_of_const;
 use crate::context::Ctx;
@@ -59,12 +62,12 @@ impl FieldTypes {
 }
 
 /// The expression typechecker. Holds the global protocol/datatype
-/// declarations `Δ`, the stack of in-scope type variables, and the
-/// [`Session`] every type lives in.
+/// declarations with the stack of in-scope type variables (`Δ`), and
+/// the [`Session`] every type lives in.
 pub struct Checker<'d, 's> {
     decls: &'d Declarations,
     session: &'s mut Session,
-    tyvars: Vec<(Symbol, Kind)>,
+    kinds: KindCtx<'d>,
     fields: FieldTypes,
 }
 
@@ -73,7 +76,7 @@ impl<'d, 's> Checker<'d, 's> {
         Checker {
             decls,
             session,
-            tyvars: Vec::new(),
+            kinds: KindCtx::new(decls),
             fields: FieldTypes::default(),
         }
     }
@@ -82,18 +85,9 @@ impl<'d, 's> Checker<'d, 's> {
         self.decls
     }
 
-    fn kind_ctx(&self) -> KindCtx<'d> {
-        let mut ctx = KindCtx::new(self.decls);
-        for (v, k) in &self.tyvars {
-            ctx.push_var(*v, *k);
-        }
-        ctx
-    }
-
-    /// Interns an annotation, checks its kind and returns its normal form.
-    fn annotation(&mut self, ty: &Type, k: Kind) -> Result<TypeId, TypeError> {
-        let id = self.session.intern(ty);
-        self.kind_ctx().check_id(self.session.local(), id, k)?;
+    /// Checks an annotation's kind and returns its normal form.
+    fn annotation(&mut self, id: TypeId, k: Kind) -> Result<TypeId, TypeError> {
+        self.kinds.check_id(self.session.local(), id, k)?;
         Ok(self.session.nrm(id))
     }
 
@@ -149,8 +143,8 @@ impl<'d, 's> Checker<'d, 's> {
     pub fn synth(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<TypeId, TypeError> {
         match e {
             // E-Const (literals, builtins and session constants)
-            Expr::Lit(l) => Ok(self.session.intern(&l.type_of())),
-            Expr::Builtin(b) => Ok(self.session.intern(&b.type_of())),
+            Expr::Lit(l) => Ok(l.type_of(self.session)),
+            Expr::Builtin(b) => Ok(b.type_of(self.session)),
             Expr::Const(c) => type_of_const(self.session, self.decls, &mut self.fields, *c),
 
             // E-Var / E-Var⋆
@@ -158,7 +152,7 @@ impl<'d, 's> Checker<'d, 's> {
 
             // E-Abs
             Expr::Abs(x, ann, body) => {
-                let v = self.annotation(ann, Kind::Value)?;
+                let v = self.annotation(*ann, Kind::Value)?;
                 self.push_term(ctx, *x, v);
                 let u = self.synth(ctx, body)?;
                 ctx.expect_consumed(*x)?;
@@ -194,9 +188,9 @@ impl<'d, 's> Checker<'d, 's> {
                 if !v.is_value() {
                     return Err(TypeError::TAbsNotValue);
                 }
-                self.tyvars.push((*alpha, *kappa));
+                self.kinds.push_var(*alpha, *kappa);
                 let t = self.synth(ctx, v);
-                self.tyvars.pop();
+                self.kinds.pop_var();
                 Ok(self.session.close(*alpha, *kappa, t?))
             }
 
@@ -209,15 +203,17 @@ impl<'d, 's> Checker<'d, 's> {
                 let TNode::Forall(kappa, _) = self.node(ft) else {
                     return Err(TypeError::NotAForall(self.show(ft)));
                 };
-                let aid = self.session.intern(arg);
-                self.kind_ctx().check_id(self.session.local(), aid, kappa)?;
-                let inst = self.session.instantiate(ft, aid).expect("matched a Forall");
+                self.kinds.check_id(self.session.local(), *arg, kappa)?;
+                let inst = self
+                    .session
+                    .instantiate(ft, *arg)
+                    .expect("matched a Forall");
                 Ok(self.session.nrm(inst))
             }
 
             // E-Rec: unrestricted self-binding, no linear captures.
             Expr::Rec(x, ann, v) => {
-                let vty = self.annotation(ann, Kind::Value)?;
+                let vty = self.annotation(*ann, Kind::Value)?;
                 if !matches!(self.node(vty), TNode::Arrow(..) | TNode::Forall(..)) {
                     return Err(TypeError::RecNotArrow(self.show(vty)));
                 }
@@ -334,9 +330,9 @@ impl<'d, 's> Checker<'d, 's> {
                     .session
                     .instantiate(expected, var)
                     .expect("matched a Forall");
-                self.tyvars.push((*alpha, *kappa));
+                self.kinds.push_var(*alpha, *kappa);
                 let r = self.check(ctx, v, goal);
-                self.tyvars.pop();
+                self.kinds.pop_var();
                 r
             }
 

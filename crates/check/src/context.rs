@@ -52,14 +52,6 @@ impl Ctx {
         Ctx::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub fn push_linear(&mut self, name: Symbol, ty: TypeId) {
         self.entries.push(Entry {
             name,
@@ -149,10 +141,6 @@ impl Ctx {
             .iter()
             .filter(|e| e.usage == Usage::Linear)
             .collect()
-    }
-
-    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter()
     }
 }
 

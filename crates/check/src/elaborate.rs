@@ -3,7 +3,8 @@
 //! Responsibilities:
 //!
 //! * resolve type names (protocol vs. datatype vs. alias vs. builtin) and
-//!   expand (non-recursive) type aliases;
+//!   expand (non-recursive) type aliases, interning every type straight
+//!   into the session: annotations are [`TypeId`]s from here on;
 //! * build the global [`Declarations`] table;
 //! * turn function equations `f [s] x c = e` plus their signatures into
 //!   core `Λ`/`λ` chains (annotations read off the signature);
@@ -15,30 +16,36 @@
 use crate::error::{CheckError, TypeError};
 use algst_core::expr::{Arm, Builtin, Const, Expr};
 use algst_core::protocol::{Ctor, DataDecl, Declarations, ProtocolDecl};
-use algst_core::store::TypeId;
-use algst_core::subst::Subst;
+use algst_core::store::{StoreOps, TNode, TypeId};
 use algst_core::symbol::Symbol;
-use algst_core::types::Type;
+use algst_core::types::BaseType;
 use algst_core::Session;
-use algst_syntax::ast::{BindingDecl, Decl, Param, Pattern, SArm, SExpr, SType, SignatureDecl};
+use algst_syntax::ast::{Decl, Param, Pattern, SArm, SExpr, SType, SignatureDecl};
 use std::collections::{HashMap, HashSet};
 
 /// Result of elaborating a whole program.
 #[derive(Debug)]
 pub struct Elaborated {
     pub decls: Declarations,
-    /// Signatures in source order, resolved but not normalized.
-    pub sigs: Vec<(Symbol, Type)>,
-    /// Definitions in source order.
+    /// Signatures in source order (the prelude's first), resolved but
+    /// not normalized.
+    pub sigs: Vec<(Symbol, TypeId)>,
+    /// The program's definitions in source order.
     pub defs: Vec<(Symbol, Expr)>,
 }
 
-/// Elaborates a parsed program given as consecutive declaration lists
-/// (e.g. the prelude's, then the user's), read in place. Alias bodies
-/// are interned into `session`, so later instantiations are id-level
-/// and capture-free.
-pub fn elaborate(parts: &[&[Decl]], session: &mut Session) -> Result<Elaborated, CheckError> {
-    let program = || parts.iter().copied().flatten();
+/// Elaborates `program` against `session`, after the already-checked
+/// declarations of `prelude`, read in place. The prelude's signatures
+/// are globals and come first in `sigs`; its bindings are not
+/// elaborated, but their names are taken. Every type is interned into
+/// `session`; alias uses instantiate the alias body by id-level
+/// substitution (capture-free).
+pub fn elaborate(
+    prelude: &[Decl],
+    program: &[Decl],
+    session: &mut Session,
+) -> Result<Elaborated, CheckError> {
+    let program = || prelude.iter().chain(program);
     // Pass 1: collect headers so names resolve regardless of order.
     let mut protocol_names: HashSet<Symbol> = HashSet::new();
     let mut data_names: HashSet<Symbol> = HashSet::new();
@@ -70,83 +77,73 @@ pub fn elaborate(parts: &[&[Decl]], session: &mut Session) -> Result<Elaborated,
     // Pass 2: build declaration table.
     let mut decls = Declarations::new();
     for d in program() {
+        let (Decl::Protocol(td) | Decl::Data(td)) = d else {
+            continue;
+        };
+        let ctors = (td.ctors.iter())
+            .map(|c| {
+                // The table holds trees.
+                let args = c.args.iter().map(|t| {
+                    let id = resolver.resolve(t)?;
+                    Ok::<_, TypeError>(resolver.session.extract(id))
+                });
+                Ok(Ctor {
+                    tag: c.name,
+                    args: args.collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<Vec<_>, TypeError>>()?;
+        let (name, params) = (td.name, td.params.clone());
         match d {
-            Decl::Protocol(td) => {
-                let ctors = td
-                    .ctors
-                    .iter()
-                    .map(|c| {
-                        Ok(Ctor {
-                            tag: c.name,
-                            args: c
-                                .args
-                                .iter()
-                                .map(|t| resolver.resolve(t))
-                                .collect::<Result<_, _>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, TypeError>>()?;
-                decls.add_protocol(ProtocolDecl {
-                    name: td.name,
-                    params: td.params.clone(),
-                    ctors,
-                })?;
-            }
-            Decl::Data(td) => {
-                let ctors = td
-                    .ctors
-                    .iter()
-                    .map(|c| {
-                        Ok(Ctor {
-                            tag: c.name,
-                            args: c
-                                .args
-                                .iter()
-                                .map(|t| resolver.resolve(t))
-                                .collect::<Result<_, _>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, TypeError>>()?;
-                decls.add_data(DataDecl {
-                    name: td.name,
-                    params: td.params.clone(),
-                    ctors,
-                })?;
-            }
-            _ => {}
+            Decl::Protocol(_) => decls.add_protocol(ProtocolDecl {
+                name,
+                params,
+                ctors,
+            })?,
+            _ => decls.add_data(DataDecl {
+                name,
+                params,
+                ctors,
+            })?,
         }
     }
     decls.validate()?;
 
     // Pass 3: signatures.
-    let mut sigs: Vec<(Symbol, Type)> = Vec::new();
-    let mut sig_map: HashMap<Symbol, Type> = HashMap::new();
+    let mut sigs: Vec<(Symbol, TypeId)> = Vec::new();
+    let mut sig_map: HashMap<Symbol, TypeId> = HashMap::new();
     for d in program() {
         if let Decl::Signature(SignatureDecl { name, ty, .. }) = d {
             if sig_map.contains_key(name) {
                 return Err(TypeError::DuplicateDefinition(*name).into());
             }
             let resolved = resolver.resolve(ty)?;
-            sigs.push((*name, resolved.clone()));
+            sigs.push((*name, resolved));
             sig_map.insert(*name, resolved);
         }
     }
-    let globals: HashSet<Symbol> = sig_map.keys().copied().collect();
 
     // Pass 4: bindings.
     let mut defs: Vec<(Symbol, Expr)> = Vec::new();
     let mut seen_defs: HashSet<Symbol> = HashSet::new();
-    for d in program() {
+    for (i, d) in program().enumerate() {
         if let Decl::Binding(b) = d {
             if !seen_defs.insert(b.name) {
                 return Err(TypeError::DuplicateDefinition(b.name).into());
             }
-            let sig = sig_map
+            if i < prelude.len() {
+                continue;
+            }
+            let sig = *sig_map
                 .get(&b.name)
-                .ok_or(TypeError::MissingSignature(b.name))?
-                .clone();
-            let expr = elaborate_binding(&mut resolver, &decls, &globals, &sig, b)?;
-            defs.push((b.name, expr));
+                .ok_or(TypeError::MissingSignature(b.name))?;
+            let mut ee = ExprElab {
+                resolver: &mut resolver,
+                decls: &decls,
+                globals: &sig_map,
+                scope: Vec::new(),
+            };
+            defs.push((b.name, build_params(&mut ee, sig, &b.params, &b.body)?));
         }
     }
     for (name, _) in &sigs {
@@ -161,7 +158,7 @@ pub fn elaborate(parts: &[&[Decl]], session: &mut Session) -> Result<Elaborated,
 // ----------------------------------------------------------- type resolver
 
 struct Resolver<'s> {
-    /// The check's session: alias bodies are interned here.
+    /// The check's session: every resolved type is interned here.
     session: &'s mut Session,
     protocol_names: HashSet<Symbol>,
     data_names: HashSet<Symbol>,
@@ -174,33 +171,42 @@ struct Resolver<'s> {
 }
 
 impl Resolver<'_> {
-    fn resolve(&mut self, t: &SType) -> Result<Type, TypeError> {
-        Ok(match t {
-            SType::Unit(_) => Type::Unit,
-            SType::Var(v, _) => Type::Var(*v),
-            SType::Arrow(a, b, _) => Type::arrow(self.resolve(a)?, self.resolve(b)?),
-            SType::Pair(a, b, _) => Type::pair(self.resolve(a)?, self.resolve(b)?),
-            SType::Forall(v, k, body, _) => Type::forall(*v, *k, self.resolve(body)?),
-            SType::In(p, s, _) => Type::input(self.resolve(p)?, self.resolve(s)?),
-            SType::Out(p, s, _) => Type::output(self.resolve(p)?, self.resolve(s)?),
-            SType::EndIn(_) => Type::EndIn,
-            SType::EndOut(_) => Type::EndOut,
-            SType::Dual(s, _) => Type::dual(self.resolve(s)?),
-            SType::Neg(p, _) => Type::neg(self.resolve(p)?),
+    fn mk(&mut self, node: TNode) -> TypeId {
+        self.session.mk_node(node)
+    }
+
+    /// Resolves `t` into the session, bottom-up with `mk_node`: type
+    /// variables are free until their `forall` closes over them.
+    fn resolve(&mut self, t: &SType) -> Result<TypeId, TypeError> {
+        let node = match t {
+            SType::Unit(_) => TNode::Unit,
+            SType::Var(v, _) => TNode::Free(*v),
+            SType::Arrow(a, b, _) => TNode::Arrow(self.resolve(a)?, self.resolve(b)?),
+            SType::Pair(a, b, _) => TNode::Pair(self.resolve(a)?, self.resolve(b)?),
+            SType::Forall(v, k, body, _) => {
+                let body = self.resolve(body)?;
+                return Ok(self.session.close(*v, *k, body));
+            }
+            SType::In(p, s, _) => TNode::In(self.resolve(p)?, self.resolve(s)?),
+            SType::Out(p, s, _) => TNode::Out(self.resolve(p)?, self.resolve(s)?),
+            SType::EndIn(_) => TNode::EndIn,
+            SType::EndOut(_) => TNode::EndOut,
+            SType::Dual(s, _) => TNode::Dual(self.resolve(s)?),
+            SType::Neg(p, _) => TNode::Neg(self.resolve(p)?),
             SType::Name(name, args, _) => {
-                let rargs: Vec<Type> = args
+                let rargs: Vec<TypeId> = args
                     .iter()
                     .map(|a| self.resolve(a))
                     .collect::<Result<_, _>>()?;
                 // Builtins match on the pre-interned symbols: `as_str`
                 // would take the global symbol interner's lock.
                 match *name {
-                    Symbol::INT if rargs.is_empty() => Type::int(),
-                    Symbol::BOOL if rargs.is_empty() => Type::bool(),
-                    Symbol::CHAR if rargs.is_empty() => Type::char(),
-                    Symbol::STRING if rargs.is_empty() => Type::string(),
-                    _ if self.protocol_names.contains(name) => Type::Proto(*name, rargs),
-                    _ if self.data_names.contains(name) => Type::Data(*name, rargs),
+                    Symbol::INT if rargs.is_empty() => TNode::Base(BaseType::Int),
+                    Symbol::BOOL if rargs.is_empty() => TNode::Base(BaseType::Bool),
+                    Symbol::CHAR if rargs.is_empty() => TNode::Base(BaseType::Char),
+                    Symbol::STRING if rargs.is_empty() => TNode::Base(BaseType::Str),
+                    _ if self.protocol_names.contains(name) => TNode::Proto(*name, rargs),
+                    _ if self.data_names.contains(name) => TNode::Data(*name, rargs),
                     _ if self.alias_srcs.contains_key(name) => {
                         let (params, body) = self.resolve_alias(*name)?;
                         if params.len() != rargs.len() {
@@ -210,16 +216,14 @@ impl Resolver<'_> {
                                 found: rargs.len(),
                             });
                         }
-                        {
-                            let inst =
-                                Subst::parallel(&params, &rargs).apply_interned(self.session, body);
-                            self.session.extract(inst)
-                        }
+                        let map = params.into_iter().zip(rargs).collect();
+                        return Ok(self.session.subst_free(body, &map));
                     }
                     _ => return Err(TypeError::UnknownTypeName(*name)),
                 }
             }
-        })
+        };
+        Ok(self.mk(node))
     }
 
     fn resolve_alias(&mut self, name: Symbol) -> Result<(Vec<Symbol>, TypeId), TypeError> {
@@ -235,7 +239,6 @@ impl Resolver<'_> {
             .cloned()
             .expect("resolve_alias called for a known alias");
         let body = self.resolve(&body_src)?;
-        let body = self.session.intern(&body);
         self.visiting.remove(&name);
         let entry = (params, body);
         self.alias_cache.insert(name, entry.clone());
@@ -247,81 +250,55 @@ impl Resolver<'_> {
 
 /// Turns an equation `f p₁ … pₙ = e` with signature `T` into nested
 /// `Λ`/`λ` abstractions whose annotations are read off `T`.
-fn elaborate_binding(
-    resolver: &mut Resolver<'_>,
-    decls: &Declarations,
-    globals: &HashSet<Symbol>,
-    sig: &Type,
-    binding: &BindingDecl,
-) -> Result<Expr, CheckError> {
-    let mut ee = ExprElab {
-        resolver,
-        decls,
-        globals,
-        scope: Vec::new(),
-    };
-    let e = build_params(&mut ee, sig, &binding.params, &binding.body)?;
-    Ok(e)
-}
-
 fn build_params(
     ee: &mut ExprElab<'_, '_>,
-    ty: &Type,
+    ty: TypeId,
     params: &[Param],
     body: &SExpr,
 ) -> Result<Expr, CheckError> {
     let Some((first, rest)) = params.split_first() else {
         return Ok(ee.elab(body)?);
     };
-    match first {
-        Param::Term(x) => match ty {
-            Type::Arrow(dom, cod) => {
-                ee.scope.push(*x);
-                let inner = build_params(ee, cod, rest, body)?;
-                ee.scope.pop();
-                Ok(Expr::abs(*x, (**dom).clone(), inner))
-            }
-            other => Err(TypeError::NotAFunction(other.clone()).into()),
-        },
-        Param::Wild => match ty {
-            Type::Arrow(dom, cod) => {
-                let fresh = Symbol::fresh("_wild");
-                ee.scope.push(fresh);
-                let inner = build_params(ee, cod, rest, body)?;
-                ee.scope.pop();
-                Ok(Expr::abs(fresh, (**dom).clone(), inner))
-            }
-            other => Err(TypeError::NotAFunction(other.clone()).into()),
-        },
-        Param::Types(vars) => {
-            // Consume one ∀ per listed variable, renaming the binder to the
-            // equation's chosen name.
-            fn go(
-                ee: &mut ExprElab<'_, '_>,
-                ty: &Type,
-                vars: &[Symbol],
-                rest: &[Param],
-                body: &SExpr,
-            ) -> Result<Expr, CheckError> {
-                let Some((v, more)) = vars.split_first() else {
-                    return build_params(ee, ty, rest, body);
-                };
-                match ty {
-                    Type::Forall(alpha, kappa, u) => {
-                        let renamed = if alpha == v {
-                            (**u).clone()
-                        } else {
-                            algst_core::subst::subst_type(u, *alpha, &Type::Var(*v))
-                        };
-                        let inner = go(ee, &renamed, more, rest, body)?;
-                        Ok(Expr::tabs(*v, *kappa, inner))
-                    }
-                    other => Err(TypeError::NotAForall(other.clone()).into()),
-                }
-            }
-            go(ee, ty, vars, rest, body)
+    let session = &mut *ee.resolver.session;
+    let node = session.node_owned(ty);
+    match (first, node) {
+        (Param::Term(_) | Param::Wild, TNode::Arrow(dom, cod)) => {
+            let x = match first {
+                Param::Term(x) => *x,
+                _ => Symbol::fresh("_wild"),
+            };
+            ee.scope.push(x);
+            let inner = build_params(ee, cod, rest, body)?;
+            ee.scope.pop();
+            Ok(Expr::abs(x, dom, inner))
         }
+        (Param::Term(_) | Param::Wild, _) => {
+            Err(TypeError::NotAFunction(session.extract(ty)).into())
+        }
+        (Param::Types(vars), _) => build_tyvars(ee, ty, vars, rest, body),
     }
+}
+
+/// Consumes one ∀ of `ty` per listed variable, naming its binder after
+/// the equation's variable.
+fn build_tyvars(
+    ee: &mut ExprElab<'_, '_>,
+    ty: TypeId,
+    vars: &[Symbol],
+    rest: &[Param],
+    body: &SExpr,
+) -> Result<Expr, CheckError> {
+    let Some((v, more)) = vars.split_first() else {
+        return build_params(ee, ty, rest, body);
+    };
+    let session = &mut *ee.resolver.session;
+    let TNode::Forall(kappa, _) = session.node_owned(ty) else {
+        return Err(TypeError::NotAForall(session.extract(ty)).into());
+    };
+    let var = session.mk_node(TNode::Free(*v));
+    let ty = session.instantiate(ty, var).expect("matched a Forall");
+    let inner = build_tyvars(ee, ty, more, rest, body)?;
+    Ok(Expr::tabs(*v, kappa, inner))
 }
 
 // ------------------------------------------------------ expression elabor.
@@ -329,12 +306,13 @@ fn build_params(
 struct ExprElab<'r, 's> {
     resolver: &'r mut Resolver<'s>,
     decls: &'r Declarations,
-    globals: &'r HashSet<Symbol>,
+    /// The signatures, by name: the module-level definitions.
+    globals: &'r HashMap<Symbol, TypeId>,
     scope: Vec<Symbol>,
 }
 
 impl ExprElab<'_, '_> {
-    fn resolve_ty(&mut self, t: &SType) -> Result<Type, TypeError> {
+    fn resolve_ty(&mut self, t: &SType) -> Result<TypeId, TypeError> {
         self.resolver.resolve(t)
     }
 
@@ -382,8 +360,7 @@ impl ExprElab<'_, '_> {
                 Ok(acc)
             }
             SExpr::BinOp(op, l, r, _) => {
-                let b =
-                    Builtin::from_operator(op.as_str()).ok_or(TypeError::UnboundVariable(*op))?;
+                let b = Builtin::from_operator(*op).ok_or(TypeError::UnboundVariable(*op))?;
                 Ok(Expr::apps(Expr::Builtin(b), [self.elab(l)?, self.elab(r)?]))
             }
             SExpr::Pair(a, b, _) => Ok(Expr::pair(self.elab(a)?, self.elab(b)?)),
@@ -437,20 +414,24 @@ impl ExprElab<'_, '_> {
     }
 
     fn resolve_var(&self, x: Symbol) -> Result<Expr, TypeError> {
-        if self.scope.contains(&x) || self.globals.contains(&x) {
+        if self.scope.contains(&x) || self.globals.contains_key(&x) {
             return Ok(Expr::Var(x));
         }
-        match x.as_str() {
-            "fork" => Ok(Expr::Const(Const::Fork)),
-            "new" => Ok(Expr::Const(Const::New)),
-            "receive" => Ok(Expr::Const(Const::Receive)),
-            "send" => Ok(Expr::Const(Const::Send)),
-            "wait" => Ok(Expr::Const(Const::Wait)),
-            "terminate" => Ok(Expr::Const(Const::Terminate)),
-            other => Builtin::from_name(other)
-                .map(Expr::Builtin)
-                .ok_or(TypeError::UnboundVariable(x)),
-        }
+        // Pre-interned symbols: no interner lock per name.
+        let c = match x {
+            Symbol::FORK => Const::Fork,
+            Symbol::NEW => Const::New,
+            Symbol::RECEIVE => Const::Receive,
+            Symbol::SEND => Const::Send,
+            Symbol::WAIT => Const::Wait,
+            Symbol::TERMINATE => Const::Terminate,
+            _ => {
+                return Builtin::from_name(x)
+                    .map(Expr::Builtin)
+                    .ok_or(TypeError::UnboundVariable(x))
+            }
+        };
+        Ok(Expr::Const(c))
     }
 
     /// Constructor applied to `args`: saturate exactly, or η-expand a

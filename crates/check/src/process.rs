@@ -21,7 +21,7 @@ use algst_core::store::{StoreOps, TNode};
 use algst_core::Session;
 
 /// Checks `Γ ⊢ p` with `ctx` threaded through the process tree, against
-/// the caller's `session`.
+/// the caller's `session`: the one whose ids annotate `p`.
 pub fn check_process(
     session: &mut Session,
     decls: &Declarations,
@@ -38,10 +38,9 @@ pub fn check_process(
             check_process(session, decls, ctx, p2)
         }
         Process::New(x, y, ty, body) => {
-            let id = session.intern(ty);
-            KindCtx::new(decls).check_id(session.local(), id, Kind::Session)?;
-            ctx.push_linear(*x, session.nrm(id));
-            ctx.push_linear(*y, session.nrm_neg(id));
+            KindCtx::new(decls).check_id(session.local(), *ty, Kind::Session)?;
+            ctx.push_linear(*x, session.nrm(*ty));
+            ctx.push_linear(*y, session.nrm_neg(*ty));
             check_process(session, decls, ctx, body)?;
             ctx.expect_consumed(*y)?;
             ctx.expect_consumed(*x)
@@ -49,12 +48,14 @@ pub fn check_process(
     }
 }
 
-/// Checks a closed process against a fresh global-store session: no
-/// free linear resources before or after.
-pub fn check_process_closed(decls: &Declarations, p: &Process) -> Result<(), TypeError> {
-    let mut session = Session::global();
+/// Checks a closed process: no free linear resources before or after.
+pub fn check_process_closed(
+    session: &mut Session,
+    decls: &Declarations,
+    p: &Process,
+) -> Result<(), TypeError> {
     let mut ctx = Ctx::new();
-    check_process(&mut session, decls, &mut ctx, p)?;
+    check_process(session, decls, &mut ctx, p)?;
     if let Some(stray) = ctx.linear_names().first() {
         return Err(TypeError::UnusedLinear(*stray));
     }
@@ -71,36 +72,38 @@ mod tests {
     fn closed_thread_checks() {
         let decls = Declarations::new();
         let p = Process::thread(Expr::unit());
-        check_process_closed(&decls, &p).unwrap();
+        check_process_closed(&mut Session::new(), &decls, &p).unwrap();
     }
 
     #[test]
     fn new_channel_split_between_threads() {
         // (νxy : End!) ( ⟨terminate x⟩ | ⟨wait y⟩ )
         let decls = Declarations::new();
+        let mut s = Session::new();
         let p = Process::new_chan(
             "x",
             "y",
-            Type::EndOut,
+            s.intern(&Type::EndOut),
             Process::par(
                 Process::thread(Expr::app(Expr::Const(Const::Terminate), Expr::var("x"))),
                 Process::thread(Expr::app(Expr::Const(Const::Wait), Expr::var("y"))),
             ),
         );
-        check_process_closed(&decls, &p).unwrap();
+        check_process_closed(&mut s, &decls, &p).unwrap();
     }
 
     #[test]
     fn unused_channel_end_is_an_error() {
         let decls = Declarations::new();
+        let mut s = Session::new();
         let p = Process::new_chan(
             "x",
             "y",
-            Type::EndOut,
+            s.intern(&Type::EndOut),
             Process::thread(Expr::app(Expr::Const(Const::Terminate), Expr::var("x"))),
         );
         assert!(matches!(
-            check_process_closed(&decls, &p),
+            check_process_closed(&mut s, &decls, &p),
             Err(TypeError::UnusedLinear(_))
         ));
     }
@@ -109,10 +112,12 @@ mod tests {
     fn channel_typed_with_dual_ends() {
         // (νxy : !Int.End!) (⟨send 1 x |> terminate⟩ | ⟨…receive…⟩)
         let decls = Declarations::new();
+        let mut s = Session::new();
+        let [int, end_out, end_in] = [Type::int(), Type::EndOut, Type::EndIn].map(|t| s.intern(&t));
         let send_side = Expr::app(
             Expr::Const(Const::Terminate),
             Expr::apps(
-                Expr::tapps(Expr::Const(Const::Send), [Type::int(), Type::EndOut]),
+                Expr::tapps(Expr::Const(Const::Send), [int, end_out]),
                 [Expr::int(1), Expr::var("x")],
             ),
         );
@@ -120,7 +125,7 @@ mod tests {
             "v",
             "y2",
             Expr::app(
-                Expr::tapps(Expr::Const(Const::Receive), [Type::int(), Type::EndIn]),
+                Expr::tapps(Expr::Const(Const::Receive), [int, end_in]),
                 Expr::var("y"),
             ),
             Expr::let_unit(
@@ -141,9 +146,9 @@ mod tests {
         let p = Process::new_chan(
             "x",
             "y",
-            Type::output(Type::int(), Type::EndOut),
+            s.intern(&Type::output(Type::int(), Type::EndOut)),
             Process::par(Process::thread(send_side), Process::thread(recv_side)),
         );
-        check_process_closed(&decls, &p).unwrap();
+        check_process_closed(&mut s, &decls, &p).unwrap();
     }
 }

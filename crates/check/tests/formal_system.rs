@@ -7,6 +7,7 @@ use algst_core::expr::{Arm, Const, Expr};
 use algst_core::kind::Kind;
 use algst_core::normalize::nrm_pos;
 use algst_core::protocol::{Ctor, Declarations, ProtocolDecl};
+use algst_core::store::TypeId;
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
 use algst_core::Session;
@@ -44,7 +45,7 @@ fn synth(
 fn identity_synthesizes() {
     let d = decls();
     let mut s = Session::new();
-    let id = Expr::abs("x", Type::int(), Expr::var("x"));
+    let id = Expr::abs("x", s.intern(&Type::int()), Expr::var("x"));
     let t = synth(&mut s, &d, &mut Ctx::new(), &id).unwrap();
     assert_eq!(t.to_string(), "Int -> Int");
 }
@@ -57,7 +58,10 @@ fn tabs_value_restriction() {
     let bad = Expr::tabs(
         "a",
         Kind::Session,
-        Expr::app(Expr::abs("x", Type::Unit, Expr::var("x")), Expr::unit()),
+        Expr::app(
+            Expr::abs("x", s.intern(&Type::Unit), Expr::var("x")),
+            Expr::unit(),
+        ),
     );
     assert!(matches!(
         synth(&mut s, &d, &mut Ctx::new(), &bad),
@@ -84,7 +88,7 @@ fn unannotated_lambda_has_no_synthesis_rule() {
 fn rec_requires_arrow_annotation() {
     let d = decls();
     let mut s = Session::new();
-    let bad = Expr::rec("f", Type::int(), Expr::int(3));
+    let bad = Expr::rec("f", s.intern(&Type::int()), Expr::int(3));
     assert!(matches!(
         synth(&mut s, &d, &mut Ctx::new(), &bad),
         Err(TypeError::RecNotArrow(_))
@@ -98,13 +102,13 @@ fn rec_cannot_capture_linear_variables() {
     // rec f: Unit -> Unit. λu:Unit. let * = terminate c in u — captures c.
     let body = Expr::abs(
         "u",
-        Type::Unit,
+        s.intern(&Type::Unit),
         Expr::let_unit(
             Expr::app(Expr::Const(Const::Terminate), Expr::var("c")),
             Expr::var("u"),
         ),
     );
-    let rec = Expr::rec("f", Type::arrow(Type::Unit, Type::Unit), body);
+    let rec = Expr::rec("f", s.intern(&Type::arrow(Type::Unit, Type::Unit)), body);
     let mut ctx = Ctx::new();
     let ty = s.intern(&Type::EndOut);
     ctx.push_linear(Symbol::intern("c"), ty);
@@ -121,7 +125,7 @@ fn local_rec_function_applies() {
     // (rec f: Int -> Int. λn:Int. if n == 0 then 0 else f (n - 1)) 3 ⇒ Int
     let body = Expr::abs(
         "n",
-        Type::int(),
+        s.intern(&Type::int()),
         Expr::if_(
             Expr::apps(
                 Expr::Builtin(algst_core::expr::Builtin::Eq),
@@ -138,7 +142,7 @@ fn local_rec_function_applies() {
         ),
     );
     let e = Expr::app(
-        Expr::rec("f", Type::arrow(Type::int(), Type::int()), body),
+        Expr::rec("f", s.intern(&Type::arrow(Type::int(), Type::int())), body),
         Expr::int(3),
     );
     let t = synth(&mut s, &d, &mut Ctx::new(), &e).unwrap();
@@ -168,22 +172,25 @@ fn match_pushes_continuations_with_polarity() {
     // FNeg arm: c : ?Int.!Int.End? ; FAdd arm: c : ?Int.?Int.!Int.End?
     let d = decls();
     let mut s = Session::new();
-    let recv_int = |cont_ty: Type, chan: &str| {
+    let int = s.intern(&Type::int());
+    let recv_int = |cont_ty: TypeId, chan: &str| {
         Expr::app(
-            Expr::tapps(Expr::Const(Const::Receive), [Type::int(), cont_ty]),
+            Expr::tapps(Expr::Const(Const::Receive), [int, cont_ty]),
             Expr::var(chan),
         )
     };
-    let send_and_wait = |cont_after: Type, val: Expr, chan: &str| {
+    let send_and_wait = |cont_after: TypeId, val: Expr, chan: &str| {
         // send val chan then wait
         Expr::app(
             Expr::Const(Const::Wait),
             Expr::apps(
-                Expr::tapps(Expr::Const(Const::Send), [Type::int(), cont_after]),
+                Expr::tapps(Expr::Const(Const::Send), [int, cont_after]),
                 [val, Expr::var(chan)],
             ),
         )
     };
+    let out_int_end_in = s.intern(&Type::output(Type::int(), Type::EndIn));
+    let end_in = s.intern(&Type::EndIn);
 
     let neg_arm = Arm {
         tag: Symbol::intern("FNeg"),
@@ -191,8 +198,8 @@ fn match_pushes_continuations_with_polarity() {
         body: Expr::let_pair(
             "x",
             "c",
-            recv_int(Type::output(Type::int(), Type::EndIn), "c"),
-            send_and_wait(Type::EndIn, Expr::var("x"), "c"),
+            recv_int(out_int_end_in, "c"),
+            send_and_wait(end_in, Expr::var("x"), "c"),
         ),
     };
     let add_arm = Arm {
@@ -202,14 +209,17 @@ fn match_pushes_continuations_with_polarity() {
             "x",
             "c",
             recv_int(
-                Type::input(Type::int(), Type::output(Type::int(), Type::EndIn)),
+                s.intern(&Type::input(
+                    Type::int(),
+                    Type::output(Type::int(), Type::EndIn),
+                )),
                 "c",
             ),
             Expr::let_pair(
                 "y",
                 "c",
-                recv_int(Type::output(Type::int(), Type::EndIn), "c"),
-                send_and_wait(Type::EndIn, Expr::var("y"), "c"),
+                recv_int(out_int_end_in, "c"),
+                send_and_wait(end_in, Expr::var("y"), "c"),
             ),
         ),
     };
@@ -255,7 +265,7 @@ fn select_then_send_roundtrip_types() {
     let d = decls();
     let mut s = Session::new();
     let e = Expr::app(
-        Expr::tapp(Expr::select("FNeg"), Type::EndOut),
+        Expr::tapp(Expr::select("FNeg"), s.intern(&Type::EndOut)),
         Expr::var("ch"),
     );
     let mut ctx = Ctx::new();
@@ -271,7 +281,7 @@ fn new_returns_dual_endpoints() {
     let mut s = Session::new();
     let e = Expr::tapp(
         Expr::Const(Const::New),
-        Type::output(Type::int(), Type::EndOut),
+        s.intern(&Type::output(Type::int(), Type::EndOut)),
     );
     let t = synth(&mut s, &d, &mut Ctx::new(), &e).unwrap();
     assert_eq!(t.to_string(), "(!Int.End!, ?Int.End?)");

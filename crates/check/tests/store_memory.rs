@@ -3,23 +3,32 @@
 //! (and every worker attached to it) gives back after a seeded stream
 //! of generated modules; `live_bytes()` — the quantity
 //! `--max-store-bytes` bounds — must match it, and attaching more
-//! workers must not multiply it.
+//! workers must not multiply it. The same allocator counts the
+//! allocations one checked module costs.
 
 // A `GlobalAlloc` implementation is unsafe by definition; it only
 // forwards to the system allocator.
 #![allow(unsafe_code)]
 
+use algst_check::cache::ModuleCache;
 use algst_check::check_source_in;
 use algst_core::shared::SharedStore;
 use algst_core::Session;
 use algst_gen::{generate_program, ProgConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Bytes currently allocated through the global allocator.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// Calls that allocated (`alloc`, `alloc_zeroed`, `realloc`).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test while it reads the counters, so no other test of
+/// this file allocates meanwhile.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -28,6 +37,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -36,6 +46,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -52,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
                 new_size as isize - layout.size() as isize,
                 Ordering::Relaxed,
             );
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -100,9 +112,9 @@ fn store_heap(modules: &[String], workers: usize) -> (u64, u64) {
     )
 }
 
-/// One test, so no other test thread allocates while the heap is read.
 #[test]
 fn live_bytes_track_the_heap_and_workers_add_no_copies() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let stream = modules(600, 0x6d656d);
     let (live_one, heap_one) = store_heap(&stream, 1);
     let (live_four, heap_four) = store_heap(&stream, 4);
@@ -119,4 +131,27 @@ fn live_bytes_track_the_heap_and_workers_add_no_copies() {
         (0.9..=1.1).contains(&spread),
         "4 workers hold {heap_four} bytes, 1 worker {heap_one} ({spread:.2}×)"
     );
+}
+
+/// What one `check` miss costs in allocations on a warm engine session:
+/// the module is parsed, elaborated with every type interned once, and
+/// checked, while the prelude is neither re-checked nor re-elaborated.
+#[test]
+fn a_checked_module_costs_at_most_a_thousand_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let stream = modules(600, 7);
+    let mut session = Session::new();
+    let warm = ModuleCache::new();
+    for m in &stream {
+        let _ = warm.check_source(&mut session, m);
+    }
+    let cache = ModuleCache::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for m in &stream {
+        let (_, hit) = cache.check_source(&mut session, m);
+        assert!(!hit);
+    }
+    let per_module = (ALLOCS.load(Ordering::Relaxed) - before) / stream.len() as u64;
+    eprintln!("{per_module} allocations per checked module");
+    assert!(per_module <= 1_000, "{per_module} allocations per module");
 }

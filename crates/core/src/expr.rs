@@ -12,10 +12,16 @@
 //! over datatypes (the `Case` node doubles as the session `match`; the
 //! typechecker dispatches on the scrutinee's type, mirroring the artifact's
 //! overloaded `case`/`match`).
+//!
+//! Type annotations are [`TypeId`]s of the session that elaborated the
+//! term, interned once there: the checker reads them without interning,
+//! and Act-TApp substitutes through the same store.
 
 use crate::kind::Kind;
+use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
-use crate::types::Type;
+use crate::types::BaseType;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,15 +36,16 @@ pub enum Lit {
 }
 
 impl Lit {
-    /// The type of this literal.
-    pub fn type_of(&self) -> Type {
-        match self {
-            Lit::Unit => Type::Unit,
-            Lit::Int(_) => Type::int(),
-            Lit::Bool(_) => Type::bool(),
-            Lit::Char(_) => Type::char(),
-            Lit::Str(_) => Type::string(),
-        }
+    /// The type of this literal, built in `s`.
+    pub fn type_of<S: StoreOps>(&self, s: &mut S) -> TypeId {
+        let node = match self {
+            Lit::Unit => TNode::Unit,
+            Lit::Int(_) => TNode::Base(BaseType::Int),
+            Lit::Bool(_) => TNode::Base(BaseType::Bool),
+            Lit::Char(_) => TNode::Base(BaseType::Char),
+            Lit::Str(_) => TNode::Base(BaseType::Str),
+        };
+        s.mk_node(node)
     }
 }
 
@@ -114,52 +121,56 @@ pub enum Builtin {
 }
 
 impl Builtin {
-    /// Binary operator spelled with this surface name, if any.
-    pub fn from_operator(op: &str) -> Option<Builtin> {
+    /// Binary operator spelled `op`, if any. Matches pre-interned
+    /// symbols, so it never reads the interner.
+    pub fn from_operator(op: Symbol) -> Option<Builtin> {
         Some(match op {
-            "+" => Builtin::Add,
-            "-" => Builtin::Sub,
-            "*" => Builtin::Mul,
-            "/" => Builtin::Div,
-            "%" => Builtin::Mod,
-            "==" => Builtin::Eq,
-            "/=" => Builtin::Neq,
-            "<" => Builtin::Lt,
-            "<=" => Builtin::Leq,
-            ">" => Builtin::Gt,
-            ">=" => Builtin::Geq,
-            "&&" => Builtin::And,
-            "||" => Builtin::Or,
+            Symbol::OP_ADD => Builtin::Add,
+            Symbol::OP_SUB => Builtin::Sub,
+            Symbol::OP_MUL => Builtin::Mul,
+            Symbol::OP_DIV => Builtin::Div,
+            Symbol::OP_MOD => Builtin::Mod,
+            Symbol::OP_EQ => Builtin::Eq,
+            Symbol::OP_NEQ => Builtin::Neq,
+            Symbol::OP_LT => Builtin::Lt,
+            Symbol::OP_LEQ => Builtin::Leq,
+            Symbol::OP_GT => Builtin::Gt,
+            Symbol::OP_GEQ => Builtin::Geq,
+            Symbol::OP_AND => Builtin::And,
+            Symbol::OP_OR => Builtin::Or,
             _ => return None,
         })
     }
 
-    pub fn from_name(name: &str) -> Option<Builtin> {
+    /// Named builtin `name`, if any (pre-interned, like
+    /// [`Builtin::from_operator`]).
+    pub fn from_name(name: Symbol) -> Option<Builtin> {
         Some(match name {
-            "negate" => Builtin::Negate,
-            "not" => Builtin::Not,
-            "printInt" => Builtin::PrintInt,
-            "printStr" => Builtin::PrintStr,
-            "intToStr" => Builtin::IntToStr,
+            Symbol::NEGATE => Builtin::Negate,
+            Symbol::NOT => Builtin::Not,
+            Symbol::PRINT_INT => Builtin::PrintInt,
+            Symbol::PRINT_STR => Builtin::PrintStr,
+            Symbol::INT_TO_STR => Builtin::IntToStr,
             _ => return None,
         })
     }
 
-    /// The (unrestricted) type of this builtin.
-    pub fn type_of(self) -> Type {
+    /// The (unrestricted) type of this builtin, built in `s` node by
+    /// node.
+    pub fn type_of<S: StoreOps>(self, s: &mut S) -> TypeId {
         use Builtin::*;
-        let int = Type::int();
-        let boolean = Type::bool();
-        match self {
-            Add | Sub | Mul | Div | Mod => Type::arrow(int.clone(), Type::arrow(int.clone(), int)),
-            Negate => Type::arrow(int.clone(), int),
-            Eq | Neq | Lt | Leq | Gt | Geq => Type::arrow(int.clone(), Type::arrow(int, boolean)),
-            Not => Type::arrow(boolean.clone(), boolean),
-            And | Or => Type::arrow(boolean.clone(), Type::arrow(boolean.clone(), boolean)),
-            PrintInt => Type::arrow(int, Type::Unit),
-            PrintStr => Type::arrow(Type::string(), Type::Unit),
-            IntToStr => Type::arrow(int, Type::string()),
-        }
+        let [int, boolean, string] =
+            [BaseType::Int, BaseType::Bool, BaseType::Str].map(|b| s.mk_node(TNode::Base(b)));
+        let (a, r) = match self {
+            Add | Sub | Mul | Div | Mod | Negate => (int, int),
+            Eq | Neq | Lt | Leq | Gt | Geq => (int, boolean),
+            Not | And | Or => (boolean, boolean),
+            PrintInt => (int, s.mk_node(TNode::Unit)),
+            PrintStr => (string, s.mk_node(TNode::Unit)),
+            IntToStr => (int, string),
+        };
+        // `a -> r`, or `a -> a -> r` for the binary ones.
+        (0..self.arity()).fold(r, |r, _| s.mk_node(TNode::Arrow(a, r)))
     }
 
     /// Number of arguments needed before the builtin computes.
@@ -218,7 +229,7 @@ pub enum Expr {
     Builtin(Builtin),
     Var(Symbol),
     /// `λx:T. e`
-    Abs(Symbol, Arc<Type>, Arc<Expr>),
+    Abs(Symbol, TypeId, Arc<Expr>),
     /// `λx. e` — unannotated abstraction; has no synthesis rule and is
     /// checked against an arrow type (rule E-Abs' of Section 5).
     AbsU(Symbol, Arc<Expr>),
@@ -227,9 +238,9 @@ pub enum Expr {
     /// `Λα:κ. v`
     TAbs(Symbol, Kind, Arc<Expr>),
     /// `e [T]`
-    TApp(Arc<Expr>, Arc<Type>),
+    TApp(Arc<Expr>, TypeId),
     /// `rec x:T. v` — unrestricted recursive binding (rule E-Rec).
-    Rec(Symbol, Arc<Type>, Arc<Expr>),
+    Rec(Symbol, TypeId, Arc<Expr>),
     /// `⟨e₁, e₂⟩`
     Pair(Arc<Expr>, Arc<Expr>),
     /// `let ⟨x, y⟩ = e₁ in e₂`
@@ -252,8 +263,8 @@ impl Expr {
     pub fn var(name: impl Into<Symbol>) -> Expr {
         Expr::Var(name.into())
     }
-    pub fn abs(param: impl Into<Symbol>, ty: Type, body: Expr) -> Expr {
-        Expr::Abs(param.into(), Arc::new(ty), Arc::new(body))
+    pub fn abs(param: impl Into<Symbol>, ty: TypeId, body: Expr) -> Expr {
+        Expr::Abs(param.into(), ty, Arc::new(body))
     }
     pub fn abs_u(param: impl Into<Symbol>, body: Expr) -> Expr {
         Expr::AbsU(param.into(), Arc::new(body))
@@ -268,14 +279,14 @@ impl Expr {
     pub fn tabs(var: impl Into<Symbol>, kind: Kind, body: Expr) -> Expr {
         Expr::TAbs(var.into(), kind, Arc::new(body))
     }
-    pub fn tapp(f: Expr, ty: Type) -> Expr {
-        Expr::TApp(Arc::new(f), Arc::new(ty))
+    pub fn tapp(f: Expr, ty: TypeId) -> Expr {
+        Expr::TApp(Arc::new(f), ty)
     }
-    pub fn tapps(f: Expr, tys: impl IntoIterator<Item = Type>) -> Expr {
+    pub fn tapps(f: Expr, tys: impl IntoIterator<Item = TypeId>) -> Expr {
         tys.into_iter().fold(f, Expr::tapp)
     }
-    pub fn rec(name: impl Into<Symbol>, ty: Type, body: Expr) -> Expr {
-        Expr::Rec(name.into(), Arc::new(ty), Arc::new(body))
+    pub fn rec(name: impl Into<Symbol>, ty: TypeId, body: Expr) -> Expr {
+        Expr::Rec(name.into(), ty, Arc::new(body))
     }
     pub fn pair(a: Expr, b: Expr) -> Expr {
         Expr::Pair(Arc::new(a), Arc::new(b))
@@ -359,7 +370,7 @@ pub enum Process {
     /// `p | q`
     Par(Box<Process>, Box<Process>),
     /// `(νxy : T) p`
-    New(Symbol, Symbol, Type, Box<Process>),
+    New(Symbol, Symbol, TypeId, Box<Process>),
 }
 
 impl Process {
@@ -369,7 +380,7 @@ impl Process {
     pub fn par(p: Process, q: Process) -> Process {
         Process::Par(Box::new(p), Box::new(q))
     }
-    pub fn new_chan(x: impl Into<Symbol>, y: impl Into<Symbol>, ty: Type, p: Process) -> Process {
+    pub fn new_chan(x: impl Into<Symbol>, y: impl Into<Symbol>, ty: TypeId, p: Process) -> Process {
         Process::New(x.into(), y.into(), ty, Box::new(p))
     }
 }
@@ -377,26 +388,58 @@ impl Process {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::TypeStore;
+    use crate::types::Type;
 
     #[test]
     fn literal_types() {
-        assert_eq!(Lit::Unit.type_of(), Type::Unit);
-        assert_eq!(Lit::Int(3).type_of(), Type::int());
-        assert_eq!(Lit::Str("hi".into()).type_of(), Type::string());
+        let mut s = TypeStore::new();
+        for (lit, ty) in [
+            (Lit::Unit, Type::Unit),
+            (Lit::Int(3), Type::int()),
+            (Lit::Bool(true), Type::bool()),
+            (Lit::Char('c'), Type::char()),
+            (Lit::Str("hi".into()), Type::string()),
+        ] {
+            assert_eq!(lit.type_of(&mut s), s.intern(&ty));
+        }
+    }
+
+    #[test]
+    fn builtin_types_are_closed() {
+        let mut s = TypeStore::new();
+        for (b, ty) in [
+            (Builtin::Add, "Int -> Int -> Int"),
+            (Builtin::Negate, "Int -> Int"),
+            (Builtin::Eq, "Int -> Int -> Bool"),
+            (Builtin::Not, "Bool -> Bool"),
+            (Builtin::Or, "Bool -> Bool -> Bool"),
+            (Builtin::PrintInt, "Int -> Unit"),
+            (Builtin::PrintStr, "String -> Unit"),
+            (Builtin::IntToStr, "Int -> String"),
+        ] {
+            let id = b.type_of(&mut s);
+            let tree = s.extract(id);
+            assert_eq!(tree.to_string(), ty);
+            assert!(tree.free_vars().is_empty());
+            assert_eq!(s.nrm(id), id, "typeof({b}) is normal");
+        }
     }
 
     #[test]
     fn values_per_grammar() {
+        let mut s = TypeStore::new();
         // λx. x is a value
-        let id = Expr::abs("x", Type::Unit, Expr::var("x"));
+        let id = Expr::abs("x", s.intern(&Type::Unit), Expr::var("x"));
         assert!(id.is_value());
         // (λx.x) * is not
         assert!(!Expr::app(id.clone(), Expr::unit()).is_value());
         // send[T][U] is a value (partial constant)
-        let s = Expr::tapps(Expr::Const(Const::Send), [Type::int(), Type::EndOut]);
-        assert!(s.is_value());
+        let tys = [s.intern(&Type::int()), s.intern(&Type::EndOut)];
+        let send = Expr::tapps(Expr::Const(Const::Send), tys);
+        assert!(send.is_value());
         // send[T][U] v is a value (needs the channel)
-        let sv = Expr::app(s, Expr::int(1));
+        let sv = Expr::app(send, Expr::int(1));
         assert!(sv.is_value());
         // fully applied send is not a value
         let svc = Expr::app(sv, Expr::var("c"));
@@ -405,22 +448,22 @@ mod tests {
 
     #[test]
     fn builtin_operator_table() {
-        assert_eq!(Builtin::from_operator("+"), Some(Builtin::Add));
-        assert_eq!(Builtin::from_operator("&&"), Some(Builtin::And));
-        assert_eq!(Builtin::from_operator("???"), None);
-        assert_eq!(Builtin::from_name("negate"), Some(Builtin::Negate));
-    }
-
-    #[test]
-    fn builtin_types_are_closed() {
-        for b in [
-            Builtin::Add,
-            Builtin::Eq,
-            Builtin::Not,
-            Builtin::PrintInt,
-            Builtin::IntToStr,
-        ] {
-            assert!(b.type_of().free_vars().is_empty());
+        let op = |s: &str| Builtin::from_operator(Symbol::intern(s));
+        assert_eq!(op("+"), Some(Builtin::Add));
+        assert_eq!(op("&&"), Some(Builtin::And));
+        assert_eq!(op("???"), None);
+        assert_eq!(op("negate"), None);
+        assert_eq!(
+            Builtin::from_name(Symbol::intern("negate")),
+            Some(Builtin::Negate)
+        );
+        // Every builtin's surface spelling maps back to it.
+        for b in [Builtin::Add, Builtin::Or, Builtin::Not, Builtin::IntToStr] {
+            let sym = Symbol::intern(&b.to_string());
+            assert_eq!(
+                Builtin::from_operator(sym).or(Builtin::from_name(sym)),
+                Some(b)
+            );
         }
     }
 
@@ -539,7 +582,7 @@ impl Expr {
                     return self.clone();
                 }
                 let (y, b) = freshen(*y, b);
-                Expr::Abs(y, t.clone(), Arc::new(b.subst_var_in(x, v, v_fv)))
+                Expr::Abs(y, *t, Arc::new(b.subst_var_in(x, v, v_fv)))
             }
             Expr::AbsU(y, b) => {
                 if *y == x {
@@ -553,11 +596,11 @@ impl Expr {
                     return self.clone();
                 }
                 let (y, b) = freshen(*y, b);
-                Expr::Rec(y, t.clone(), Arc::new(b.subst_var_in(x, v, v_fv)))
+                Expr::Rec(y, *t, Arc::new(b.subst_var_in(x, v, v_fv)))
             }
             Expr::App(f, a) => Expr::app(f.subst_var_in(x, v, v_fv), a.subst_var_in(x, v, v_fv)),
             Expr::TAbs(a, k, b) => Expr::TAbs(*a, *k, Arc::new(b.subst_var_in(x, v, v_fv))),
-            Expr::TApp(f, t) => Expr::TApp(Arc::new(f.subst_var_in(x, v, v_fv)), t.clone()),
+            Expr::TApp(f, t) => Expr::TApp(Arc::new(f.subst_var_in(x, v, v_fv)), *t),
             Expr::Pair(a, b) => Expr::pair(a.subst_var_in(x, v, v_fv), b.subst_var_in(x, v, v_fv)),
             Expr::LetPair(y, z, e1, e2) => {
                 let e1 = e1.subst_var_in(x, v, v_fv);
@@ -633,54 +676,52 @@ impl Expr {
     }
 
     /// Substitution of a type for a type variable in all annotations
-    /// (rule Act-TApp: `(Λα:κ.v)[T] → v[T/α]`).
-    pub fn subst_tyvar(&self, alpha: Symbol, t: &Type) -> Expr {
-        let sub =
-            |ty: &Arc<Type>| -> Arc<Type> { Arc::new(crate::subst::subst_type(ty, alpha, t)) };
+    /// (rule Act-TApp: `(Λα:κ.v)[T] → v[T/α]`), through the store `s`
+    /// the annotations were interned in.
+    pub fn subst_tyvar<S: StoreOps>(&self, s: &mut S, alpha: Symbol, t: TypeId) -> Expr {
+        self.subst_tyvar_with(s, &HashMap::from([(alpha, t)]))
+    }
+
+    fn subst_tyvar_with<S: StoreOps>(&self, s: &mut S, map: &HashMap<Symbol, TypeId>) -> Expr {
+        let mut go = |e: &Expr| e.subst_tyvar_with(s, map);
         match self {
             Expr::Lit(_) | Expr::Const(_) | Expr::Builtin(_) | Expr::Var(_) => self.clone(),
-            Expr::Abs(x, ann, b) => Expr::Abs(*x, sub(ann), Arc::new(b.subst_tyvar(alpha, t))),
-            Expr::AbsU(x, b) => Expr::AbsU(*x, Arc::new(b.subst_tyvar(alpha, t))),
-            Expr::Rec(x, ann, b) => Expr::Rec(*x, sub(ann), Arc::new(b.subst_tyvar(alpha, t))),
-            Expr::App(f, a) => Expr::app(f.subst_tyvar(alpha, t), a.subst_tyvar(alpha, t)),
+            Expr::Abs(x, ann, b) => {
+                let b = go(b);
+                Expr::Abs(*x, s.subst_free(*ann, map), Arc::new(b))
+            }
+            Expr::AbsU(x, b) => Expr::AbsU(*x, Arc::new(go(b))),
+            Expr::Rec(x, ann, b) => {
+                let b = go(b);
+                Expr::Rec(*x, s.subst_free(*ann, map), Arc::new(b))
+            }
+            Expr::App(f, a) => Expr::app(go(f), go(a)),
             Expr::TAbs(beta, k, b) => {
-                if *beta == alpha {
+                if map.contains_key(beta) {
                     self.clone()
                 } else {
-                    Expr::TAbs(*beta, *k, Arc::new(b.subst_tyvar(alpha, t)))
+                    Expr::TAbs(*beta, *k, Arc::new(go(b)))
                 }
             }
-            Expr::TApp(f, ty) => Expr::TApp(Arc::new(f.subst_tyvar(alpha, t)), sub(ty)),
-            Expr::Pair(a, b) => Expr::pair(a.subst_tyvar(alpha, t), b.subst_tyvar(alpha, t)),
-            Expr::LetPair(x, y, e1, e2) => Expr::LetPair(
-                *x,
-                *y,
-                Arc::new(e1.subst_tyvar(alpha, t)),
-                Arc::new(e2.subst_tyvar(alpha, t)),
-            ),
-            Expr::LetUnit(e1, e2) => {
-                Expr::let_unit(e1.subst_tyvar(alpha, t), e2.subst_tyvar(alpha, t))
+            Expr::TApp(f, ty) => {
+                let f = go(f);
+                Expr::TApp(Arc::new(f), s.subst_free(*ty, map))
             }
-            Expr::Let(x, e1, e2) => Expr::Let(
-                *x,
-                Arc::new(e1.subst_tyvar(alpha, t)),
-                Arc::new(e2.subst_tyvar(alpha, t)),
-            ),
-            Expr::If(c, a, b) => Expr::if_(
-                c.subst_tyvar(alpha, t),
-                a.subst_tyvar(alpha, t),
-                b.subst_tyvar(alpha, t),
-            ),
-            Expr::Con(tag, args) => {
-                Expr::Con(*tag, args.iter().map(|a| a.subst_tyvar(alpha, t)).collect())
+            Expr::Pair(a, b) => Expr::pair(go(a), go(b)),
+            Expr::LetPair(x, y, e1, e2) => {
+                Expr::LetPair(*x, *y, Arc::new(go(e1)), Arc::new(go(e2)))
             }
-            Expr::Case(s, arms) => Expr::case(
-                s.subst_tyvar(alpha, t),
+            Expr::LetUnit(e1, e2) => Expr::let_unit(go(e1), go(e2)),
+            Expr::Let(x, e1, e2) => Expr::Let(*x, Arc::new(go(e1)), Arc::new(go(e2))),
+            Expr::If(c, a, b) => Expr::if_(go(c), go(a), go(b)),
+            Expr::Con(tag, args) => Expr::Con(*tag, args.iter().map(go).collect()),
+            Expr::Case(scrutinee, arms) => Expr::case(
+                go(scrutinee),
                 arms.iter()
                     .map(|arm| Arm {
                         tag: arm.tag,
                         binders: arm.binders.clone(),
-                        body: arm.body.subst_tyvar(alpha, t),
+                        body: go(&arm.body),
                     })
                     .collect(),
             ),
@@ -735,9 +776,13 @@ mod subst_tests {
 
     #[test]
     fn tyvar_subst_hits_annotations() {
-        let e = Expr::abs("x", Type::var("a"), Expr::var("x"));
-        let r = e.subst_tyvar(Symbol::intern("a"), &Type::int());
+        use crate::store::TypeStore;
+        use crate::types::Type;
+        let mut s = TypeStore::new();
+        let e = Expr::abs("x", s.intern(&Type::var("a")), Expr::var("x"));
+        let int = s.intern(&Type::int());
+        let r = e.subst_tyvar(&mut s, Symbol::intern("a"), int);
         let Expr::Abs(_, ann, _) = &r else { panic!() };
-        assert_eq!(**ann, Type::int());
+        assert_eq!(*ann, int);
     }
 }

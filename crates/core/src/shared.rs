@@ -4,8 +4,8 @@
 //!
 //! * [`SharedStore`] — the process-wide source of truth. For each
 //!   compaction **epoch** it owns
-//!   - a **lock-free append-only arena**: a spine of doubling segments
-//!     whose slots are written exactly once. A slot holds the node, its
+//!   - a **lock-free append-only arena**: a spine of segments, doubling
+//!     up to a cap, whose slots are written exactly once. A slot holds the node, its
 //!     `binders_needed`, and two atomic **memo slots** for `nrm⁺` and
 //!     `nrm⁻`;
 //!   - an **intern table**: open addressing over the arena, one atomic
@@ -113,7 +113,7 @@
 //! the warm working set: a fully-warm replay against a compacted store
 //! still takes **zero** locks (see `tests/concurrent_store.rs`).
 
-use crate::store::{binders_needed_of, note_hint, NodeRead, StoreOps, TNode, TypeId};
+use crate::store::{binders_needed_of, note_hint, MixHasher, NodeRead, StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use algst_obs::{Field, Histogram, Level, Span, TraceSink};
@@ -128,9 +128,20 @@ use std::sync::{Arc, OnceLock};
 /// that interns little — a quiet tenant — holds little).
 const SEG0_BITS: u32 = 6;
 
-/// Number of doubling segments: 2^6 + 2^7 + … covers the whole `u32`
-/// id space with room to spare.
-const SPINE: usize = 26;
+/// log2 of the largest segment's slot count. Segments double from 2^6
+/// slots up to 2^16 and then keep that size, so one push allocates at
+/// most 2^16 slots (3.7 MB): the most a push can raise `live_bytes()`
+/// by, whatever the store's size. A lower cap would change nothing for
+/// big stores but let small bounded ones (a tenant's few MiB) fill up
+/// further before they compact, holding more memory than they do now.
+const SEG_MAX_BITS: u32 = 16;
+
+/// Ids an arena can hold (2^26, a store of about 5 GB).
+const MAX_IDS: usize = 1 << 26;
+
+/// Number of segments: the doubling ones, then enough capped ones to
+/// reach [`MAX_IDS`].
+const SPINE: usize = (SEG_MAX_BITS - SEG0_BITS) as usize + (MAX_IDS >> SEG_MAX_BITS);
 
 /// Slot count of a fresh epoch's intern table (a power of two).
 const TABLE0: usize = 64;
@@ -171,8 +182,9 @@ impl Slot {
 }
 
 /// Lock-free append-only slot arena. Slots are written exactly once
-/// (before their index is ever published) and segments double in size,
-/// so a slot's address never moves and readers need no lock.
+/// (before their index is ever published) and a full segment is never
+/// moved (the next one is added), so a slot's address never moves and
+/// readers need no lock.
 struct Arena {
     spine: [OnceLock<Box<[OnceLock<Slot>]>>; SPINE],
     /// Slots fully initialized. Written (release) only under the
@@ -188,14 +200,21 @@ impl Arena {
         }
     }
 
-    /// Maps a flat index to (segment, offset). Segment k holds
-    /// 2^(6+k) slots, so `i + 2^6` lands in the segment named by its
-    /// highest set bit.
+    /// Maps a flat index to (segment, offset), without a branch.
+    /// Segment k holds 2^(6 + min(k, 10)) slots. Below the cap, `j = i +
+    /// 2^6` lands in the segment named by its highest set bit `b`, at
+    /// offset `j - 2^b`; from the cap on, every 2^16 values of `j` are
+    /// one more segment.
     fn locate(i: usize) -> (usize, usize) {
         let j = i + (1 << SEG0_BITS);
-        let seg = (usize::BITS - 1 - j.leading_zeros() - SEG0_BITS) as usize;
-        let off = j - (1usize << (seg as u32 + SEG0_BITS));
-        (seg, off)
+        let bits = (usize::BITS - 1 - j.leading_zeros()).min(SEG_MAX_BITS);
+        let seg = (j >> bits) - 1 + (bits - SEG0_BITS) as usize;
+        (seg, j & ((1 << bits) - 1))
+    }
+
+    /// Slot count of segment `seg`.
+    fn segment_slots(seg: usize) -> usize {
+        1 << ((seg as u32).min(SEG_MAX_BITS - SEG0_BITS) + SEG0_BITS)
     }
 
     fn len(&self) -> usize {
@@ -218,12 +237,12 @@ impl Arena {
     /// holds the writer mutex (single writer at a time).
     fn push(&self, node: TNode) -> (usize, u64) {
         let i = self.committed.load(Ordering::Relaxed);
-        assert!(i < NONE as usize, "type store overflow");
+        assert!(i < MAX_IDS, "type store overflow");
         let binders = binders_needed_of(&node, |c| self.get(c).binders);
         let (seg, off) = Self::locate(i);
         let mut allocated = 0;
         let segment = self.spine[seg].get_or_init(|| {
-            let slots = 1usize << (seg as u32 + SEG0_BITS);
+            let slots = Self::segment_slots(seg);
             allocated = (slots * std::mem::size_of::<OnceLock<Slot>>()) as u64;
             (0..slots).map(|_| OnceLock::new()).collect()
         });
@@ -247,43 +266,6 @@ fn node_bytes(node: &TNode) -> u64 {
 }
 
 // ------------------------------------------------------------- table
-
-/// Seeded multiply-mix hasher for the intern table: every word is
-/// folded into the state with one 64×64→128-bit multiply. Intern keys
-/// come from client input, so each store draws its seed from
-/// [`RandomState`].
-struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (p as u64) ^ ((p >> 64) as u64);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Open-addressing intern table over one epoch's arena. A slot holds
 /// `tag << 32 | (id + 1)` (0 = empty), where the tag is the high half
@@ -1237,16 +1219,51 @@ mod tests {
 
     #[test]
     fn arena_locate_round_trips() {
-        let mut flat = 0usize;
-        for seg in 0..6usize {
-            let size = 1usize << (seg as u32 + SEG0_BITS);
+        // `start` is the flat index of each segment's first slot.
+        let mut start = 0usize;
+        for seg in 0..SPINE {
+            let size = Arena::segment_slots(seg);
             for off in [0, 1, size / 2, size - 1] {
-                let i = (1usize << (seg as u32 + SEG0_BITS)) - (1 << SEG0_BITS) + off;
-                assert_eq!(Arena::locate(i), (seg, off), "index {i}");
+                assert_eq!(
+                    Arena::locate(start + off),
+                    (seg, off),
+                    "index {}",
+                    start + off
+                );
             }
-            flat += size;
+            start += size;
         }
-        assert!(flat > 0);
+        assert_eq!(Arena::segment_slots(SPINE - 1), 1 << SEG_MAX_BITS);
+        assert!(start >= MAX_IDS, "the spine covers every id");
+        assert_eq!(Arena::locate(MAX_IDS - 1).0, SPINE - 1);
+    }
+
+    /// A store whose `live_bytes()` crosses a bound overshoots it by at
+    /// most one capped segment of 2^16 slots (3.7 MB) plus one node
+    /// (whose child vector the segment does not hold), plus the intern
+    /// table's growth when that same push doubles the table.
+    #[test]
+    fn crossing_a_byte_bound_overshoots_by_at_most_one_capped_segment() {
+        let segment = ((1usize << 16) * std::mem::size_of::<OnceLock<Slot>>()) as u64;
+        let shared = SharedStore::new_arc();
+        let mut w = shared.worker();
+        let name = Symbol::intern("Crossing");
+        let mut bounds = (1..=40u64).map(|mb| mb << 20).peekable();
+        let mut before = (shared.live_bytes(), shared.stats().snapshot_bytes);
+        let mut last = w.mk_node(TNode::Unit);
+        while bounds.peek().is_some() {
+            // A chain of distinct nodes, each owning a child vector.
+            let args = vec![last; 2];
+            let node = node_bytes(&TNode::Proto(name, args.clone()));
+            last = w.mk_node(TNode::Proto(name, args));
+            let (live, table) = (shared.live_bytes(), shared.stats().snapshot_bytes);
+            while let Some(bound) = bounds.next_if(|&b| before.0 <= b && live > b) {
+                let over = live - bound;
+                let allowed = segment + node + (table - before.1);
+                assert!(over <= allowed, "{live} bytes cross {bound} by {over}");
+            }
+            before = (live, table);
+        }
     }
 
     #[test]

@@ -45,9 +45,11 @@
 use crate::kind::Kind;
 use crate::symbol::Symbol;
 use crate::types::{BaseType, Type};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// An interned type: an index into a [`TypeStore`] arena.
 ///
@@ -957,7 +959,7 @@ fn rebuild<S: StoreOps>(
         id: TypeId,
         depth: u32,
         visit: &mut impl FnMut(&mut S, TypeId, &TNode, u32) -> Option<TypeId>,
-        memo: &mut HashMap<(TypeId, u32), TypeId>,
+        memo: &mut HashMap<(TypeId, u32), TypeId, MixState>,
     ) -> TypeId {
         if let Some(&r) = memo.get(&(id, depth)) {
             return r;
@@ -992,7 +994,64 @@ fn rebuild<S: StoreOps>(
         memo.insert((id, depth), r);
         r
     }
-    go(s, id, depth, visit, &mut HashMap::new())
+    go(s, id, depth, visit, &mut HashMap::default())
+}
+
+/// Seeded multiply-mix hasher: every word is folded into the state with
+/// one 64×64→128-bit multiply. Its keys derive from client input (the
+/// shared store's intern table, [`rebuild`]'s memo), so every user seeds
+/// it from [`RandomState`].
+pub(crate) struct MixHasher(pub(crate) u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`MixHasher`]s with one seed per process, for [`rebuild`]'s memo:
+/// the default SipHash cost more than the rebuild of a short signature.
+#[derive(Clone, Copy)]
+struct MixState(u64);
+
+impl Default for MixState {
+    fn default() -> MixState {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        MixState(*SEED.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for MixState {
+    type Hasher = MixHasher;
+
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
 }
 
 /// Canonical binder names for extraction: `a`, `b`, …, `z`, `a1`, `b1`, …

@@ -27,33 +27,78 @@ struct Interner {
     fresh: u32,
 }
 
-/// The names behind the pre-interned constants ([`Symbol::INT`] …), in
-/// index order.
-const BUILTINS: [&str; 7] = ["Int", "Bool", "Char", "String", "Unit", "True", "False"];
+/// Declares the pre-interned names: each `NAME = "text"` becomes the
+/// constant `Symbol::NAME`, interned at a fixed index before anything
+/// else, so the lexer and the elaborator compare against it without
+/// touching the interner's lock.
+macro_rules! pre_interned {
+    ($($name:ident = $text:literal,)*) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[repr(u32)]
+        enum Pre { $($name),* }
+
+        /// The names behind the pre-interned constants, in index order.
+        const BUILTINS: &[&str] = &[$($text),*];
+
+        impl Symbol {
+            $(pub const $name: Symbol = Symbol(Pre::$name as u32);)*
+        }
+    };
+}
+
+pre_interned! {
+    // Builtin type and constructor names.
+    INT = "Int",
+    BOOL = "Bool",
+    CHAR = "Char",
+    STRING = "String",
+    UNIT = "Unit",
+    TRUE = "True",
+    FALSE = "False",
+    // Session constants (paper Fig. 4).
+    FORK = "fork",
+    NEW = "new",
+    RECEIVE = "receive",
+    SEND = "send",
+    WAIT = "wait",
+    TERMINATE = "terminate",
+    // Named builtins.
+    NEGATE = "negate",
+    NOT = "not",
+    PRINT_INT = "printInt",
+    PRINT_STR = "printStr",
+    INT_TO_STR = "intToStr",
+    // Binary operators.
+    OP_ADD = "+",
+    OP_SUB = "-",
+    OP_MUL = "*",
+    OP_DIV = "/",
+    OP_MOD = "%",
+    OP_EQ = "==",
+    OP_NEQ = "/=",
+    OP_LT = "<",
+    OP_LEQ = "<=",
+    OP_GT = ">",
+    OP_GEQ = ">=",
+    OP_AND = "&&",
+    OP_OR = "||",
+}
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
             names: BUILTINS.to_vec(),
-            map: (0u32..).zip(BUILTINS).map(|(i, s)| (s, i)).collect(),
+            map: (0u32..)
+                .zip(BUILTINS.iter().copied())
+                .map(|(i, s)| (s, i))
+                .collect(),
             fresh: 0,
         })
     })
 }
 
 impl Symbol {
-    // Builtin names, interned before anything else at fixed indices:
-    // the lexer hands them out and the resolvers compare against them
-    // without touching the interner's lock.
-    pub const INT: Symbol = Symbol(0);
-    pub const BOOL: Symbol = Symbol(1);
-    pub const CHAR: Symbol = Symbol(2);
-    pub const STRING: Symbol = Symbol(3);
-    pub const UNIT: Symbol = Symbol(4);
-    pub const TRUE: Symbol = Symbol(5);
-    pub const FALSE: Symbol = Symbol(6);
-
     /// Interns `name`, returning the canonical symbol for it.
     pub fn intern(name: &str) -> Symbol {
         let mut i = interner().lock().expect("interner poisoned");
@@ -130,15 +175,17 @@ mod tests {
     fn builtin_constants_are_interned() {
         for (sym, name) in [
             (Symbol::INT, "Int"),
-            (Symbol::BOOL, "Bool"),
-            (Symbol::CHAR, "Char"),
-            (Symbol::STRING, "String"),
-            (Symbol::UNIT, "Unit"),
-            (Symbol::TRUE, "True"),
             (Symbol::FALSE, "False"),
+            (Symbol::FORK, "fork"),
+            (Symbol::INT_TO_STR, "intToStr"),
+            (Symbol::OP_ADD, "+"),
+            (Symbol::OP_OR, "||"),
         ] {
             assert_eq!(Symbol::intern(name), sym);
             assert_eq!(sym.as_str(), name);
+        }
+        for (i, name) in BUILTINS.iter().enumerate() {
+            assert_eq!(Symbol::intern(name), Symbol(i as u32));
         }
     }
 

@@ -15,6 +15,7 @@
 
 use algst_core::expr::{Builtin, Const, Expr, Lit};
 use algst_core::symbol::Symbol;
+use algst_core::Session;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,10 +36,11 @@ pub enum Step {
     Stuck(String),
 }
 
-/// Attempts one small step of `e`. Free variables are resolved through
-/// `globals` (module-level definitions behave like unrestricted
-/// `rec`-bindings: a reference unfolds to its definition).
-pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
+/// Attempts one small step of `e`, whose type annotations are ids of
+/// `session`. Free variables are resolved through `globals` (module-level
+/// definitions behave like unrestricted `rec`-bindings: a reference
+/// unfolds to its definition).
+pub fn step(session: &mut Session, globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
     if e.is_value() && !matches!(e, Expr::Var(_)) {
         // Variables referring to globals unfold below; all other values
         // have no transitions.
@@ -54,25 +56,25 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         },
         Expr::App(f, a) => {
             if !f.is_value() {
-                return map_next(step(globals, f), |f2| Expr::app(f2, (**a).clone()));
+                return map_next(step(session, globals, f), |f2| Expr::app(f2, (**a).clone()));
             }
             if !a.is_value() {
-                return map_next(step(globals, a), |a2| Expr::app((**f).clone(), a2));
+                return map_next(step(session, globals, a), |a2| Expr::app((**f).clone(), a2));
             }
             apply(globals, f, a)
         }
         Expr::TApp(f, t) => {
             if !f.is_value() {
-                return map_next(step(globals, f), |f2| Expr::TApp(Arc::new(f2), t.clone()));
+                return map_next(step(session, globals, f), |f2| Expr::TApp(Arc::new(f2), *t));
             }
             match &**f {
                 // Act-TApp: (Λα:κ.v)[T] → v[T/α]
-                Expr::TAbs(alpha, _, v) => Step::Next(v.subst_tyvar(*alpha, t)),
+                Expr::TAbs(alpha, _, v) => Step::Next(v.subst_tyvar(session, *alpha, *t)),
                 // new [T] creates a channel — a ν-labelled action.
                 Expr::Const(Const::New) => Step::Action("new"),
                 // Module-level definitions unfold like rec-bindings.
                 Expr::Var(x) => match globals.get(x) {
-                    Some(def) => Step::Next(Expr::TApp(Arc::new((**def).clone()), t.clone())),
+                    Some(def) => Step::Next(Expr::TApp(Arc::new((**def).clone()), *t)),
                     None => Step::Stuck(format!("type application of unbound {x}")),
                 },
                 // Partial constants absorb type arguments silently; the
@@ -83,7 +85,9 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         // Act-Let*: let * = * in e → e
         Expr::LetUnit(e1, e2) => {
             if !e1.is_value() {
-                return map_next(step(globals, e1), |n| Expr::let_unit(n, (**e2).clone()));
+                return map_next(step(session, globals, e1), |n| {
+                    Expr::let_unit(n, (**e2).clone())
+                });
             }
             match &**e1 {
                 Expr::Lit(Lit::Unit) => Step::Next((**e2).clone()),
@@ -93,7 +97,7 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         // Act-Let: let ⟨x,y⟩ = ⟨u,v⟩ in e → e[u/x][v/y]
         Expr::LetPair(x, y, e1, e2) => {
             if !e1.is_value() {
-                return map_next(step(globals, e1), |n| {
+                return map_next(step(session, globals, e1), |n| {
                     Expr::LetPair(*x, *y, Arc::new(n), e2.clone())
                 });
             }
@@ -104,7 +108,7 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         }
         Expr::Let(x, e1, e2) => {
             if !e1.is_value() {
-                return map_next(step(globals, e1), |n| {
+                return map_next(step(session, globals, e1), |n| {
                     Expr::Let(*x, Arc::new(n), e2.clone())
                 });
             }
@@ -112,7 +116,7 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         }
         Expr::If(c, t, f) => {
             if !c.is_value() {
-                return map_next(step(globals, c), |n| {
+                return map_next(step(session, globals, c), |n| {
                     Expr::if_(n, (**t).clone(), (**f).clone())
                 });
             }
@@ -124,16 +128,16 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         }
         Expr::Pair(a, b) => {
             if !a.is_value() {
-                return map_next(step(globals, a), |n| Expr::pair(n, (**b).clone()));
+                return map_next(step(session, globals, a), |n| Expr::pair(n, (**b).clone()));
             }
-            map_next(step(globals, b), |n| Expr::pair((**a).clone(), n))
+            map_next(step(session, globals, b), |n| Expr::pair((**a).clone(), n))
         }
         Expr::Con(tag, args) => {
             for (i, arg) in args.iter().enumerate() {
                 if !arg.is_value() {
                     let tag = *tag;
                     let args = args.clone();
-                    return map_next(step(globals, arg), move |n| {
+                    return map_next(step(session, globals, arg), move |n| {
                         let mut args = args.clone();
                         args[i] = n;
                         Expr::Con(tag, args)
@@ -145,7 +149,9 @@ pub fn step(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr) -> Step {
         Expr::Case(s, arms) => {
             if !s.is_value() {
                 let arms = arms.clone();
-                return map_next(step(globals, s), move |n| Expr::case(n, arms.clone()));
+                return map_next(step(session, globals, s), move |n| {
+                    Expr::case(n, arms.clone())
+                });
             }
             match &**s {
                 // Data case: Con v̄ selects its arm.
@@ -191,7 +197,7 @@ fn apply(globals: &HashMap<Symbol, Arc<Expr>>, f: &Expr, a: &Expr) -> Step {
         Expr::Abs(x, _, body) | Expr::AbsU(x, body) => Step::Next(body.subst_var(*x, a)),
         // Act-Rec: (rec x:T.v) u → (v[rec x:T.v / x]) u
         Expr::Rec(x, t, v) => {
-            let unfolded = v.subst_var(*x, &Expr::Rec(*x, t.clone(), v.clone()));
+            let unfolded = v.subst_var(*x, &Expr::Rec(*x, *t, v.clone()));
             Step::Next(Expr::app(unfolded, a.clone()))
         }
         Expr::Var(x) => match globals.get(x) {
@@ -300,10 +306,15 @@ fn map_next(s: Step, f: impl FnOnce(Expr) -> Expr) -> Step {
 /// # Errors
 /// Returns the [`Step`] that stopped evaluation (action, stuck, or fuel
 /// exhaustion reported as `Stuck`).
-pub fn run_pure(globals: &HashMap<Symbol, Arc<Expr>>, e: &Expr, fuel: usize) -> Result<Expr, Step> {
+pub fn run_pure(
+    session: &mut Session,
+    globals: &HashMap<Symbol, Arc<Expr>>,
+    e: &Expr,
+    fuel: usize,
+) -> Result<Expr, Step> {
     let mut current = e.clone();
     for _ in 0..fuel {
-        match step(globals, &current) {
+        match step(session, globals, &current) {
             Step::Value => return Ok(current),
             Step::Next(n) => current = n,
             other => return Err(other),

@@ -7,6 +7,7 @@
 use algst_core::expr::{Arm, Const, Expr};
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
+use algst_core::Session;
 use algst_runtime::channel::{channel_pair, ChanError};
 use algst_runtime::interp::{Interp, RuntimeError};
 use algst_runtime::step::{run_pure, step, Step};
@@ -27,16 +28,17 @@ fn step_budget_exhaustion_is_a_typed_stuck_not_a_panic() {
     // Ω = (rec f. \x. f x) () — diverges; the fuel bound must stop it.
     let f = Symbol::intern("f");
     let x = Symbol::intern("x");
+    let mut session = Session::new();
     let omega = Expr::app(
         Expr::rec(
             f,
-            Type::arrow(Type::Unit, Type::Unit),
+            session.intern(&Type::arrow(Type::Unit, Type::Unit)),
             Expr::abs_u(x, Expr::app(Expr::var("f"), Expr::var("x"))),
         ),
         Expr::unit(),
     );
     let globals = HashMap::new();
-    match run_pure(&globals, &omega, 1_000) {
+    match run_pure(&mut session, &globals, &omega, 1_000) {
         Err(Step::Stuck(reason)) => assert!(
             reason.contains("fuel"),
             "expected fuel exhaustion, got {reason}"
@@ -206,7 +208,7 @@ fn pure_stepper_reports_session_actions_not_stuckness() {
     // the distinction.
     let globals = HashMap::new();
     let e = Expr::app(Expr::Const(Const::Receive), Expr::var("c"));
-    match step(&globals, &e) {
+    match step(&mut Session::new(), &globals, &e) {
         Step::Action(label) => assert_eq!(label, "receive"),
         other => panic!("expected Action(receive), got {other:?}"),
     }

@@ -8,10 +8,11 @@
 //! * **Semantic agreement**: the literal small-step reducer and the
 //!   efficient big-step interpreter compute the same results.
 
-use algst_check::{check_source, check_source_in, Checker, Ctx, Module};
+use algst_check::{check_source_in, Checker, Ctx, Module};
 use algst_core::expr::{Expr, Lit};
-use algst_core::normalize::nrm_pos;
 use algst_core::symbol::Symbol;
+use algst_core::types::Type;
+use algst_core::Session;
 use algst_runtime::step::{run_pure, step, Step};
 use algst_runtime::{Interp, Value};
 use std::collections::HashMap;
@@ -85,25 +86,24 @@ fn globals_of(module: &Module) -> HashMap<Symbol, Arc<Expr>> {
 /// Steps `probe` to a value, checking the synthesized type after every
 /// transition.
 fn check_preservation(src: &str) -> (Expr, usize) {
-    let mut session = algst_core::Session::new();
+    let mut session = Session::new();
     let module =
         check_source_in(&mut session, src).unwrap_or_else(|e| panic!("does not check: {e}"));
     let globals = globals_of(&module);
     let mut current: Expr = (**module.def("probe").expect("probe defined")).clone();
 
     // Typing context: all module definitions as unrestricted globals.
-    let fresh_ctx = |session: &mut algst_core::Session| {
+    let fresh_ctx = |session: &mut Session| {
         let mut ctx = Ctx::new();
         for (name, _) in module.defs() {
-            if let Some(sig) = module.norm_sig(name.as_str()) {
-                ctx.push_unrestricted(name, session.intern(&sig));
+            if let Some(sig) = module.sig_id(name.as_str()) {
+                ctx.push_unrestricted(name, session.nrm(sig));
             }
         }
         ctx
     };
 
-    let expected = nrm_pos(&module.norm_sig("probe").expect("signature"));
-    let expected = session.intern(&expected);
+    let expected = session.nrm(module.sig_id("probe").expect("signature"));
     let mut steps = 0usize;
     loop {
         // Theorem 4.2: the *checking* judgment is preserved (reducts may
@@ -117,7 +117,7 @@ fn check_preservation(src: &str) -> (Expr, usize) {
                 panic!("reduct no longer checks after {steps} steps: {e}\n  {current:?}")
             });
 
-        match step(&globals, &current) {
+        match step(&mut session, &globals, &current) {
             Step::Value => return (current, steps),
             Step::Next(n) => {
                 current = n;
@@ -143,11 +143,12 @@ fn preservation_along_all_reduction_sequences() {
 fn small_step_agrees_with_big_step() {
     let expected = [98i64, 720, 1, 10, 18, 41];
     for (src, want) in PURE_PROGRAMS.iter().zip(expected) {
-        let module = check_source(src).unwrap();
+        let mut session = Session::new();
+        let module = check_source_in(&mut session, src).unwrap();
         let globals = globals_of(&module);
         let probe = module.def("probe").unwrap();
 
-        let small = run_pure(&globals, probe, 1_000_000)
+        let small = run_pure(&mut session, &globals, probe, 1_000_000)
             .unwrap_or_else(|s| panic!("small-step failed: {s:?}"));
         assert_eq!(small, Expr::Lit(Lit::Int(want)), "small-step result");
 
@@ -167,7 +168,9 @@ fn session_redexes_report_actions_not_stuck() {
     // Progress for the impure fragment: the pure reducer classifies
     // session operations as actions (the σ labels of Fig. 6), never as
     // stuck terms.
-    let module = check_source(
+    let mut session = Session::new();
+    let module = check_source_in(
+        &mut session,
         r#"
 probe : Unit
 probe =
@@ -180,7 +183,7 @@ probe =
     let globals = globals_of(&module);
     let mut current: Expr = (**module.def("probe").unwrap()).clone();
     for _ in 0..1000 {
-        match step(&globals, &current) {
+        match step(&mut session, &globals, &current) {
             Step::Next(n) => current = n,
             Step::Action(label) => {
                 assert_eq!(label, "new", "first action of the program is ν");
@@ -197,18 +200,16 @@ probe =
 fn act_rec_unfolds_like_the_rule() {
     // (rec f: Int -> Int. λn. n) 5 → (λn.n)[rec/f] 5 → 5
     let f = Symbol::intern("frec");
-    let body = Expr::abs("n", algst_core::types::Type::int(), Expr::var("n"));
+    let mut session = Session::new();
+    let body = Expr::abs("n", session.intern(&Type::int()), Expr::var("n"));
     let rec = Expr::rec(
         f,
-        algst_core::types::Type::arrow(
-            algst_core::types::Type::int(),
-            algst_core::types::Type::int(),
-        ),
+        session.intern(&Type::arrow(Type::int(), Type::int())),
         body,
     );
     let e = Expr::app(rec, Expr::int(5));
     let globals = HashMap::new();
-    let v = run_pure(&globals, &e, 100).unwrap();
+    let v = run_pure(&mut session, &globals, &e, 100).unwrap();
     assert_eq!(v, Expr::int(5));
 }
 
@@ -219,7 +220,7 @@ fn stuck_terms_are_detected() {
     // the reducer's own totality).
     let e = Expr::if_(Expr::int(3), Expr::unit(), Expr::unit());
     let globals = HashMap::new();
-    match step(&globals, &e) {
+    match step(&mut Session::new(), &globals, &e) {
         Step::Stuck(_) => {}
         other => panic!("expected stuck, got {other:?}"),
     }

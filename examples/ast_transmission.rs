@@ -7,8 +7,9 @@
 //! cargo run --example ast_transmission
 //! ```
 
-use algst::check::check_source;
+use algst::check::check_source_in;
 use algst::runtime::Interp;
+use algst::Session;
 use std::time::Duration;
 
 const PROGRAM: &str = r#"
@@ -45,12 +46,20 @@ main =
 "#;
 
 fn main() {
-    let module = check_source(PROGRAM).unwrap_or_else(|e| {
+    // The module's types are ids of the session that checked it.
+    let mut session = Session::new();
+    let module = check_source_in(&mut session, PROGRAM).unwrap_or_else(|e| {
         eprintln!("type error: {e}");
         std::process::exit(1);
     });
-    println!("sendAst : {}", module.sig("sendAst").expect("declared"));
-    println!("recvAst : {}", module.sig("recvAst").expect("declared"));
+    println!(
+        "sendAst : {}",
+        module.sig(&mut session, "sendAst").expect("declared")
+    );
+    println!(
+        "recvAst : {}",
+        module.sig(&mut session, "recvAst").expect("declared")
+    );
     let interp = Interp::new(&module).echo(true);
     interp
         .run_timeout("main", Duration::from_secs(10))

@@ -8,8 +8,9 @@
 //! cargo run --example generic_servers
 //! ```
 
-use algst::check::check_source;
+use algst::check::check_source_in;
 use algst::runtime::Interp;
+use algst::Session;
 use std::time::Duration;
 
 const PROGRAM: &str = r#"
@@ -87,13 +88,18 @@ main =
 "#;
 
 fn main() {
-    let module = check_source(PROGRAM).unwrap_or_else(|e| {
+    // The module's types are ids of the session that checked it.
+    let mut session = Session::new();
+    let module = check_source_in(&mut session, PROGRAM).unwrap_or_else(|e| {
         eprintln!("type error: {e}");
         std::process::exit(1);
     });
     println!("generic servers type-checked:");
     for name in ["either", "repeat", "serveArith", "serveAriths"] {
-        println!("  {name} : {}", module.sig(name).expect("declared"));
+        println!(
+            "  {name} : {}",
+            module.sig(&mut session, name).expect("declared")
+        );
     }
     let interp = Interp::new(&module).echo(true);
     interp

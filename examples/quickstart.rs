@@ -5,8 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use algst::check::check_source;
+use algst::check::check_source_in;
 use algst::runtime::Interp;
+use algst::Session;
 use std::time::Duration;
 
 const PROGRAM: &str = r#"
@@ -36,17 +37,19 @@ main =
 "#;
 
 fn main() {
-    let module = check_source(PROGRAM).unwrap_or_else(|e| {
+    // The module's types are ids of the session that checked it.
+    let mut session = Session::new();
+    let module = check_source_in(&mut session, PROGRAM).unwrap_or_else(|e| {
         eprintln!("type error: {e}");
         std::process::exit(1);
     });
     println!(
         "type of sendRange: {}",
-        module.sig("sendRange").expect("declared")
+        module.sig(&mut session, "sendRange").expect("declared")
     );
     println!(
         "type of sumList:   {}",
-        module.sig("sumList").expect("declared")
+        module.sig(&mut session, "sumList").expect("declared")
     );
 
     let interp = Interp::new(&module).echo(true);

@@ -533,10 +533,10 @@ fn main() -> ExitCode {
             }
         }
         Cli::Check(opts) => on_worker_stack(move || {
-            with_module(&opts, |file, module| {
+            with_module(&opts, |file, module, session| {
                 println!("{file}: ok");
                 for (name, _) in module.defs() {
-                    if let Some(ty) = module.sig(name.as_str()) {
+                    if let Some(ty) = module.sig(session, name.as_str()) {
                         println!("  {name} : {ty}");
                     }
                 }
@@ -547,7 +547,7 @@ fn main() -> ExitCode {
             let entry = opts.entry.clone();
             let capacity = opts.capacity;
             let timeout = opts.timeout;
-            with_module(&opts, |_, module| {
+            with_module(&opts, |_, module, _| {
                 let interp = Interp::with_capacity(module, capacity).echo(true);
                 match interp.run_timeout(&entry, timeout) {
                     Ok(_) => ExitCode::SUCCESS,
@@ -577,7 +577,7 @@ fn on_worker_stack(command: impl FnOnce() -> ExitCode + Send + 'static) -> ExitC
 
 fn with_module(
     opts: &ProgramOpts,
-    then: impl FnOnce(&str, &algst::check::Module) -> ExitCode,
+    then: impl FnOnce(&str, &algst::check::Module, &mut algst::Session) -> ExitCode,
 ) -> ExitCode {
     let source = match read_source(&opts.file) {
         Ok(s) => s,
@@ -599,7 +599,7 @@ fn with_module(
         Pipeline::new().without_prelude()
     };
     match pipeline.check(&source) {
-        Ok(module) => then(display, &module),
+        Ok(module) => then(display, &module, pipeline.session()),
         Err(e) => {
             eprintln!("{display}: {e}");
             ExitCode::FAILURE

@@ -19,7 +19,9 @@
 //! let module = pipeline
 //!     .check("inc : Int -> Int\ninc x = x + 1\n\nmain : Unit\nmain = ()")
 //!     .expect("type checks");
-//! assert!(module.sig("inc").is_some());
+//! // The module's types are ids of the pipeline's session.
+//! let inc = module.sig(pipeline.session(), "inc").expect("declared");
+//! assert_eq!(inc.to_string(), "Int -> Int");
 //! assert!(pipeline
 //!     .equivalent_src("!Int.End!", "Dual (?Int.End?)")
 //!     .expect("both sides resolve"));

@@ -26,7 +26,8 @@ use std::time::Duration;
 /// let module = pipeline
 ///     .check("double : Int -> Int\ndouble x = x + x\n\nmain : Unit\nmain = ()")
 ///     .expect("type checks");
-/// assert!(module.sig("double").is_some());
+/// let double = module.sig(pipeline.session(), "double").expect("declared");
+/// assert_eq!(double.to_string(), "Int -> Int");
 ///
 /// // The same pipeline answers equivalence queries from source text…
 /// assert!(pipeline.equivalent_src("!Int.End!", "Dual (?Int.End?)").unwrap());
