@@ -4,11 +4,14 @@
 //! A long-running service sees the same program sources again and again
 //! (editors re-sending buffers, health checks, load generators). Type
 //! checking is pure — same source, same verdict — so the server keys a
-//! cache by the *exact source text* and pays elaboration + checking once
-//! per distinct program. A miss checks only the module's own
-//! declarations: the prelude is checked once per process, and its
-//! bindings are not even elaborated here. The cache keeps only what a
-//! `check` answer needs: the verdict and, for a failure, the error text.
+//! cache by a keyed 128-bit digest of the *exact source text* and pays
+//! elaboration + checking once per distinct program. A miss checks only
+//! the module's own declarations: the prelude is checked once per
+//! process, and its bindings are not even elaborated here. The cache
+//! keeps only what a `check` answer needs: the digest, the verdict and,
+//! for a failure, the error text. Text keys would be the cache's bulk:
+//! 4,096 generated modules (~2.6 kB each) are ~10 MiB of text, and
+//! their digests 64 kB.
 //! No [`Module`](crate::Module) is built, and no
 //! [`TypeId`](algst_core::store::TypeId) is kept, so an entry stays
 //! valid across store compactions: a server engine keeps the cache
@@ -23,7 +26,9 @@
 use crate::verdict_in;
 use algst_core::Session;
 use parking_lot::Mutex;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters for the `stats` op.
@@ -39,19 +44,21 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Default entry cap for a [`ModuleCache`]: module sources are large
-/// (whole programs), so the bound is modest.
+/// Default entry cap for a [`ModuleCache`].
 pub const DEFAULT_MODULE_CACHE_CAP: usize = 4096;
 
 /// Memoizes the verdict of [`check_source_in`](crate::check_source_in)
-/// by source text, bounded at a fixed entry cap (the map is cleared when
-/// full — sources are self-contained so a dropped entry only costs one
-/// re-check).
+/// by a digest of the source text, bounded at a fixed entry cap (the map
+/// is cleared when full — sources are self-contained so a dropped entry
+/// only costs one re-check).
 /// Cheap to share behind an `Arc`; all methods take `&self` (the
 /// mutable state is the per-worker [`Session`] passed per call).
 pub struct ModuleCache {
-    /// Source text → `Ok(())` or the error text.
-    map: Mutex<HashMap<String, Result<(), String>>>,
+    /// Digest of the source text → `Ok(())` or the error text.
+    map: Mutex<HashMap<u128, Result<(), String>>>,
+    /// Secret key of the digest, drawn per cache, so that a client
+    /// cannot aim two sources at one digest.
+    key: RandomState,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -82,6 +89,7 @@ impl ModuleCache {
     pub fn with_capacity(cap: usize) -> ModuleCache {
         ModuleCache {
             map: Mutex::new(HashMap::new()),
+            key: RandomState::new(),
             cap: cap.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -96,7 +104,8 @@ impl ModuleCache {
     /// the pool; two workers racing on the same new source may both check
     /// it (same result, last write wins).
     pub fn check_source(&self, session: &mut Session, src: &str) -> (Result<(), String>, bool) {
-        if let Some(hit) = self.map.lock().get(src) {
+        let digest = self.digest(src);
+        if let Some(hit) = self.map.lock().get(&digest) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit.clone(), true);
         }
@@ -107,8 +116,16 @@ impl ModuleCache {
             map.clear();
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        map.insert(src.to_owned(), result.clone());
+        map.insert(digest, result.clone());
         (result, false)
+    }
+
+    /// Two SipHash values of `src` under the cache's key, told apart by a
+    /// leading tag: a 128-bit digest, so two distinct sources share one
+    /// with probability 2^-128.
+    fn digest(&self, src: &str) -> u128 {
+        let half = |tag: u8| u128::from(self.key.hash_one((tag, src)));
+        half(0) << 64 | half(1)
     }
 
     pub fn stats(&self) -> CacheStats {
