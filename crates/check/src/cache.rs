@@ -17,6 +17,12 @@
 //! valid across store compactions: a server engine keeps the cache
 //! when it compacts its store.
 //!
+//! A miss does type work linear in the module's *distinct* types. The
+//! parser shares each repeated type as one node, elaboration resolves
+//! and interns each distinct type once, and an application spine
+//! `g [T] x₁ … xₙ` checks its arguments against the opened domains of
+//! `g`'s signature without interning the instantiated signature.
+//!
 //! The type-level warm state behind a hit is shared too: elaboration
 //! interns every signature and annotation through the **caller's
 //! [`Session`]** — the one each engine worker passes in — so even

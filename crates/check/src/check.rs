@@ -61,6 +61,16 @@ impl FieldTypes {
     }
 }
 
+/// An application spine's type so far (see [`Checker::spine`]).
+enum Spine {
+    /// A type in normal form.
+    Type(TypeId),
+    /// `part` of the body of a ∀ whose binder is instantiated by `arg`,
+    /// not yet opened: the domains of its arrows are opened one argument
+    /// at a time.
+    Open { part: TypeId, arg: TypeId },
+}
+
 /// The expression typechecker. Holds the global protocol/datatype
 /// declarations with the stack of in-scope type variables (`Δ`), and
 /// the [`Session`] every type lives in.
@@ -173,14 +183,7 @@ impl<'d, 's> Checker<'d, 's> {
                     ctx.expect_consumed(*x)?;
                     return Ok(u);
                 }
-                let ft = self.synth(ctx, f)?;
-                match self.node(ft) {
-                    TNode::Arrow(dom, cod) => {
-                        self.check(ctx, a, dom)?;
-                        Ok(cod)
-                    }
-                    _ => Err(TypeError::NotAFunction(self.show(ft))),
-                }
+                self.synth_spine(ctx, e)
             }
 
             // E-TAbs (with the value restriction)
@@ -197,19 +200,9 @@ impl<'d, 's> Checker<'d, 's> {
             // E-TApp: β-instantiate and normalize at the id level —
             // capture-free by construction (nameless binders) and
             // memoized, so re-instantiating a signature already seen is
-            // mostly table lookups.
-            Expr::TApp(f, arg) => {
-                let ft = self.synth(ctx, f)?;
-                let TNode::Forall(kappa, _) = self.node(ft) else {
-                    return Err(TypeError::NotAForall(self.show(ft)));
-                };
-                self.kinds.check_id(self.session.local(), *arg, kappa)?;
-                let inst = self
-                    .session
-                    .instantiate(ft, *arg)
-                    .expect("matched a Forall");
-                Ok(self.session.nrm(inst))
-            }
+            // mostly table lookups. Applied to arguments, the ∀ body is
+            // opened one arrow at a time instead (see `spine`).
+            Expr::TApp(..) => self.synth_spine(ctx, e),
 
             // E-Rec: unrestricted self-binding, no linear captures.
             Expr::Rec(x, ann, v) => {
@@ -283,6 +276,66 @@ impl<'d, 's> Checker<'d, 's> {
             // E-Match (channels) / case (datatypes)
             Expr::Case(scrutinee, arms) => self.case_expr(ctx, scrutinee, arms, None),
         }
+    }
+
+    /// E-App and E-TApp along an application spine. For `g [T] x₁ … xₙ`
+    /// with `g : ∀α:κ. D₁ → … → Dₖ → R`, argument `xᵢ` (i ≤ k) is checked
+    /// against `nrm(open(Dᵢ, T))`, and the spine's type is
+    /// `nrm(open(Dₙ₊₁ → … → R, T))`. Opening and `nrm⁺` both commute with
+    /// `→`, so these are the very types E-TApp then E-App would read off
+    /// `nrm(instantiate(∀α:κ. …, T))`, with the same errors, but no arrow
+    /// of the instantiated signature is interned. Arguments past the ∀
+    /// body's arrows, and spines with any other head, take E-App one
+    /// argument at a time.
+    fn spine(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<Spine, TypeError> {
+        match e {
+            // An applied unannotated lambda is E-App' (see `synth`).
+            Expr::App(f, a) if !matches!(&**f, Expr::AbsU(..)) => {
+                let ft = match self.spine(ctx, f)? {
+                    Spine::Open { part, arg } => match self.node(part) {
+                        TNode::Arrow(dom, cod) => {
+                            let dom = self.opened(dom, arg);
+                            self.check(ctx, a, dom)?;
+                            return Ok(Spine::Open { part: cod, arg });
+                        }
+                        _ => self.opened(part, arg),
+                    },
+                    Spine::Type(ft) => ft,
+                };
+                let TNode::Arrow(dom, cod) = self.node(ft) else {
+                    return Err(TypeError::NotAFunction(self.show(ft)));
+                };
+                self.check(ctx, a, dom)?;
+                Ok(Spine::Type(cod))
+            }
+            Expr::TApp(f, arg) => {
+                let ft = self.synth(ctx, f)?;
+                let TNode::Forall(kappa, body) = self.node(ft) else {
+                    return Err(TypeError::NotAForall(self.show(ft)));
+                };
+                self.kinds.check_id(self.session.local(), *arg, kappa)?;
+                Ok(Spine::Open {
+                    part: body,
+                    arg: *arg,
+                })
+            }
+            _ => self.synth(ctx, e).map(Spine::Type),
+        }
+    }
+
+    /// The type of the application spine `e` (see [`Checker::spine`]).
+    fn synth_spine(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<TypeId, TypeError> {
+        Ok(match self.spine(ctx, e)? {
+            Spine::Open { part, arg } => self.opened(part, arg),
+            Spine::Type(t) => t,
+        })
+    }
+
+    /// `nrm(open(part, arg))`: a part of a ∀ body with the ∀'s binder
+    /// instantiated by `arg`, in normal form.
+    fn opened(&mut self, part: TypeId, arg: TypeId) -> TypeId {
+        let t = self.session.open(part, arg);
+        self.session.nrm(t)
     }
 
     /// Synthesizes `bound`, which must be a pair, and binds its

@@ -4,7 +4,11 @@
 //!
 //! * resolve type names (protocol vs. datatype vs. alias vs. builtin) and
 //!   expand (non-recursive) type aliases, interning every type straight
-//!   into the session: annotations are [`TypeId`]s from here on;
+//!   into the session: annotations are [`TypeId`]s from here on. The
+//!   parser shares each repeated type as one node, and the resolver
+//!   memoizes by node, so each distinct type of a module is resolved and
+//!   interned once, however often its explicit type applications restate
+//!   it;
 //! * build the global [`Declarations`] table;
 //! * turn function equations `f [s] x c = e` plus their signatures into
 //!   core `Λ`/`λ` chains (annotations read off the signature);
@@ -16,11 +20,11 @@
 use crate::error::{CheckError, TypeError};
 use algst_core::expr::{Arm, Builtin, Const, Expr};
 use algst_core::protocol::{Ctor, DataDecl, Declarations, ProtocolDecl};
-use algst_core::store::{StoreOps, TNode, TypeId};
+use algst_core::store::{MixState, StoreOps, TNode, TypeId};
 use algst_core::symbol::Symbol;
 use algst_core::types::BaseType;
 use algst_core::Session;
-use algst_syntax::ast::{Decl, Param, Pattern, SArm, SExpr, SType, SignatureDecl};
+use algst_syntax::ast::{Decl, Param, Pattern, SArm, SExpr, SType, STypeNode, SignatureDecl};
 use std::collections::{HashMap, HashSet};
 
 /// Result of elaborating a whole program.
@@ -72,6 +76,7 @@ pub fn elaborate(
         alias_srcs,
         alias_cache: HashMap::new(),
         visiting: HashSet::new(),
+        resolved: HashMap::default(),
     };
 
     // Pass 2: build declaration table.
@@ -168,6 +173,10 @@ struct Resolver<'s> {
     /// hash-consed) instead of re-walking the body tree.
     alias_cache: HashMap<Symbol, (Vec<Symbol>, TypeId)>,
     visiting: HashSet<Symbol>,
+    /// Every type resolved so far, by the address of its surface node.
+    /// The nodes are borrowed from the declarations being elaborated,
+    /// or held by `alias_srcs`, so no address is reused meanwhile.
+    resolved: HashMap<*const STypeNode, TypeId, MixState>,
 }
 
 impl Resolver<'_> {
@@ -176,24 +185,36 @@ impl Resolver<'_> {
     }
 
     /// Resolves `t` into the session, bottom-up with `mk_node`: type
-    /// variables are free until their `forall` closes over them.
+    /// variables are free until their `forall` closes over them. A
+    /// resolved node is memoized by its identity, so each distinct type
+    /// of a parse is resolved once however often it is written; only
+    /// successes are memoized, so errors come out as they would without.
     fn resolve(&mut self, t: &SType) -> Result<TypeId, TypeError> {
+        if let Some(&id) = self.resolved.get(&t.as_ptr()) {
+            return Ok(id);
+        }
+        let id = self.resolve_node(t)?;
+        self.resolved.insert(t.as_ptr(), id);
+        Ok(id)
+    }
+
+    fn resolve_node(&mut self, t: &STypeNode) -> Result<TypeId, TypeError> {
         let node = match t {
-            SType::Unit(_) => TNode::Unit,
-            SType::Var(v, _) => TNode::Free(*v),
-            SType::Arrow(a, b, _) => TNode::Arrow(self.resolve(a)?, self.resolve(b)?),
-            SType::Pair(a, b, _) => TNode::Pair(self.resolve(a)?, self.resolve(b)?),
-            SType::Forall(v, k, body, _) => {
+            STypeNode::Unit => TNode::Unit,
+            STypeNode::Var(v) => TNode::Free(*v),
+            STypeNode::Arrow(a, b) => TNode::Arrow(self.resolve(a)?, self.resolve(b)?),
+            STypeNode::Pair(a, b) => TNode::Pair(self.resolve(a)?, self.resolve(b)?),
+            STypeNode::Forall(v, k, body) => {
                 let body = self.resolve(body)?;
                 return Ok(self.session.close(*v, *k, body));
             }
-            SType::In(p, s, _) => TNode::In(self.resolve(p)?, self.resolve(s)?),
-            SType::Out(p, s, _) => TNode::Out(self.resolve(p)?, self.resolve(s)?),
-            SType::EndIn(_) => TNode::EndIn,
-            SType::EndOut(_) => TNode::EndOut,
-            SType::Dual(s, _) => TNode::Dual(self.resolve(s)?),
-            SType::Neg(p, _) => TNode::Neg(self.resolve(p)?),
-            SType::Name(name, args, _) => {
+            STypeNode::In(p, s) => TNode::In(self.resolve(p)?, self.resolve(s)?),
+            STypeNode::Out(p, s) => TNode::Out(self.resolve(p)?, self.resolve(s)?),
+            STypeNode::EndIn => TNode::EndIn,
+            STypeNode::EndOut => TNode::EndOut,
+            STypeNode::Dual(s) => TNode::Dual(self.resolve(s)?),
+            STypeNode::Neg(p) => TNode::Neg(self.resolve(p)?),
+            STypeNode::Name(name, args) => {
                 let rargs: Vec<TypeId> = args
                     .iter()
                     .map(|a| self.resolve(a))

@@ -156,7 +156,14 @@ pub fn check_source_in(session: &mut Session, src: &str) -> Result<Module, Check
 /// The verdict of [`check_source_in`], without a [`Module`]: the
 /// prelude's bindings are not even elaborated.
 pub(crate) fn verdict_in(session: &mut Session, src: &str) -> Result<(), CheckError> {
-    check_decls_in(session, prelude(), &parse_program(src)?.decls).map(drop)
+    verdict_of_parsed_in(session, &parse_program(src)?)
+}
+
+/// [`verdict_in`] past its parse: elaborates and checks `program`'s own
+/// declarations after the prelude, as a [`cache::ModuleCache`] miss
+/// does once the source is parsed.
+pub fn verdict_of_parsed_in(session: &mut Session, program: &Program) -> Result<(), CheckError> {
+    check_decls_in(session, prelude(), &program.decls).map(drop)
 }
 
 /// The declarations of [`PRELUDE`], parsed and checked once per

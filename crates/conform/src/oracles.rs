@@ -33,7 +33,7 @@ use algst_core::Session;
 use algst_gen::to_grammar::to_grammar;
 use algst_gen::GenProgram;
 use algst_server::{Engine, Op, Request, Response};
-use algst_syntax::ast::{Decl, Program, SType};
+use algst_syntax::ast::{Decl, Program, SType, STypeNode};
 use algst_syntax::{parse_program, printer};
 use freest::{bisimilar, BisimResult, Grammar};
 
@@ -353,10 +353,8 @@ pub fn apply_transform(source: &str, transform: MetaTransform) -> Result<String,
     let mut ast = parse_program(source).map_err(|e| e.to_string())?;
     match transform {
         MetaTransform::AlphaRename => alpha_rename(&mut ast),
-        MetaTransform::DoubleNegPayloads => {
-            for_each_signature(&mut ast, &mut |ty| double_neg_payloads(ty))
-        }
-        MetaTransform::DualOfDual => for_each_signature(&mut ast, &mut |ty| dual_of_dual(ty)),
+        MetaTransform::DoubleNegPayloads => for_each_signature(&mut ast, double_neg_payloads),
+        MetaTransform::DualOfDual => for_each_signature(&mut ast, dual_of_dual),
     }
     Ok(printer::program_to_source(&ast))
 }
@@ -510,18 +508,19 @@ fn collect_type_binders(
     t: &SType,
     acc: &mut std::collections::HashSet<algst_core::symbol::Symbol>,
 ) {
-    match t {
-        SType::Forall(v, _, body, _) => {
+    use STypeNode::*;
+    match &**t {
+        Forall(v, _, body) => {
             acc.insert(*v);
             collect_type_binders(body, acc);
         }
-        SType::Arrow(a, b, _) | SType::Pair(a, b, _) | SType::In(a, b, _) | SType::Out(a, b, _) => {
+        Arrow(a, b) | Pair(a, b) | In(a, b) | Out(a, b) => {
             collect_type_binders(a, acc);
             collect_type_binders(b, acc);
         }
-        SType::Dual(x, _) | SType::Neg(x, _) => collect_type_binders(x, acc),
-        SType::Name(_, args, _) => args.iter().for_each(|a| collect_type_binders(a, acc)),
-        SType::Unit(_) | SType::Var(..) | SType::EndIn(_) | SType::EndOut(_) => {}
+        Dual(x) | Neg(x) => collect_type_binders(x, acc),
+        Name(_, args) => args.iter().for_each(|a| collect_type_binders(a, acc)),
+        Unit | Var(..) | EndIn | EndOut => {}
     }
 }
 
@@ -530,24 +529,24 @@ fn rename_decl(
     subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol,
 ) {
     use algst_syntax::ast::{Param, Pattern, SExpr};
-    fn ty(t: &mut SType, subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol) {
-        match t {
-            SType::Var(v, _) => *v = subst(*v),
-            SType::Forall(v, _, body, _) => {
-                *v = subst(*v);
-                ty(body, subst);
-            }
-            SType::Arrow(a, b, _)
-            | SType::Pair(a, b, _)
-            | SType::In(a, b, _)
-            | SType::Out(a, b, _) => {
-                ty(a, subst);
-                ty(b, subst);
-            }
-            SType::Dual(x, _) | SType::Neg(x, _) => ty(x, subst),
-            SType::Name(_, args, _) => args.iter_mut().for_each(|a| ty(a, subst)),
-            SType::Unit(_) | SType::EndIn(_) | SType::EndOut(_) => {}
-        }
+    fn ty(
+        t: &SType,
+        subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol,
+    ) -> SType {
+        use STypeNode::*;
+        let node = match &**t {
+            Var(v) => Var(subst(*v)),
+            Forall(v, k, body) => Forall(subst(*v), *k, ty(body, subst)),
+            Arrow(a, b) => Arrow(ty(a, subst), ty(b, subst)),
+            Pair(a, b) => Pair(ty(a, subst), ty(b, subst)),
+            In(a, b) => In(ty(a, subst), ty(b, subst)),
+            Out(a, b) => Out(ty(a, subst), ty(b, subst)),
+            Dual(x) => Dual(ty(x, subst)),
+            Neg(x) => Neg(ty(x, subst)),
+            Name(n, args) => Name(*n, args.iter().map(|a| ty(a, subst)).collect()),
+            Unit | EndIn | EndOut => return t.clone(),
+        };
+        SType::new(node)
     }
     fn expr(
         e: &mut SExpr,
@@ -588,7 +587,7 @@ fn rename_decl(
             }
             SExpr::TApp(f, tys, _) => {
                 expr(f, subst);
-                tys.iter_mut().for_each(|t| ty(t, subst));
+                tys.iter_mut().for_each(|t| *t = ty(t, subst));
             }
             SExpr::BinOp(_, l, r, _) | SExpr::Pair(l, r, _) => {
                 expr(l, subst);
@@ -605,7 +604,7 @@ fn rename_decl(
     match d {
         Decl::Signature(s) => {
             s.name = subst(s.name);
-            ty(&mut s.ty, subst);
+            s.ty = ty(&s.ty, subst);
         }
         Decl::Binding(b) => {
             b.name = subst(b.name);
@@ -622,7 +621,7 @@ fn rename_decl(
             for p in &mut a.params {
                 *p = subst(*p);
             }
-            ty(&mut a.body, subst);
+            a.body = ty(&a.body, subst);
         }
         // Protocol/data declarations carry no lowercase names in the
         // generated fragment (unparameterized); leave them alone.
@@ -630,51 +629,45 @@ fn rename_decl(
     }
 }
 
-fn for_each_signature(ast: &mut Program, f: &mut dyn FnMut(&mut SType)) {
+fn for_each_signature(ast: &mut Program, f: fn(&SType) -> SType) {
     for d in &mut ast.decls {
         if let Decl::Signature(s) = d {
-            f(&mut s.ty);
+            s.ty = f(&s.ty);
         }
     }
 }
 
 /// `T ↦ -(-T)` on every message payload (C-NegNeg keeps equivalence).
-fn double_neg_payloads(t: &mut SType) {
-    match t {
-        SType::In(p, s, _) | SType::Out(p, s, _) => {
-            double_neg_payloads(s);
-            let span = p.span();
-            let old = std::mem::replace(&mut **p, SType::Unit(span));
-            **p = SType::Neg(Box::new(SType::Neg(Box::new(old), span)), span);
-        }
-        SType::Arrow(a, b, _) | SType::Pair(a, b, _) => {
-            double_neg_payloads(a);
-            double_neg_payloads(b);
-        }
-        SType::Forall(_, _, body, _) => double_neg_payloads(body),
-        SType::Dual(x, _) | SType::Neg(x, _) => double_neg_payloads(x),
-        SType::Name(..) | SType::Unit(_) | SType::Var(..) | SType::EndIn(_) | SType::EndOut(_) => {}
-    }
+fn double_neg_payloads(t: &SType) -> SType {
+    use STypeNode::*;
+    let neg2 = |p: &SType| SType::new(Neg(SType::new(Neg(p.clone()))));
+    let node = match &**t {
+        In(p, s) => In(neg2(p), double_neg_payloads(s)),
+        Out(p, s) => Out(neg2(p), double_neg_payloads(s)),
+        Arrow(a, b) => Arrow(double_neg_payloads(a), double_neg_payloads(b)),
+        Pair(a, b) => Pair(double_neg_payloads(a), double_neg_payloads(b)),
+        Forall(v, k, body) => Forall(*v, *k, double_neg_payloads(body)),
+        Dual(x) => Dual(double_neg_payloads(x)),
+        Neg(x) => Neg(double_neg_payloads(x)),
+        Name(..) | Unit | Var(..) | EndIn | EndOut => return t.clone(),
+    };
+    SType::new(node)
 }
 
 /// Wraps the outermost session-type nodes in `Dual (Dual ·)` (C-DualInv
 /// keeps equivalence; the wrapped node is session-kinded so the result
 /// stays well-kinded).
-fn dual_of_dual(t: &mut SType) {
-    match t {
-        SType::In(..) | SType::Out(..) | SType::EndIn(_) | SType::EndOut(_) => {
-            let span = t.span();
-            let old = std::mem::replace(t, SType::Unit(span));
-            *t = SType::Dual(Box::new(SType::Dual(Box::new(old), span)), span);
-        }
-        SType::Arrow(a, b, _) | SType::Pair(a, b, _) => {
-            dual_of_dual(a);
-            dual_of_dual(b);
-        }
-        SType::Forall(_, _, body, _) => dual_of_dual(body),
-        SType::Dual(x, _) => dual_of_dual(x),
-        SType::Name(..) | SType::Unit(_) | SType::Var(..) | SType::Neg(..) => {}
-    }
+fn dual_of_dual(t: &SType) -> SType {
+    use STypeNode::*;
+    let node = match &**t {
+        In(..) | Out(..) | EndIn | EndOut => Dual(SType::new(Dual(t.clone()))),
+        Arrow(a, b) => Arrow(dual_of_dual(a), dual_of_dual(b)),
+        Pair(a, b) => Pair(dual_of_dual(a), dual_of_dual(b)),
+        Forall(v, k, body) => Forall(*v, *k, dual_of_dual(body)),
+        Dual(x) => Dual(dual_of_dual(x)),
+        Name(..) | Unit | Var(..) | Neg(..) => return t.clone(),
+    };
+    SType::new(node)
 }
 
 // --------------------------------------------------------------- runtime

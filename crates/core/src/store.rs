@@ -720,6 +720,7 @@ pub trait StoreOps {
 
     /// β-instantiation of the outermost `∀` binder of `forall_id` with
     /// the binder-closed `arg`; `None` when `forall_id` is not a `Forall`.
+    /// Peels the `Forall`, then [`StoreOps::open`]s its body.
     fn instantiate(&mut self, forall_id: TypeId, arg: TypeId) -> Option<TypeId>
     where
         Self: Sized,
@@ -727,8 +728,20 @@ pub trait StoreOps {
         let TNode::Forall(_, body) = self.node_owned(forall_id) else {
             return None;
         };
+        Some(self.open(body, arg))
+    }
+
+    /// Replaces the innermost binder's index 0 in `part` with the
+    /// binder-closed `arg`: [`StoreOps::instantiate`] applied to the body
+    /// of a `∀`, or to any part of it that no `∀` of its own encloses
+    /// (the domain or codomain of its arrows). Opening commutes with
+    /// every constructor, so the parts of a body open independently.
+    fn open(&mut self, part: TypeId, arg: TypeId) -> TypeId
+    where
+        Self: Sized,
+    {
         debug_assert_eq!(self.binders_needed(arg), 0, "open argument to instantiate");
-        Some(rebuild(self, body, 0, &mut |s, id, node, depth| {
+        rebuild(self, part, 0, &mut |s, id, node, depth| {
             // A subtree that cannot reach the eliminated binder is
             // unchanged; an index above it steps down by one.
             if s.binders_needed(id) <= depth {
@@ -739,7 +752,7 @@ pub trait StoreOps {
                 TNode::Bound(i) => Some(s.mk_node(TNode::Bound(i - 1))),
                 _ => None,
             }
-        }))
+        })
     }
 
     /// `∀var:κ. body`: binds the free variable `var` of `body` — the
@@ -999,9 +1012,10 @@ fn rebuild<S: StoreOps>(
 
 /// Seeded multiply-mix hasher: every word is folded into the state with
 /// one 64×64→128-bit multiply. Its keys derive from client input (the
-/// shared store's intern table, [`rebuild`]'s memo), so every user seeds
-/// it from [`RandomState`].
-pub(crate) struct MixHasher(pub(crate) u64);
+/// shared store's intern table, [`rebuild`]'s memo, the parser's
+/// hash-consing of surface types), so every user seeds it from
+/// [`RandomState`].
+pub struct MixHasher(pub(crate) u64);
 
 impl Hasher for MixHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -1034,10 +1048,12 @@ impl Hasher for MixHasher {
     }
 }
 
-/// [`MixHasher`]s with one seed per process, for [`rebuild`]'s memo:
-/// the default SipHash cost more than the rebuild of a short signature.
+/// [`MixHasher`]s with one seed per process, for maps keyed by ids,
+/// addresses or other words ([`rebuild`]'s memo, the parser's and the
+/// elaborator's tables): the default SipHash cost more than the rebuild
+/// of a short signature.
 #[derive(Clone, Copy)]
-struct MixState(u64);
+pub struct MixState(u64);
 
 impl Default for MixState {
     fn default() -> MixState {

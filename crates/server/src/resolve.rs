@@ -20,7 +20,7 @@ use algst_core::kind::Kind;
 use algst_core::store::{StoreOps, TNode};
 use algst_core::types::{BaseType, Type};
 use algst_core::{Session, Symbol, TypeId};
-use algst_syntax::{parse_type_with, Span, TypeBuilder};
+use algst_syntax::{parse_type_with, TypeBuilder};
 use std::sync::Arc;
 
 /// Parses the surface syntax of a single type (e.g. `!Int.End!` or
@@ -59,43 +59,43 @@ struct Types;
 impl TypeBuilder for Types {
     type Out = Type;
 
-    fn unit(&mut self, _: Span) -> Type {
+    fn unit(&mut self) -> Type {
         Type::Unit
     }
-    fn name(&mut self, name: Symbol, args: Vec<Type>, _: Span) -> Type {
+    fn name(&mut self, name: Symbol, args: Vec<Type>) -> Type {
         match base_type(name) {
             Some(base) if args.is_empty() => Type::Base(base),
             _ => Type::Proto(name, args),
         }
     }
-    fn var(&mut self, var: Symbol, _: Span) -> Type {
+    fn var(&mut self, var: Symbol) -> Type {
         Type::Var(var)
     }
-    fn arrow(&mut self, dom: Type, cod: Type, _: Span) -> Type {
+    fn arrow(&mut self, dom: Type, cod: Type) -> Type {
         Type::Arrow(Arc::new(dom), Arc::new(cod))
     }
-    fn pair(&mut self, fst: Type, snd: Type, _: Span) -> Type {
+    fn pair(&mut self, fst: Type, snd: Type) -> Type {
         Type::Pair(Arc::new(fst), Arc::new(snd))
     }
-    fn forall(&mut self, var: Symbol, kind: Kind, body: Type, _: Span) -> Type {
+    fn forall(&mut self, var: Symbol, kind: Kind, body: Type) -> Type {
         Type::Forall(var, kind, Arc::new(body))
     }
-    fn input(&mut self, payload: Type, cont: Type, _: Span) -> Type {
+    fn input(&mut self, payload: Type, cont: Type) -> Type {
         Type::In(Arc::new(payload), Arc::new(cont))
     }
-    fn output(&mut self, payload: Type, cont: Type, _: Span) -> Type {
+    fn output(&mut self, payload: Type, cont: Type) -> Type {
         Type::Out(Arc::new(payload), Arc::new(cont))
     }
-    fn end_in(&mut self, _: Span) -> Type {
+    fn end_in(&mut self) -> Type {
         Type::EndIn
     }
-    fn end_out(&mut self, _: Span) -> Type {
+    fn end_out(&mut self) -> Type {
         Type::EndOut
     }
-    fn dual(&mut self, s: Type, _: Span) -> Type {
+    fn dual(&mut self, s: Type) -> Type {
         Type::Dual(Arc::new(s))
     }
-    fn neg(&mut self, t: Type, _: Span) -> Type {
+    fn neg(&mut self, t: Type) -> Type {
         Type::Neg(Arc::new(t))
     }
 }
@@ -111,54 +111,54 @@ struct Ids<'s> {
 impl TypeBuilder for Ids<'_> {
     type Out = TypeId;
 
-    fn unit(&mut self, _: Span) -> TypeId {
+    fn unit(&mut self) -> TypeId {
         self.session.mk_node(TNode::Unit)
     }
-    fn name(&mut self, name: Symbol, args: Vec<TypeId>, _: Span) -> TypeId {
+    fn name(&mut self, name: Symbol, args: Vec<TypeId>) -> TypeId {
         let node = match base_type(name) {
             Some(base) if args.is_empty() => TNode::Base(base),
             _ => TNode::Proto(name, args),
         };
         self.session.mk_node(node)
     }
-    fn var(&mut self, var: Symbol, _: Span) -> TypeId {
+    fn var(&mut self, var: Symbol) -> TypeId {
         let node = match self.binders.iter().rposition(|b| *b == var) {
             Some(ix) => TNode::Bound((self.binders.len() - 1 - ix) as u32),
             None => TNode::Free(var),
         };
         self.session.mk_node(node)
     }
-    fn arrow(&mut self, dom: TypeId, cod: TypeId, _: Span) -> TypeId {
+    fn arrow(&mut self, dom: TypeId, cod: TypeId) -> TypeId {
         self.session.mk_node(TNode::Arrow(dom, cod))
     }
-    fn pair(&mut self, fst: TypeId, snd: TypeId, _: Span) -> TypeId {
+    fn pair(&mut self, fst: TypeId, snd: TypeId) -> TypeId {
         self.session.mk_node(TNode::Pair(fst, snd))
     }
     fn bind(&mut self, var: Symbol) {
         self.binders.push(var);
     }
-    fn forall(&mut self, var: Symbol, kind: Kind, body: TypeId, _: Span) -> TypeId {
+    fn forall(&mut self, var: Symbol, kind: Kind, body: TypeId) -> TypeId {
         self.binders.pop();
         let id = self.session.mk_node(TNode::Forall(kind, body));
         self.session.note_binder_hint(id, var);
         id
     }
-    fn input(&mut self, payload: TypeId, cont: TypeId, _: Span) -> TypeId {
+    fn input(&mut self, payload: TypeId, cont: TypeId) -> TypeId {
         self.session.mk_node(TNode::In(payload, cont))
     }
-    fn output(&mut self, payload: TypeId, cont: TypeId, _: Span) -> TypeId {
+    fn output(&mut self, payload: TypeId, cont: TypeId) -> TypeId {
         self.session.mk_node(TNode::Out(payload, cont))
     }
-    fn end_in(&mut self, _: Span) -> TypeId {
+    fn end_in(&mut self) -> TypeId {
         self.session.mk_node(TNode::EndIn)
     }
-    fn end_out(&mut self, _: Span) -> TypeId {
+    fn end_out(&mut self) -> TypeId {
         self.session.mk_node(TNode::EndOut)
     }
-    fn dual(&mut self, s: TypeId, _: Span) -> TypeId {
+    fn dual(&mut self, s: TypeId) -> TypeId {
         self.session.mk_node(TNode::Dual(s))
     }
-    fn neg(&mut self, t: TypeId, _: Span) -> TypeId {
+    fn neg(&mut self, t: TypeId) -> TypeId {
         self.session.mk_node(TNode::Neg(t))
     }
 }

@@ -10,7 +10,7 @@ use algst_gen::workload::cold_heavy_workload;
 use algst_gen::{build_suite, SuiteKind};
 use algst_server::resolve::{intern_type_str, type_from_str};
 use algst_server::{Engine, Op, Request, Response};
-use algst_syntax::ast::SType;
+use algst_syntax::ast::{SType, STypeNode};
 use algst_syntax::parse_type;
 use std::sync::Arc;
 
@@ -18,25 +18,25 @@ use std::sync::Arc;
 /// reference the resolving builders must agree with.
 fn resolve(st: &SType) -> Type {
     let arc = |t: &SType| Arc::new(resolve(t));
-    match st {
-        SType::Unit(_) => Type::Unit,
-        SType::Var(v, _) => Type::Var(*v),
-        SType::Name(name, args, _) => match (name.as_str(), args.is_empty()) {
+    match &**st {
+        STypeNode::Unit => Type::Unit,
+        STypeNode::Var(v) => Type::Var(*v),
+        STypeNode::Name(name, args) => match (name.as_str(), args.is_empty()) {
             ("Int", true) => Type::int(),
             ("Bool", true) => Type::bool(),
             ("Char", true) => Type::char(),
             ("String", true) => Type::string(),
             _ => Type::Proto(*name, args.iter().map(resolve).collect()),
         },
-        SType::Arrow(a, b, _) => Type::Arrow(arc(a), arc(b)),
-        SType::Pair(a, b, _) => Type::Pair(arc(a), arc(b)),
-        SType::Forall(v, k, body, _) => Type::Forall(*v, *k, arc(body)),
-        SType::In(p, s, _) => Type::In(arc(p), arc(s)),
-        SType::Out(p, s, _) => Type::Out(arc(p), arc(s)),
-        SType::EndIn(_) => Type::EndIn,
-        SType::EndOut(_) => Type::EndOut,
-        SType::Dual(s, _) => Type::Dual(arc(s)),
-        SType::Neg(p, _) => Type::Neg(arc(p)),
+        STypeNode::Arrow(a, b) => Type::Arrow(arc(a), arc(b)),
+        STypeNode::Pair(a, b) => Type::Pair(arc(a), arc(b)),
+        STypeNode::Forall(v, k, body) => Type::Forall(*v, *k, arc(body)),
+        STypeNode::In(p, s) => Type::In(arc(p), arc(s)),
+        STypeNode::Out(p, s) => Type::Out(arc(p), arc(s)),
+        STypeNode::EndIn => Type::EndIn,
+        STypeNode::EndOut => Type::EndOut,
+        STypeNode::Dual(s) => Type::Dual(arc(s)),
+        STypeNode::Neg(p) => Type::Neg(arc(p)),
     }
 }
 

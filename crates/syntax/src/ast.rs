@@ -1,15 +1,19 @@
 //! The surface abstract syntax tree.
 //!
-//! Surface types and expressions keep source spans and *unresolved* names:
-//! an uppercase name application `Stream Int` may refer to a protocol, a
-//! datatype or a type alias — resolution happens during elaboration
-//! (`algst-check`), which has the full declaration table.
+//! Surface types and expressions keep *unresolved* names: an uppercase
+//! name application `Stream Int` may refer to a protocol, a datatype or a
+//! type alias — resolution happens during elaboration (`algst-check`),
+//! which has the full declaration table. Expressions and declarations
+//! keep their source spans; types are shared nodes without spans (see
+//! [`SType`]).
 
 use crate::span::Span;
 use algst_core::expr::Lit;
 use algst_core::kind::Kind;
 use algst_core::symbol::Symbol;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A parsed source file.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -91,43 +95,67 @@ pub enum Param {
     Types(Vec<Symbol>),
 }
 
-/// A surface type.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SType {
-    Unit(Span),
+/// A surface type: a cheap handle to an immutable node. The parser
+/// hash-conses within each parse, so every occurrence of one type in a
+/// program is a single node — a clone is a reference-count bump, and
+/// [`SType::as_ptr`] names a distinct type for the length of that
+/// parse. Equality is structural (identical handles compare in O(1)).
+/// Type nodes carry no span: diagnostics point at tokens and
+/// declarations.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SType(Arc<STypeNode>);
+
+/// The shape of a surface type (see [`SType`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum STypeNode {
+    Unit,
     /// Uppercase name, possibly applied: protocol, datatype, alias, or a
     /// builtin (`Int`, `Bool`, `Char`, `String`).
-    Name(Symbol, Vec<SType>, Span),
+    Name(Symbol, Vec<SType>),
     /// Lowercase type variable.
-    Var(Symbol, Span),
-    Arrow(Box<SType>, Box<SType>, Span),
-    Pair(Box<SType>, Box<SType>, Span),
-    Forall(Symbol, Kind, Box<SType>, Span),
+    Var(Symbol),
+    Arrow(SType, SType),
+    Pair(SType, SType),
+    Forall(Symbol, Kind, SType),
     /// `?T.S`
-    In(Box<SType>, Box<SType>, Span),
+    In(SType, SType),
     /// `!T.S`
-    Out(Box<SType>, Box<SType>, Span),
-    EndIn(Span),
-    EndOut(Span),
-    Dual(Box<SType>, Span),
+    Out(SType, SType),
+    EndIn,
+    EndOut,
+    Dual(SType),
     /// `-T`
-    Neg(Box<SType>, Span),
+    Neg(SType),
 }
 
 impl SType {
-    pub fn span(&self) -> Span {
-        match self {
-            SType::Unit(s) | SType::EndIn(s) | SType::EndOut(s) => *s,
-            SType::Name(_, _, s)
-            | SType::Var(_, s)
-            | SType::Arrow(_, _, s)
-            | SType::Pair(_, _, s)
-            | SType::Forall(_, _, _, s)
-            | SType::In(_, _, s)
-            | SType::Out(_, _, s)
-            | SType::Dual(_, s)
-            | SType::Neg(_, s) => *s,
-        }
+    /// A new node of its own, shared with nothing built before it.
+    pub fn new(node: STypeNode) -> SType {
+        SType(Arc::new(node))
+    }
+
+    /// The node's address: the same for every handle to it.
+    pub fn as_ptr(&self) -> *const STypeNode {
+        Arc::as_ptr(&self.0)
+    }
+
+    /// Whether `self` and `other` are handles to one node.
+    pub fn ptr_eq(&self, other: &SType) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for SType {
+    type Target = STypeNode;
+
+    fn deref(&self) -> &STypeNode {
+        &self.0
+    }
+}
+
+impl fmt::Debug for SType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -232,25 +260,28 @@ mod tests {
 
     #[test]
     fn stype_display() {
-        let sp = Span::default();
-        let t = SType::Out(
-            Box::new(SType::Name(
-                Symbol::intern("Stream"),
-                vec![SType::Name(Symbol::intern("Int"), vec![], sp)],
-                sp,
-            )),
-            Box::new(SType::EndOut(sp)),
-            sp,
-        );
+        let name = |n: &str, args| SType::new(STypeNode::Name(Symbol::intern(n), args));
+        let t = SType::new(STypeNode::Out(
+            name("Stream", vec![name("Int", vec![])]),
+            SType::new(STypeNode::EndOut),
+        ));
         assert_eq!(t.to_string(), "!(Stream Int).End!");
     }
 
     #[test]
     fn arrow_display_parenthesizes_domain() {
-        let sp = Span::default();
-        let unit = || SType::Unit(sp);
-        let inner = SType::Arrow(Box::new(unit()), Box::new(unit()), sp);
-        let t = SType::Arrow(Box::new(inner), Box::new(unit()), sp);
+        let unit = || SType::new(STypeNode::Unit);
+        let inner = SType::new(STypeNode::Arrow(unit(), unit()));
+        let t = SType::new(STypeNode::Arrow(inner, unit()));
         assert_eq!(t.to_string(), "(Unit -> Unit) -> Unit");
+    }
+
+    #[test]
+    fn equality_is_structural() {
+        let unit = || SType::new(STypeNode::Unit);
+        let (a, b) = (unit(), unit());
+        assert!(!a.ptr_eq(&b));
+        assert_eq!(a, b);
+        assert_ne!(a, SType::new(STypeNode::EndIn));
     }
 }

@@ -4,10 +4,9 @@
 //! rule: top-level declarations start at column 1). Supports `--` line
 //! comments and `{- … -}` block comments (nestable), and a few Unicode
 //! aliases for the paper's notation: `→` for `->`, `λ` for `\`, `∀` for
-//! `forall`, `▷` for `|>`, `⊗` is accepted in types as the pair separator
-//! (lexed as a comma inside parentheses is *not* attempted; `⊗` is its own
-//! token mapped to `,` by the parser — we simply reject it here to keep the
-//! token set small; examples use tuple syntax).
+//! `forall`, `▷` for `|>`. The paper's pair type `T ⊗ U` is not among
+//! them: `⊗` is rejected as an unexpected character, and pair types are
+//! written as tuples, `(T, U)`.
 //!
 //! The lexer scans bytes and decodes a char only where the input is not
 //! ASCII. Keywords and builtin names are matched on bytes and come out
@@ -406,6 +405,12 @@ mod tests {
     fn comments_are_skipped() {
         let ts = toks("a -- comment\nb {- block {- nested -} -} c");
         assert_eq!(ts.len(), 3);
+    }
+
+    #[test]
+    fn pair_symbol_is_rejected() {
+        let err = lex("(Int ⊗ Bool)").unwrap_err();
+        assert_eq!(err.message, "unexpected character '⊗'");
     }
 
     #[test]

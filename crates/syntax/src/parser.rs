@@ -26,8 +26,11 @@ use crate::span::Span;
 use crate::token::{Tok, Token};
 use algst_core::expr::Lit;
 use algst_core::kind::Kind;
+use algst_core::store::{MixHasher, MixState};
 use algst_core::symbol::Symbol;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A parse error with location information.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,13 +68,14 @@ pub fn parse_program(src: &str) -> PResult<Program> {
     Ok(Program { decls })
 }
 
-/// Parses a single type, e.g. for tests and tooling.
+/// Parses a single type, e.g. for tests and tooling. Repeated subtypes
+/// are shared, as in [`parse_program`].
 pub fn parse_type(src: &str) -> PResult<SType> {
-    parse_type_with(src, &mut Surface)
+    parse_type_with(src, &mut Surface::default())
 }
 
 /// Parses a single type with `builder` building each node as the parser
-/// recognises it — the same grammar, spans and errors as [`parse_type`],
+/// recognises it — the same grammar and errors as [`parse_type`],
 /// without an intermediate [`SType`] unless the builder makes one.
 pub fn parse_type_with<B: TypeBuilder>(src: &str, builder: &mut B) -> PResult<B::Out> {
     let mut p = Parser::new(src)?;
@@ -106,9 +110,8 @@ pub const MAX_EXPR_DEPTH: usize = 2048;
 /// An expression with the height of its tree (see [`MAX_EXPR_DEPTH`]).
 type Node = (SExpr, usize);
 
-/// What the type productions build, one call per recognised node, each
-/// with the node's span. Children are built before their parent, in
-/// source order.
+/// What the type productions build, one call per recognised node.
+/// Children are built before their parent, in source order.
 ///
 /// Uppercase names are left unresolved: [`TypeBuilder::name`] receives
 /// every applied or bare name except `Unit`, and the builder decides what
@@ -117,97 +120,154 @@ pub trait TypeBuilder {
     type Out;
 
     /// `Unit`
-    fn unit(&mut self, span: Span) -> Self::Out;
+    fn unit(&mut self) -> Self::Out;
     /// An uppercase name with its arguments (possibly none).
-    fn name(&mut self, name: Symbol, args: Vec<Self::Out>, span: Span) -> Self::Out;
+    fn name(&mut self, name: Symbol, args: Vec<Self::Out>) -> Self::Out;
     /// A lowercase type variable.
-    fn var(&mut self, var: Symbol, span: Span) -> Self::Out;
+    fn var(&mut self, var: Symbol) -> Self::Out;
     /// `T -> U`
-    fn arrow(&mut self, dom: Self::Out, cod: Self::Out, span: Span) -> Self::Out;
+    fn arrow(&mut self, dom: Self::Out, cod: Self::Out) -> Self::Out;
     /// `(T, U)`
-    fn pair(&mut self, fst: Self::Out, snd: Self::Out, span: Span) -> Self::Out;
+    fn pair(&mut self, fst: Self::Out, snd: Self::Out) -> Self::Out;
     /// Entering the body of `forall (var:κ).`; the matching
     /// [`TypeBuilder::forall`] call leaves it. Builders that resolve
     /// variables against their binders track the scope here.
     fn bind(&mut self, _var: Symbol) {}
     /// `forall (var:kind). body`
-    fn forall(&mut self, var: Symbol, kind: Kind, body: Self::Out, span: Span) -> Self::Out;
+    fn forall(&mut self, var: Symbol, kind: Kind, body: Self::Out) -> Self::Out;
     /// `?T.S`
-    fn input(&mut self, payload: Self::Out, cont: Self::Out, span: Span) -> Self::Out;
+    fn input(&mut self, payload: Self::Out, cont: Self::Out) -> Self::Out;
     /// `!T.S`
-    fn output(&mut self, payload: Self::Out, cont: Self::Out, span: Span) -> Self::Out;
+    fn output(&mut self, payload: Self::Out, cont: Self::Out) -> Self::Out;
     /// `End?`
-    fn end_in(&mut self, span: Span) -> Self::Out;
+    fn end_in(&mut self) -> Self::Out;
     /// `End!`
-    fn end_out(&mut self, span: Span) -> Self::Out;
+    fn end_out(&mut self) -> Self::Out;
     /// `Dual S`
-    fn dual(&mut self, s: Self::Out, span: Span) -> Self::Out;
+    fn dual(&mut self, s: Self::Out) -> Self::Out;
     /// `-T`
-    fn neg(&mut self, t: Self::Out, span: Span) -> Self::Out;
+    fn neg(&mut self, t: Self::Out) -> Self::Out;
 }
 
-/// The [`TypeBuilder`] of the surface AST.
-struct Surface;
+/// The [`TypeBuilder`] of the surface AST. It hash-conses within one
+/// parse: a node is keyed by its kind and the identities of its
+/// children, which are already shared, so a type written twice — every
+/// explicit type application restates the rest of a protocol — is built
+/// once and then handed out again.
+#[derive(Default)]
+struct Surface {
+    /// The node built for each key, by the key's hash. A node whose hash
+    /// is taken by a different node stays unshared.
+    nodes: HashMap<u64, SType, MixState>,
+    /// Hashes the keys.
+    seed: MixState,
+}
+
+impl Surface {
+    fn share(&mut self, node: STypeNode) -> SType {
+        use STypeNode::*;
+        let mut h = self.seed.build_hasher();
+        let child = |h: &mut MixHasher, t: &SType| h.write_usize(t.as_ptr() as usize);
+        std::mem::discriminant(&node).hash(&mut h);
+        match &node {
+            Unit | EndIn | EndOut => {}
+            Name(name, args) => {
+                name.hash(&mut h);
+                args.iter().for_each(|a| child(&mut h, a));
+            }
+            Var(v) => v.hash(&mut h),
+            Arrow(a, b) | Pair(a, b) | In(a, b) | Out(a, b) => {
+                child(&mut h, a);
+                child(&mut h, b);
+            }
+            Forall(v, k, body) => {
+                v.hash(&mut h);
+                k.hash(&mut h);
+                child(&mut h, body);
+            }
+            Dual(t) | Neg(t) => child(&mut h, t),
+        }
+        match self.nodes.entry(h.finish()) {
+            Entry::Occupied(e) if same_node(e.get(), &node) => e.get().clone(),
+            Entry::Occupied(_) => SType::new(node),
+            Entry::Vacant(e) => e.insert(SType::new(node)).clone(),
+        }
+    }
+}
+
+/// `a` and `b` have the same kind, names and children (by identity).
+fn same_node(a: &STypeNode, b: &STypeNode) -> bool {
+    use STypeNode::*;
+    let same = |x: &SType, y: &SType| x.ptr_eq(y);
+    match (a, b) {
+        (Unit, Unit) | (EndIn, EndIn) | (EndOut, EndOut) => true,
+        (Name(n, xs), Name(m, ys)) => {
+            n == m && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+        }
+        (Var(v), Var(w)) => v == w,
+        (Arrow(a1, b1), Arrow(a2, b2))
+        | (Pair(a1, b1), Pair(a2, b2))
+        | (In(a1, b1), In(a2, b2))
+        | (Out(a1, b1), Out(a2, b2)) => same(a1, a2) && same(b1, b2),
+        (Forall(v, k, x), Forall(w, l, y)) => v == w && k == l && same(x, y),
+        (Dual(x), Dual(y)) | (Neg(x), Neg(y)) => same(x, y),
+        _ => false,
+    }
+}
 
 impl TypeBuilder for Surface {
     type Out = SType;
 
-    fn unit(&mut self, span: Span) -> SType {
-        SType::Unit(span)
+    fn unit(&mut self) -> SType {
+        self.share(STypeNode::Unit)
     }
-    fn name(&mut self, name: Symbol, args: Vec<SType>, span: Span) -> SType {
-        SType::Name(name, args, span)
+    fn name(&mut self, name: Symbol, args: Vec<SType>) -> SType {
+        self.share(STypeNode::Name(name, args))
     }
-    fn var(&mut self, var: Symbol, span: Span) -> SType {
-        SType::Var(var, span)
+    fn var(&mut self, var: Symbol) -> SType {
+        self.share(STypeNode::Var(var))
     }
-    fn arrow(&mut self, dom: SType, cod: SType, span: Span) -> SType {
-        SType::Arrow(Box::new(dom), Box::new(cod), span)
+    fn arrow(&mut self, dom: SType, cod: SType) -> SType {
+        self.share(STypeNode::Arrow(dom, cod))
     }
-    fn pair(&mut self, fst: SType, snd: SType, span: Span) -> SType {
-        SType::Pair(Box::new(fst), Box::new(snd), span)
+    fn pair(&mut self, fst: SType, snd: SType) -> SType {
+        self.share(STypeNode::Pair(fst, snd))
     }
-    fn forall(&mut self, var: Symbol, kind: Kind, body: SType, span: Span) -> SType {
-        SType::Forall(var, kind, Box::new(body), span)
+    fn forall(&mut self, var: Symbol, kind: Kind, body: SType) -> SType {
+        self.share(STypeNode::Forall(var, kind, body))
     }
-    fn input(&mut self, payload: SType, cont: SType, span: Span) -> SType {
-        SType::In(Box::new(payload), Box::new(cont), span)
+    fn input(&mut self, payload: SType, cont: SType) -> SType {
+        self.share(STypeNode::In(payload, cont))
     }
-    fn output(&mut self, payload: SType, cont: SType, span: Span) -> SType {
-        SType::Out(Box::new(payload), Box::new(cont), span)
+    fn output(&mut self, payload: SType, cont: SType) -> SType {
+        self.share(STypeNode::Out(payload, cont))
     }
-    fn end_in(&mut self, span: Span) -> SType {
-        SType::EndIn(span)
+    fn end_in(&mut self) -> SType {
+        self.share(STypeNode::EndIn)
     }
-    fn end_out(&mut self, span: Span) -> SType {
-        SType::EndOut(span)
+    fn end_out(&mut self) -> SType {
+        self.share(STypeNode::EndOut)
     }
-    fn dual(&mut self, s: SType, span: Span) -> SType {
-        SType::Dual(Box::new(s), span)
+    fn dual(&mut self, s: SType) -> SType {
+        self.share(STypeNode::Dual(s))
     }
-    fn neg(&mut self, t: SType, span: Span) -> SType {
-        SType::Neg(Box::new(t), span)
+    fn neg(&mut self, t: SType) -> SType {
+        self.share(STypeNode::Neg(t))
     }
 }
 
-/// A type production's result with its span. An uppercase name without
-/// arguments stays `Bare`, so that `ty_app` can still apply it.
+/// A type production's result. An uppercase name without arguments
+/// stays `Bare`, so that `ty_app` can still apply it.
 enum Parsed<O> {
-    Bare(Symbol, Span),
-    Built(O, Span),
+    Bare(Symbol),
+    Built(O),
 }
 
 impl<O> Parsed<O> {
-    fn span(&self) -> Span {
-        match self {
-            Parsed::Bare(_, span) | Parsed::Built(_, span) => *span,
-        }
-    }
-
     fn build<B: TypeBuilder<Out = O>>(self, b: &mut B) -> O {
         match self {
-            Parsed::Bare(name, span) => b.name(name, Vec::new(), span),
-            Parsed::Built(out, _) => out,
+            Parsed::Bare(name) => b.name(name, Vec::new()),
+            Parsed::Built(out) => out,
         }
     }
 }
@@ -215,6 +275,8 @@ impl<O> Parsed<O> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Builds the surface types of the whole parse, sharing repeats.
+    types: Surface,
     /// Current type nesting, bounded by [`MAX_TYPE_DEPTH`].
     depth: usize,
     /// Current expression recursion, bounded by [`MAX_EXPR_DEPTH`].
@@ -226,6 +288,7 @@ impl Parser {
         Ok(Parser {
             tokens: lex(src)?,
             pos: 0,
+            types: Surface::default(),
             depth: 0,
             expr_depth: 0,
         })
@@ -235,6 +298,10 @@ impl Parser {
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
+    }
+
+    fn peek_tok(&self) -> Option<&Tok> {
+        self.peek().map(|t| &t.tok)
     }
 
     /// Peek, but refuse tokens at column 1 (they belong to the next
@@ -329,13 +396,24 @@ impl Parser {
 
     /// A type of a declaration or an expression, as surface AST.
     fn surface_ty(&mut self) -> PResult<SType> {
-        Ok(self.ty(&mut Surface)?.build(&mut Surface))
+        self.with_types(Self::ty)
+    }
+
+    /// Runs a type production with the parse's [`Surface`] builder.
+    fn with_types(
+        &mut self,
+        production: fn(&mut Self, &mut Surface) -> PResult<Parsed<SType>>,
+    ) -> PResult<SType> {
+        let mut types = std::mem::take(&mut self.types);
+        let parsed = production(self, &mut types).map(|t| t.build(&mut types));
+        self.types = types;
+        parsed
     }
 
     // ------------------------------------------------------- declarations
 
     fn decl(&mut self) -> PResult<Decl> {
-        match self.peek().map(|t| t.tok.clone()) {
+        match self.peek_tok() {
             Some(Tok::Protocol) => self.type_decl(true),
             Some(Tok::Data) => self.type_decl(false),
             Some(Tok::TypeKw) => self.alias_decl(),
@@ -379,7 +457,7 @@ impl Parser {
         let (name, start) = self.uident()?;
         let mut args = Vec::new();
         while self.starts_type_atom() {
-            args.push(self.ty_atom(&mut Surface)?.build(&mut Surface));
+            args.push(self.with_types(Self::ty_atom)?);
         }
         Ok(CtorDecl {
             name,
@@ -436,7 +514,7 @@ impl Parser {
                     loop {
                         let (v, _) = self.lident()?;
                         vars.push(v);
-                        if self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
+                        if self.peek_tok() == Some(&Tok::Comma) {
                             self.bump();
                         } else {
                             break;
@@ -462,12 +540,10 @@ impl Parser {
     //
     // One grammar for every consumer: the productions are generic over
     // the [`TypeBuilder`] that turns each recognised node into a value.
-    // Every node carries the span the surface AST gives it, so the
-    // `SType` builder sees exactly what a tree-building parser would.
 
     fn ty<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
-        if self.peek().map(|t| &t.tok) == Some(&Tok::Forall) {
-            let start = self.bump();
+        if self.peek_tok() == Some(&Tok::Forall) {
+            self.bump();
             self.expect(Tok::LParen)?;
             let (var, _) = self.lident()?;
             self.expect(Tok::Colon)?;
@@ -475,10 +551,8 @@ impl Parser {
             self.expect(Tok::RParen)?;
             self.expect(Tok::Dot)?;
             b.bind(var);
-            let body = self.nested(|p| p.ty(b))?;
-            let span = start.to(body.span());
-            let body = body.build(b);
-            return Ok(Parsed::Built(b.forall(var, kind, body, span), span));
+            let body = self.nested(|p| p.ty(b))?.build(b);
+            return Ok(Parsed::Built(b.forall(var, kind, body)));
         }
         self.ty_arrow(b)
     }
@@ -499,44 +573,36 @@ impl Parser {
         if self.cont_tok() == Some(&Tok::Arrow) {
             self.bump();
             let rhs = self.nested(|p| p.ty(b))?; // right-associative
-            let span = lhs.span().to(rhs.span());
             let (lhs, rhs) = (lhs.build(b), rhs.build(b));
-            return Ok(Parsed::Built(b.arrow(lhs, rhs, span), span));
+            return Ok(Parsed::Built(b.arrow(lhs, rhs)));
         }
         Ok(lhs)
     }
 
     /// Session-prefix level: `!T.S`, `?T.S`, otherwise an application type.
     fn ty_seq<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
-        let out = match self.peek().map(|t| &t.tok) {
+        let out = match self.peek_tok() {
             Some(Tok::Bang) => true,
             Some(Tok::Quest) => false,
             _ => return self.ty_app(b),
         };
-        let start = self.bump();
+        self.bump();
         let payload = self.nested(|p| p.ty_msg(b))?.build(b);
         self.expect(Tok::Dot)?;
-        let cont = self.nested(|p| p.ty_seq(b))?;
-        let span = start.to(cont.span());
-        let cont = cont.build(b);
-        Ok(Parsed::Built(
-            if out {
-                b.output(payload, cont, span)
-            } else {
-                b.input(payload, cont, span)
-            },
-            span,
-        ))
+        let cont = self.nested(|p| p.ty_seq(b))?.build(b);
+        Ok(Parsed::Built(if out {
+            b.output(payload, cont)
+        } else {
+            b.input(payload, cont)
+        }))
     }
 
     /// Message payload: an application type, optionally negated.
     fn ty_msg<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Out>> {
-        if self.peek().map(|t| &t.tok) == Some(&Tok::Dash) {
-            let start = self.bump();
-            let inner = self.nested(|p| p.ty_msg(b))?;
-            let span = start.to(inner.span());
-            let inner = inner.build(b);
-            return Ok(Parsed::Built(b.neg(inner, span), span));
+        if self.peek_tok() == Some(&Tok::Dash) {
+            self.bump();
+            let inner = self.nested(|p| p.ty_msg(b))?.build(b);
+            return Ok(Parsed::Built(b.neg(inner)));
         }
         self.ty_app(b)
     }
@@ -547,7 +613,7 @@ impl Parser {
         // in `!(Repeat Int).End!` — and is complete as it stands
         // (application is not curried through parens).
         let head = self.ty_atom(b)?;
-        let Parsed::Bare(name, start) = head else {
+        let Parsed::Bare(name) = head else {
             return Ok(head);
         };
         let mut args = Vec::new();
@@ -556,11 +622,10 @@ impl Parser {
         }
         // Still bare without arguments, so enclosing parentheses keep it
         // applicable: `(F) A` parses like `F A`.
-        let span = start.to(self.last_span());
         if args.is_empty() {
-            return Ok(Parsed::Bare(name, span));
+            return Ok(Parsed::Bare(name));
         }
-        Ok(Parsed::Built(b.name(name, args, span), span))
+        Ok(Parsed::Built(b.name(name, args)))
     }
 
     fn starts_type_atom(&self) -> bool {
@@ -582,50 +647,45 @@ impl Parser {
         let Some(token) = self.peek() else {
             return self.error("expected a type");
         };
-        let span = token.span;
         let atom = match token.tok {
             Tok::LParen => {
                 self.bump();
                 return self.nested(|p| {
                     let first = p.ty(b)?;
-                    if p.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
+                    if p.peek_tok() == Some(&Tok::Comma) {
                         p.bump();
                         let second = p.ty(b)?;
-                        let end = p.expect(Tok::RParen)?;
-                        let span = span.to(end);
+                        p.expect(Tok::RParen)?;
                         let (first, second) = (first.build(b), second.build(b));
-                        Ok(Parsed::Built(b.pair(first, second, span), span))
+                        Ok(Parsed::Built(b.pair(first, second)))
                     } else {
                         p.expect(Tok::RParen)?;
                         Ok(first)
                     }
                 });
             }
-            Tok::UIdent(Symbol::UNIT) => b.unit(span),
+            Tok::UIdent(Symbol::UNIT) => b.unit(),
             Tok::UIdent(name) => {
                 self.bump();
-                return Ok(Parsed::Bare(name, span));
+                return Ok(Parsed::Bare(name));
             }
-            Tok::LIdent(name) => b.var(name, span),
-            Tok::EndBang => b.end_out(span),
-            Tok::EndQuest => b.end_in(span),
+            Tok::LIdent(name) => b.var(name),
+            Tok::EndBang => b.end_out(),
+            Tok::EndQuest => b.end_in(),
             Tok::DualKw | Tok::Dash => {
                 let dual = token.tok == Tok::DualKw;
                 self.bump();
-                let inner = self.nested(|p| p.ty_atom(b))?;
-                let span = span.to(inner.span());
-                let inner = inner.build(b);
-                let node = if dual {
-                    b.dual(inner, span)
+                let inner = self.nested(|p| p.ty_atom(b))?.build(b);
+                return Ok(Parsed::Built(if dual {
+                    b.dual(inner)
                 } else {
-                    b.neg(inner, span)
-                };
-                return Ok(Parsed::Built(node, span));
+                    b.neg(inner)
+                }));
             }
             _ => return self.error("expected a type"),
         };
         self.bump();
-        Ok(Parsed::Built(atom, span))
+        Ok(Parsed::Built(atom))
     }
 
     /// Parses one nesting level deeper, refusing to go past
@@ -648,7 +708,7 @@ impl Parser {
     // parser's own recursion before any height is known.
 
     fn expr(&mut self) -> PResult<Node> {
-        match self.peek().map(|t| t.tok.clone()) {
+        match self.peek_tok() {
             Some(Tok::Backslash) => self.lambda(),
             Some(Tok::Let) => self.let_expr(),
             Some(Tok::If) => self.if_expr(),
@@ -693,8 +753,8 @@ impl Parser {
         let start = self.bump(); // backslash
         let mut params = Vec::new();
         loop {
-            match self.peek().map(|t| t.tok.clone()) {
-                Some(Tok::LIdent(x)) => {
+            match self.peek_tok() {
+                Some(&Tok::LIdent(x)) => {
                     params.push(x);
                     self.bump();
                 }
@@ -730,8 +790,8 @@ impl Parser {
     }
 
     fn pattern(&mut self) -> PResult<Pattern> {
-        match self.peek().map(|t| t.tok.clone()) {
-            Some(Tok::LIdent(x)) => {
+        match self.peek_tok() {
+            Some(&Tok::LIdent(x)) => {
                 self.bump();
                 Ok(Pattern::Var(x))
             }
@@ -745,7 +805,7 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.bump();
-                if self.peek().map(|t| &t.tok) == Some(&Tok::RParen) {
+                if self.peek_tok() == Some(&Tok::RParen) {
                     self.bump();
                     return Ok(Pattern::Unit);
                 }
@@ -784,11 +844,11 @@ impl Parser {
             let (arm, h) = self.arm()?;
             arms.push(arm);
             height = height.max(h);
-            match self.peek().map(|t| t.tok.clone()) {
+            match self.peek_tok() {
                 Some(Tok::Comma) => {
                     self.bump();
                     // allow trailing comma
-                    if self.peek().map(|t| &t.tok) == Some(&Tok::RBrace) {
+                    if self.peek_tok() == Some(&Tok::RBrace) {
                         break;
                     }
                 }
@@ -808,8 +868,8 @@ impl Parser {
         let (tag, start) = self.uident()?;
         let mut binders = Vec::new();
         loop {
-            match self.peek().map(|t| t.tok.clone()) {
-                Some(Tok::LIdent(x)) => {
+            match self.peek_tok() {
+                Some(&Tok::LIdent(x)) => {
                     binders.push(x);
                     self.bump();
                 }
@@ -839,7 +899,7 @@ impl Parser {
         while self.cont_tok() == Some(&Tok::PipeGt) {
             self.bump();
             // The right operand of |> may itself be a lambda/let/etc.
-            let (rhs, h) = match self.peek().map(|t| t.tok.clone()) {
+            let (rhs, h) = match self.peek_tok() {
                 Some(Tok::Backslash) => self.lambda()?,
                 _ => self.or_expr()?,
             };
@@ -853,22 +913,28 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> PResult<Node> {
-        self.left_assoc(&[(Tok::OrOr, "||")], Self::and_expr)
+        self.left_assoc(
+            |t| matches!(t, Tok::OrOr).then_some(Symbol::OP_OR),
+            Self::and_expr,
+        )
     }
 
     fn and_expr(&mut self) -> PResult<Node> {
-        self.left_assoc(&[(Tok::AndAnd, "&&")], Self::cmp_expr)
+        self.left_assoc(
+            |t| matches!(t, Tok::AndAnd).then_some(Symbol::OP_AND),
+            Self::cmp_expr,
+        )
     }
 
     fn cmp_expr(&mut self) -> PResult<Node> {
         let lhs = self.add_expr()?;
         let op = match self.cont_tok() {
-            Some(Tok::EqEq) => "==",
-            Some(Tok::Neq) => "/=",
-            Some(Tok::Lt) => "<",
-            Some(Tok::Le) => "<=",
-            Some(Tok::Gt) => ">",
-            Some(Tok::Ge) => ">=",
+            Some(Tok::EqEq) => Symbol::OP_EQ,
+            Some(Tok::Neq) => Symbol::OP_NEQ,
+            Some(Tok::Lt) => Symbol::OP_LT,
+            Some(Tok::Le) => Symbol::OP_LEQ,
+            Some(Tok::Gt) => Symbol::OP_GT,
+            Some(Tok::Ge) => Symbol::OP_GEQ,
             _ => return Ok(lhs),
         };
         self.bump();
@@ -877,24 +943,37 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> PResult<Node> {
-        self.left_assoc(&[(Tok::Plus, "+"), (Tok::Dash, "-")], Self::mul_expr)
+        self.left_assoc(
+            |t| match t {
+                Tok::Plus => Some(Symbol::OP_ADD),
+                Tok::Dash => Some(Symbol::OP_SUB),
+                _ => None,
+            },
+            Self::mul_expr,
+        )
     }
 
     fn mul_expr(&mut self) -> PResult<Node> {
         self.left_assoc(
-            &[(Tok::Star, "*"), (Tok::Slash, "/"), (Tok::Percent, "%")],
+            |t| match t {
+                Tok::Star => Some(Symbol::OP_MUL),
+                Tok::Slash => Some(Symbol::OP_DIV),
+                Tok::Percent => Some(Symbol::OP_MOD),
+                _ => None,
+            },
             Self::app_expr,
         )
     }
 
-    /// A left-associative chain of `operand`s joined by any of `ops`.
+    /// A left-associative chain of `operand`s joined by the operators
+    /// that `op` maps to their pre-interned symbols.
     fn left_assoc(
         &mut self,
-        ops: &[(Tok, &str)],
+        op: fn(&Tok) -> Option<Symbol>,
         operand: fn(&mut Self) -> PResult<Node>,
     ) -> PResult<Node> {
         let mut lhs = operand(self)?;
-        while let Some(&(_, op)) = ops.iter().find(|(tok, _)| self.cont_tok() == Some(tok)) {
+        while let Some(op) = self.cont_tok().and_then(op) {
             self.bump();
             let rhs = operand(self)?;
             lhs = self.binop(op, lhs, rhs)?;
@@ -902,10 +981,10 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn binop(&self, op: &str, (lhs, h1): Node, (rhs, h2): Node) -> PResult<Node> {
+    fn binop(&self, op: Symbol, (lhs, h1): Node, (rhs, h2): Node) -> PResult<Node> {
         let span = lhs.span().to(rhs.span());
         self.node(
-            SExpr::BinOp(Symbol::intern(op), Box::new(lhs), Box::new(rhs), span),
+            SExpr::BinOp(op, Box::new(lhs), Box::new(rhs), span),
             h1.max(h2),
         )
     }
@@ -923,7 +1002,7 @@ impl Parser {
             } else if self.cont_tok() == Some(&Tok::LBracket) {
                 self.bump();
                 let mut tys = vec![self.surface_ty()?];
-                while self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
+                while self.peek_tok() == Some(&Tok::Comma) {
                     self.bump();
                     tys.push(self.surface_ty()?);
                 }
@@ -953,12 +1032,12 @@ impl Parser {
     }
 
     fn atom(&mut self) -> PResult<Node> {
-        let leaf = match self.peek().map(|t| t.tok.clone()) {
-            Some(Tok::IntLit(n)) => SExpr::Lit(Lit::Int(n), self.bump()),
-            Some(Tok::CharLit(c)) => SExpr::Lit(Lit::Char(c), self.bump()),
-            Some(Tok::StrLit(s)) => SExpr::Lit(Lit::Str(s), self.bump()),
-            Some(Tok::LIdent(x)) => SExpr::Var(x, self.bump()),
-            Some(Tok::UIdent(c)) => {
+        let leaf = match self.peek_tok() {
+            Some(&Tok::IntLit(n)) => SExpr::Lit(Lit::Int(n), self.bump()),
+            Some(&Tok::CharLit(c)) => SExpr::Lit(Lit::Char(c), self.bump()),
+            Some(Tok::StrLit(s)) => SExpr::Lit(Lit::Str(s.clone()), self.bump()),
+            Some(&Tok::LIdent(x)) => SExpr::Var(x, self.bump()),
+            Some(&Tok::UIdent(c)) => {
                 let span = self.bump();
                 match c {
                     Symbol::TRUE => SExpr::Lit(Lit::Bool(true), span),
@@ -973,14 +1052,14 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 let start = self.bump();
-                if self.peek().map(|t| &t.tok) == Some(&Tok::RParen) {
+                if self.peek_tok() == Some(&Tok::RParen) {
                     let end = self.bump();
                     return Ok((SExpr::Lit(Lit::Unit, start.to(end)), 1));
                 }
                 // Parentheses open a level of their own, so deep
                 // nesting is refused even where it builds no node.
                 let (first, h1) = self.sub_expr()?;
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
+                if self.peek_tok() == Some(&Tok::Comma) {
                     self.bump();
                     let (second, h2) = self.sub_expr()?;
                     let end = self.expect(Tok::RParen)?;
@@ -1019,7 +1098,7 @@ mod tests {
             panic!()
         };
         assert_eq!(d.params.len(), 1);
-        let SType::Name(n, args, _) = &d.ctors[0].args[1] else {
+        let STypeNode::Name(n, args) = &*d.ctors[0].args[1] else {
             panic!()
         };
         assert_eq!(n.as_str(), "Stream");
@@ -1032,10 +1111,10 @@ mod tests {
         // debug assertion in `ty_app` (and silently dropped the
         // arguments in release builds).
         let t = parse_type("!(Repeat Int).End!").unwrap();
-        let SType::Out(payload, _, _) = t else {
+        let STypeNode::Out(payload, _) = &*t else {
             panic!("expected an output type")
         };
-        let SType::Name(n, args, _) = *payload else {
+        let STypeNode::Name(n, args) = &**payload else {
             panic!("expected an applied name")
         };
         assert_eq!(n.as_str(), "Repeat");
@@ -1046,12 +1125,75 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_type_is_one_shared_node() {
+        let p = parse_program(
+            "f : forall (s:S). !Int.?Bool.s -> s\n\
+             f [s] c = c |> g [?Bool.s] |> g [s]\n\
+             h : ?Bool.End? -> Unit\n",
+        )
+        .unwrap();
+        let (Decl::Signature(f), Decl::Binding(b), Decl::Signature(h)) =
+            (&p.decls[0], &p.decls[1], &p.decls[2])
+        else {
+            panic!("expected a signature, a binding and a signature")
+        };
+        let STypeNode::Forall(_, _, body) = &*f.ty else {
+            panic!("expected a forall")
+        };
+        let STypeNode::Arrow(dom, s) = &**body else {
+            panic!("expected an arrow")
+        };
+        let STypeNode::Out(_, rest) = &**dom else {
+            panic!("expected an output")
+        };
+        // `g [?Bool.s]` restates the signature's continuation, and the
+        // final `g [s]` its variable: one node each, across declarations.
+        let SExpr::App(last, first, _) = &b.body else {
+            panic!("expected a pipeline")
+        };
+        let (SExpr::TApp(_, outer, _), SExpr::App(inner, _, _)) = (&**last, &**first) else {
+            panic!("expected type applications")
+        };
+        let SExpr::TApp(_, tys, _) = &**inner else {
+            panic!("expected a type application")
+        };
+        assert!(tys[0].ptr_eq(rest));
+        assert!(outer[0].ptr_eq(s));
+        // `Bool` in `h` is the node inside `f`'s `?Bool.s`.
+        let (STypeNode::Arrow(h_dom, _), STypeNode::In(bool1, _)) = (&*h.ty, &**rest) else {
+            panic!("expected an arrow and an input")
+        };
+        let STypeNode::In(bool2, _) = &**h_dom else {
+            panic!("expected an input")
+        };
+        assert!(bool1.ptr_eq(bool2));
+    }
+
+    #[test]
+    fn parse_type_shares_repeats() {
+        let t = parse_type("(!Int.End!, !Int.End!) -> !Int.End!").unwrap();
+        let STypeNode::Arrow(pair, cod) = &*t else {
+            panic!("expected an arrow")
+        };
+        let STypeNode::Pair(a, b) = &**pair else {
+            panic!("expected a pair")
+        };
+        assert!(a.ptr_eq(b) && b.ptr_eq(cod));
+        // Different types stay different nodes.
+        let u = parse_type("(!Int.End!, ?Int.End!)").unwrap();
+        let STypeNode::Pair(a, b) = &*u else {
+            panic!("expected a pair")
+        };
+        assert!(!a.ptr_eq(b));
+    }
+
+    #[test]
     fn parses_polarity_in_ctor_args() {
         let p = parse_program("protocol Arith = Neg Int -Int | Add Int Int -Int").unwrap();
         let Decl::Protocol(d) = &p.decls[0] else {
             panic!()
         };
-        assert!(matches!(d.ctors[0].args[1], SType::Neg(..)));
+        assert!(matches!(*d.ctors[0].args[1], STypeNode::Neg(..)));
         assert_eq!(d.ctors[1].args.len(), 3);
     }
 
@@ -1069,20 +1211,20 @@ mod tests {
         let t = parse_type("?Repeat Int . !(Char, End!) . End!").unwrap();
         assert_eq!(t.to_string(), "?(Repeat Int).!(Char, End!).End!");
         let t = parse_type("Dual (!Repeat Int. ?(Char, End!). Dual End!)").unwrap();
-        assert!(matches!(t, SType::Dual(..)));
+        assert!(matches!(*t, STypeNode::Dual(..)));
     }
 
     #[test]
     fn parses_negated_payloads() {
         let t = parse_type("?-a.s").unwrap();
-        let SType::In(p, _, _) = t else { panic!() };
-        assert!(matches!(*p, SType::Neg(..)));
+        let STypeNode::In(p, _) = &*t else { panic!() };
+        assert!(matches!(**p, STypeNode::Neg(..)));
         let t = parse_type("! Stream -a .End!").unwrap();
-        let SType::Out(p, _, _) = t else { panic!() };
-        let SType::Name(_, args, _) = *p else {
+        let STypeNode::Out(p, _) = &*t else { panic!() };
+        let STypeNode::Name(_, args) = &**p else {
             panic!()
         };
-        assert!(matches!(args[0], SType::Neg(..)));
+        assert!(matches!(*args[0], STypeNode::Neg(..)));
     }
 
     #[test]

@@ -54,12 +54,12 @@ fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
             body(out);
         }
     };
-    match t {
-        SType::Unit(_) => out.push_str("Unit"),
-        SType::Var(v, _) => out.push_str(v.as_str()),
-        SType::EndIn(_) => out.push_str("End?"),
-        SType::EndOut(_) => out.push_str("End!"),
-        SType::Name(n, args, _) => {
+    match &**t {
+        STypeNode::Unit => out.push_str("Unit"),
+        STypeNode::Var(v) => out.push_str(v.as_str()),
+        STypeNode::EndIn => out.push_str("End?"),
+        STypeNode::EndOut => out.push_str("End!"),
+        STypeNode::Name(n, args) => {
             if args.is_empty() {
                 out.push_str(n.as_str());
             } else {
@@ -75,29 +75,29 @@ fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
                 });
             }
         }
-        SType::Arrow(a, b, _) => paren(out, prec > TPrec::Top, &|out| {
+        STypeNode::Arrow(a, b) => paren(out, prec > TPrec::Top, &|out| {
             fmt_stype(a, out, TPrec::Seq);
             out.push_str(" -> ");
             fmt_stype(b, out, TPrec::Top);
         }),
-        SType::Pair(a, b, _) => {
+        STypeNode::Pair(a, b) => {
             out.push('(');
             fmt_stype(a, out, TPrec::Top);
             out.push_str(", ");
             fmt_stype(b, out, TPrec::Top);
             out.push(')');
         }
-        SType::Forall(v, k, body, _) => paren(out, prec > TPrec::Top, &|out| {
+        STypeNode::Forall(v, k, body) => paren(out, prec > TPrec::Top, &|out| {
             let _ = write!(out, "forall ({v}:{k}). ");
             fmt_stype(body, out, TPrec::Top);
         }),
-        SType::In(p, s, _) => paren(out, prec > TPrec::Seq, &|out| {
+        STypeNode::In(p, s) => paren(out, prec > TPrec::Seq, &|out| {
             out.push('?');
             fmt_stype(p, out, TPrec::Atom);
             out.push('.');
             fmt_stype(s, out, TPrec::Seq);
         }),
-        SType::Out(p, s, _) => paren(out, prec > TPrec::Seq, &|out| {
+        STypeNode::Out(p, s) => paren(out, prec > TPrec::Seq, &|out| {
             out.push('!');
             fmt_stype(p, out, TPrec::Atom);
             out.push('.');
@@ -105,15 +105,15 @@ fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
         }),
         // `Dual` and `-` each take one atom and are atoms themselves, so
         // they never need surrounding parentheses.
-        SType::Dual(inner, _) => {
+        STypeNode::Dual(inner) => {
             out.push_str("Dual ");
             fmt_stype(inner, out, TPrec::Atom);
         }
-        SType::Neg(inner, _) => {
+        STypeNode::Neg(inner) => {
             out.push('-');
             // `--` would lex as a line comment, so a nested negation is
             // always parenthesized.
-            paren(out, matches!(**inner, SType::Neg(..)), &|out| {
+            paren(out, matches!(**inner, STypeNode::Neg(..)), &|out| {
                 fmt_stype(inner, out, TPrec::Atom);
             });
         }
@@ -392,28 +392,8 @@ pub fn program_to_source(p: &Program) -> String {
 }
 
 // ------------------------------------------- span-insensitive equality
-
-/// Structural type equality ignoring spans.
-pub fn type_eq(a: &SType, b: &SType) -> bool {
-    match (a, b) {
-        (SType::Unit(_), SType::Unit(_))
-        | (SType::EndIn(_), SType::EndIn(_))
-        | (SType::EndOut(_), SType::EndOut(_)) => true,
-        (SType::Var(x, _), SType::Var(y, _)) => x == y,
-        (SType::Name(n, xs, _), SType::Name(m, ys, _)) => {
-            n == m && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| type_eq(x, y))
-        }
-        (SType::Arrow(a1, b1, _), SType::Arrow(a2, b2, _))
-        | (SType::Pair(a1, b1, _), SType::Pair(a2, b2, _))
-        | (SType::In(a1, b1, _), SType::In(a2, b2, _))
-        | (SType::Out(a1, b1, _), SType::Out(a2, b2, _)) => type_eq(a1, a2) && type_eq(b1, b2),
-        (SType::Forall(v, k, t, _), SType::Forall(w, l, u, _)) => v == w && k == l && type_eq(t, u),
-        (SType::Dual(x, _), SType::Dual(y, _)) | (SType::Neg(x, _), SType::Neg(y, _)) => {
-            type_eq(x, y)
-        }
-        _ => false,
-    }
-}
+//
+// Types carry no spans, so they compare with `==`.
 
 /// Binder names compare equal when identical, or when both are
 /// parser-generated fresh names for `_` (the numeric suffix differs on
@@ -431,9 +411,7 @@ pub fn expr_eq(a: &SExpr, b: &SExpr) -> bool {
         | (SExpr::Con(x, _), SExpr::Con(y, _))
         | (SExpr::Select(x, _), SExpr::Select(y, _)) => x == y,
         (SExpr::App(f, x, _), SExpr::App(g, y, _)) => expr_eq(f, g) && expr_eq(x, y),
-        (SExpr::TApp(f, ts, _), SExpr::TApp(g, us, _)) => {
-            expr_eq(f, g) && ts.len() == us.len() && ts.iter().zip(us).all(|(t, u)| type_eq(t, u))
-        }
+        (SExpr::TApp(f, ts, _), SExpr::TApp(g, us, _)) => expr_eq(f, g) && ts == us,
         (SExpr::Lambda(ps, x, _), SExpr::Lambda(qs, y, _)) => {
             ps.len() == qs.len()
                 && ps.iter().zip(qs).all(|(p, q)| binder_eq(*p, *q))
@@ -472,20 +450,19 @@ pub fn decl_eq(a: &Decl, b: &Decl) -> bool {
         x.name == y.name
             && x.params == y.params
             && x.ctors.len() == y.ctors.len()
-            && x.ctors.iter().zip(&y.ctors).all(|(c, d)| {
-                c.name == d.name
-                    && c.args.len() == d.args.len()
-                    && c.args.iter().zip(&d.args).all(|(s, t)| type_eq(s, t))
-            })
+            && x.ctors
+                .iter()
+                .zip(&y.ctors)
+                .all(|(c, d)| c.name == d.name && c.args == d.args)
     };
     match (a, b) {
         (Decl::Protocol(x), Decl::Protocol(y)) | (Decl::Data(x), Decl::Data(y)) => {
             type_decl_eq(x, y)
         }
         (Decl::Alias(x), Decl::Alias(y)) => {
-            x.name == y.name && x.params == y.params && type_eq(&x.body, &y.body)
+            x.name == y.name && x.params == y.params && x.body == y.body
         }
-        (Decl::Signature(x), Decl::Signature(y)) => x.name == y.name && type_eq(&x.ty, &y.ty),
+        (Decl::Signature(x), Decl::Signature(y)) => x.name == y.name && x.ty == y.ty,
         (Decl::Binding(x), Decl::Binding(y)) => {
             x.name == y.name
                 && x.params.len() == y.params.len()
@@ -517,7 +494,7 @@ mod tests {
         let back =
             parse_type(&printed).unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e}"));
         assert!(
-            type_eq(&t, &back),
+            t == back,
             "type round-trip changed the AST:\n  source:  {src}\n  printed: {printed}"
         );
     }
