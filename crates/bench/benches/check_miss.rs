@@ -1,22 +1,29 @@
 //! One `check` miss and its two layers, over a seeded stream of
 //! generated modules drawn as the `check_modules` workload draws them
 //! (spines 4–16, two nested choices, `forall` forwarders on half, a
-//! fifth damaged).
+//! fifth damaged), and the parse of the `equiv` path, which shares the
+//! lexer and the type grammar.
 //!
 //! * `miss` — [`ModuleCache::check_source`] on a cache that has not
 //!   seen the module: digest, parse, elaborate and check.
 //! * `parse` — [`parse_program`] alone.
 //! * `check` — elaboration and checking of an already-parsed module
 //!   ([`verdict_of_parsed_in`]), the rest of a miss.
+//! * `parse_type` — [`intern_type_str`], an `equiv` request's parse
+//!   straight into the store, over the type strings of the
+//!   `cold_equiv` workload's suites (both sides of 60 equivalent and 60
+//!   non-equivalent pairs).
 //!
-//! Each iteration takes the next module of the stream, so a sample
-//! averages over many modules. Every bench runs on one session, warm
-//! after its first pass over the stream, as an engine worker's is.
+//! Each iteration takes the next module (or type string) of the
+//! stream, so a sample averages over many. Every bench runs on one
+//! session, warm after its first pass over the stream, as an engine
+//! worker's is.
 
 use algst_check::cache::ModuleCache;
 use algst_check::verdict_of_parsed_in;
 use algst_core::Session;
-use algst_gen::{generate_program, ProgConfig};
+use algst_gen::{build_suite, generate_program, ProgConfig, SuiteKind};
+use algst_server::resolve::intern_type_str;
 use algst_syntax::parse_program;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -37,6 +44,17 @@ fn modules(seed: u64) -> Vec<String> {
             };
             generate_program(&mut rng, &cfg).source
         })
+        .collect()
+}
+
+/// Both sides of every pair of the `cold_equiv` workload's suites.
+fn type_strings() -> Vec<String> {
+    let eq = build_suite(SuiteKind::Equivalent, 60, 1);
+    let ne = build_suite(SuiteKind::NonEquivalent, 60, 2);
+    [&eq, &ne]
+        .iter()
+        .flat_map(|s| &s.cases)
+        .flat_map(|c| [c.instance.ty.to_string(), c.other.to_string()])
         .collect()
 }
 
@@ -79,6 +97,13 @@ fn bench_check_miss(c: &mut Criterion) {
     let mut program = cycle(&programs);
     group.bench_function("check", |b| {
         b.iter(|| black_box(verdict_of_parsed_in(&mut session, program()).is_ok()))
+    });
+
+    let types = type_strings();
+    let mut session = Session::new();
+    let mut ty = cycle(&types);
+    group.bench_function("parse_type", |b| {
+        b.iter(|| black_box(intern_type_str(&mut session, black_box(ty())).is_ok()))
     });
 
     group.finish();

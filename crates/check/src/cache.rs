@@ -18,8 +18,10 @@
 //! when it compacts its store.
 //!
 //! A miss does type work linear in the module's *distinct* types. The
-//! parser shares each repeated type as one node, elaboration resolves
-//! and interns each distinct type once, and an application spine
+//! parser hash-conses each declaration's types in the declaration's
+//! arena, elaboration resolves and interns each distinct type of a
+//! declaration once (a type another declaration restates costs one
+//! store lookup per node), and an application spine
 //! `g [T] x₁ … xₙ` checks its arguments against the opened domains of
 //! `g`'s signature without interning the instantiated signature.
 //!

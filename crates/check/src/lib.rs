@@ -159,7 +159,7 @@ pub(crate) fn verdict_in(session: &mut Session, src: &str) -> Result<(), CheckEr
     verdict_of_parsed_in(session, &parse_program(src)?)
 }
 
-/// [`verdict_in`] past its parse: elaborates and checks `program`'s own
+/// `verdict_in` past its parse: elaborates and checks `program`'s own
 /// declarations after the prelude, as a [`cache::ModuleCache`] miss
 /// does once the source is parsed.
 pub fn verdict_of_parsed_in(session: &mut Session, program: &Program) -> Result<(), CheckError> {

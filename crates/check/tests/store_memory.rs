@@ -4,7 +4,9 @@
 //! of generated modules; `live_bytes()` — the quantity
 //! `--max-store-bytes` bounds — must match it, and attaching more
 //! workers must not multiply it. The same allocator counts the
-//! allocations one checked module costs.
+//! allocations one checked module costs, and one parse of a module;
+//! with the parse's cost goes the sharing that keeps it small, each
+//! distinct type once per declaration.
 
 // A `GlobalAlloc` implementation is unsafe by definition; it only
 // forwards to the system allocator.
@@ -15,8 +17,11 @@ use algst_check::check_source_in;
 use algst_core::shared::SharedStore;
 use algst_core::Session;
 use algst_gen::{generate_program, ProgConfig};
+use algst_syntax::ast::{Arena, Decl, DeclKind, SExpr, SType, TyId};
+use algst_syntax::{parse_program, type_to_source};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -138,7 +143,7 @@ fn live_bytes_track_the_heap_and_workers_add_no_copies() {
 /// and interned once, and checked, while the prelude is neither
 /// re-checked nor re-elaborated.
 #[test]
-fn a_checked_module_costs_at_most_seven_hundred_allocations() {
+fn a_checked_module_costs_at_most_400_allocations() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let stream = modules(600, 7);
     let mut session = Session::new();
@@ -154,7 +159,102 @@ fn a_checked_module_costs_at_most_seven_hundred_allocations() {
     }
     let per_module = (ALLOCS.load(Ordering::Relaxed) - before) / stream.len() as u64;
     eprintln!("{per_module} allocations per checked module");
-    assert!(per_module <= 700, "{per_module} allocations per module");
+    assert!(per_module <= 400, "{per_module} allocations per module");
+}
+
+/// What parsing one module costs in allocations, with the stream's
+/// names already interned (as for the checked-module count above): one
+/// exact-size arena per declaration, and no token vector or per-node
+/// box.
+#[test]
+fn parsing_a_module_costs_at_most_30_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let stream = modules(600, 7);
+    for m in &stream {
+        parse_program(m).expect("generated modules parse");
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for m in &stream {
+        drop(std::hint::black_box(parse_program(m)));
+    }
+    let per_module = (ALLOCS.load(Ordering::Relaxed) - before) / stream.len() as u64;
+    eprintln!("{per_module} allocations per parsed module");
+    assert!(per_module <= 30, "{per_module} allocations per module");
+}
+
+/// Each declaration's arena holds each of its distinct types once: the
+/// parser hash-conses within a declaration, so two ids reachable from
+/// one declaration never print the same type.
+#[test]
+fn a_declaration_holds_each_distinct_type_once() {
+    let stream = modules(50, 7);
+    let (mut types, mut written) = (0, 0);
+    for m in &stream {
+        for d in parse_program(m).expect("generated modules parse").decls {
+            let mut ids = Vec::new();
+            type_roots(&d, &mut ids);
+            let mut seen: HashMap<String, TyId> = HashMap::new();
+            while let Some(id) = ids.pop() {
+                written += 1;
+                let text = type_to_source(&d.arena, id);
+                match seen.get(&text) {
+                    Some(&other) => assert_eq!(other, id, "`{text}` is two nodes"),
+                    None => {
+                        seen.insert(text, id);
+                        ids.extend(children(&d.arena, id));
+                    }
+                }
+            }
+            types += seen.len();
+        }
+    }
+    // Every repeat is one id seen again.
+    eprintln!("{types} distinct types, {written} reached");
+    assert!(types < written, "no type is written twice");
+}
+
+/// The types written at the top of `d`: signatures, alias bodies,
+/// constructor arguments and the types of type applications.
+fn type_roots(d: &Decl, out: &mut Vec<TyId>) {
+    let a = &d.arena;
+    match &d.kind {
+        DeclKind::Signature(s) => out.push(s.ty),
+        DeclKind::Alias(al) => out.push(al.body),
+        DeclKind::Protocol(td) | DeclKind::Data(td) => {
+            (td.ctors.iter()).for_each(|c| out.extend(a.tys(c.args)));
+        }
+        DeclKind::Binding(b) => {
+            let mut exprs = vec![b.body];
+            while let Some(e) = exprs.pop() {
+                match a.expr(e) {
+                    SExpr::TApp(f, tys, _) => {
+                        out.extend(a.tys(*tys));
+                        exprs.push(*f);
+                    }
+                    SExpr::App(x, y, _) | SExpr::BinOp(_, x, y, _) | SExpr::Pair(x, y, _) => {
+                        exprs.extend([*x, *y]);
+                    }
+                    SExpr::Let(_, x, y, _) => exprs.extend([*x, *y]),
+                    SExpr::If(c, t, f, _) => exprs.extend([*c, *t, *f]),
+                    SExpr::Lambda(_, body, _) => exprs.push(*body),
+                    SExpr::Case(s, arms, _) => {
+                        exprs.push(*s);
+                        exprs.extend(a.arms(*arms).map(|arm| arm.body));
+                    }
+                    SExpr::Lit(..) | SExpr::Var(..) | SExpr::Con(..) | SExpr::Select(..) => {}
+                }
+            }
+        }
+    }
+}
+
+fn children(a: &Arena, t: TyId) -> Vec<TyId> {
+    match a.ty(t) {
+        SType::Unit | SType::Var(_) | SType::EndIn | SType::EndOut => vec![],
+        SType::Name(_, args) => a.tys(args).collect(),
+        SType::Arrow(x, y) | SType::Pair(x, y) | SType::In(x, y) | SType::Out(x, y) => vec![x, y],
+        SType::Forall(_, _, x) | SType::Dual(x) | SType::Neg(x) => vec![x],
+    }
 }
 
 /// What one checked module leaves in a warm store: the nodes of its own

@@ -688,21 +688,20 @@ pub fn replay_file(path: &Path, sabotage: Sabotage) -> Result<ReplayOutcome, Str
 /// Extracts the protocol declarations and the `ConformLhs`/`ConformRhs`
 /// aliases from a replay body, resolving surface types nominally.
 fn parse_equiv_body(text: &str) -> Result<(Declarations, Type, Type), String> {
-    use algst_syntax::ast::Decl;
+    use algst_syntax::ast::DeclKind;
     let ast = algst_syntax::parse_program(text).map_err(|e| e.to_string())?;
     let mut decls = Declarations::new();
     let (mut lhs, mut rhs) = (None, None);
     for d in &ast.decls {
-        match d {
-            Decl::Protocol(td) => {
+        let resolve = |t| resolve_stype(&d.arena, t);
+        match &d.kind {
+            DeclKind::Protocol(td) => {
                 let ctors = td
                     .ctors
                     .iter()
                     .map(|c| {
-                        let args = c
-                            .args
-                            .iter()
-                            .map(resolve_stype)
+                        let args = (d.arena.tys(c.args))
+                            .map(resolve)
                             .collect::<Result<Vec<_>, _>>()?;
                         Ok(algst_core::protocol::Ctor { tag: c.name, args })
                     })
@@ -715,11 +714,11 @@ fn parse_equiv_body(text: &str) -> Result<(Declarations, Type, Type), String> {
                     })
                     .map_err(|e| e.to_string())?;
             }
-            Decl::Alias(a) if a.name.as_str() == "ConformLhs" => {
-                lhs = Some(resolve_stype(&a.body)?);
+            DeclKind::Alias(a) if a.name.as_str() == "ConformLhs" => {
+                lhs = Some(resolve(a.body)?);
             }
-            Decl::Alias(a) if a.name.as_str() == "ConformRhs" => {
-                rhs = Some(resolve_stype(&a.body)?);
+            DeclKind::Alias(a) if a.name.as_str() == "ConformRhs" => {
+                rhs = Some(resolve(a.body)?);
             }
             _ => {}
         }
@@ -730,8 +729,8 @@ fn parse_equiv_body(text: &str) -> Result<(Declarations, Type, Type), String> {
     }
 }
 
-fn resolve_stype(st: &algst_syntax::ast::SType) -> Result<Type, String> {
-    algst_server::resolve::type_from_str(&algst_syntax::printer::type_to_source(st))
+fn resolve_stype(arena: &algst_syntax::Arena, t: algst_syntax::TyId) -> Result<Type, String> {
+    algst_server::resolve::type_from_str(&algst_syntax::printer::type_to_source(arena, t))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use algst_core::Session;
 use algst_gen::to_grammar::to_grammar;
 use algst_gen::GenProgram;
 use algst_server::{Engine, Op, Request, Response};
-use algst_syntax::ast::{Decl, Program, SType, STypeNode};
+use algst_syntax::ast::{Arena, Decl, DeclKind, ExprId, Program, SType, TyId};
 use algst_syntax::{parse_program, printer};
 use freest::{bisimilar, BisimResult, Grammar};
 
@@ -396,11 +396,11 @@ fn alpha_rename(ast: &mut Program) {
 
     let mut ours: HashSet<Symbol> = HashSet::new();
     for d in &ast.decls {
-        match d {
-            Decl::Signature(s) => {
+        match &d.kind {
+            DeclKind::Signature(s) => {
                 ours.insert(s.name);
             }
-            Decl::Binding(b) => {
+            DeclKind::Binding(b) => {
                 ours.insert(b.name);
             }
             _ => {}
@@ -436,11 +436,11 @@ fn alpha_rename(ast: &mut Program) {
 
 fn collect_binders(d: &Decl, acc: &mut std::collections::HashSet<algst_core::symbol::Symbol>) {
     use algst_syntax::ast::{Param, Pattern, SExpr};
-    fn expr(e: &SExpr, acc: &mut std::collections::HashSet<algst_core::symbol::Symbol>) {
-        match e {
+    fn expr(a: &Arena, e: ExprId, acc: &mut std::collections::HashSet<algst_core::symbol::Symbol>) {
+        match a.expr(e) {
             SExpr::Lambda(ps, body, _) => {
-                acc.extend(ps.iter().copied());
-                expr(body, acc);
+                acc.extend(a.names(*ps).iter().copied());
+                expr(a, *body, acc);
             }
             SExpr::Let(pat, bound, body, _) => {
                 match pat {
@@ -453,35 +453,36 @@ fn collect_binders(d: &Decl, acc: &mut std::collections::HashSet<algst_core::sym
                     }
                     Pattern::Unit | Pattern::Wild => {}
                 }
-                expr(bound, acc);
-                expr(body, acc);
+                expr(a, *bound, acc);
+                expr(a, *body, acc);
             }
             SExpr::Case(s, arms, _) => {
-                expr(s, acc);
-                for arm in arms {
-                    acc.extend(arm.binders.iter().copied());
-                    expr(&arm.body, acc);
+                expr(a, *s, acc);
+                for arm in a.arms(*arms) {
+                    acc.extend(a.names(arm.binders).iter().copied());
+                    expr(a, arm.body, acc);
                 }
             }
-            SExpr::App(f, a, _) => {
-                expr(f, acc);
-                expr(a, acc);
+            SExpr::App(f, x, _) => {
+                expr(a, *f, acc);
+                expr(a, *x, acc);
             }
-            SExpr::TApp(f, _, _) => expr(f, acc),
+            SExpr::TApp(f, _, _) => expr(a, *f, acc),
             SExpr::BinOp(_, l, r, _) | SExpr::Pair(l, r, _) => {
-                expr(l, acc);
-                expr(r, acc);
+                expr(a, *l, acc);
+                expr(a, *r, acc);
             }
             SExpr::If(c, t, f, _) => {
-                expr(c, acc);
-                expr(t, acc);
-                expr(f, acc);
+                expr(a, *c, acc);
+                expr(a, *t, acc);
+                expr(a, *f, acc);
             }
             SExpr::Lit(..) | SExpr::Var(..) | SExpr::Con(..) | SExpr::Select(..) => {}
         }
     }
-    match d {
-        Decl::Binding(b) => {
+    let a = &d.arena;
+    match &d.kind {
+        DeclKind::Binding(b) => {
             for p in &b.params {
                 match p {
                     Param::Term(x) => {
@@ -491,122 +492,123 @@ fn collect_binders(d: &Decl, acc: &mut std::collections::HashSet<algst_core::sym
                     Param::Wild => {}
                 }
             }
-            expr(&b.body, acc);
+            expr(a, b.body, acc);
         }
-        Decl::Signature(s) => collect_type_binders(&s.ty, acc),
-        Decl::Alias(a) => {
-            acc.extend(a.params.iter().copied());
-            collect_type_binders(&a.body, acc);
+        DeclKind::Signature(s) => collect_type_binders(a, s.ty, acc),
+        DeclKind::Alias(al) => {
+            acc.extend(al.params.iter().copied());
+            collect_type_binders(a, al.body, acc);
         }
-        Decl::Protocol(td) | Decl::Data(td) => {
+        DeclKind::Protocol(td) | DeclKind::Data(td) => {
             acc.extend(td.params.iter().copied());
         }
     }
 }
 
 fn collect_type_binders(
-    t: &SType,
+    a: &Arena,
+    t: TyId,
     acc: &mut std::collections::HashSet<algst_core::symbol::Symbol>,
 ) {
-    use STypeNode::*;
-    match &**t {
+    use SType::*;
+    match a.ty(t) {
         Forall(v, _, body) => {
-            acc.insert(*v);
-            collect_type_binders(body, acc);
+            acc.insert(v);
+            collect_type_binders(a, body, acc);
         }
-        Arrow(a, b) | Pair(a, b) | In(a, b) | Out(a, b) => {
-            collect_type_binders(a, acc);
-            collect_type_binders(b, acc);
+        Arrow(x, y) | Pair(x, y) | In(x, y) | Out(x, y) => {
+            collect_type_binders(a, x, acc);
+            collect_type_binders(a, y, acc);
         }
-        Dual(x) | Neg(x) => collect_type_binders(x, acc),
-        Name(_, args) => args.iter().for_each(|a| collect_type_binders(a, acc)),
+        Dual(x) | Neg(x) => collect_type_binders(a, x, acc),
+        Name(_, args) => a.tys(args).for_each(|x| collect_type_binders(a, x, acc)),
         Unit | Var(..) | EndIn | EndOut => {}
     }
 }
 
+/// Renames the names of `d` by `subst`, in place where a node has no
+/// other readers and by new nodes where it may (types are shared).
 fn rename_decl(
     d: &mut Decl,
     subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol,
 ) {
     use algst_syntax::ast::{Param, Pattern, SExpr};
-    fn ty(
-        t: &SType,
-        subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol,
-    ) -> SType {
-        use STypeNode::*;
-        let node = match &**t {
-            Var(v) => Var(subst(*v)),
-            Forall(v, k, body) => Forall(subst(*v), *k, ty(body, subst)),
-            Arrow(a, b) => Arrow(ty(a, subst), ty(b, subst)),
-            Pair(a, b) => Pair(ty(a, subst), ty(b, subst)),
-            In(a, b) => In(ty(a, subst), ty(b, subst)),
-            Out(a, b) => Out(ty(a, subst), ty(b, subst)),
-            Dual(x) => Dual(ty(x, subst)),
-            Neg(x) => Neg(ty(x, subst)),
-            Name(n, args) => Name(*n, args.iter().map(|a| ty(a, subst)).collect()),
-            Unit | EndIn | EndOut => return t.clone(),
-        };
-        SType::new(node)
-    }
-    fn expr(
-        e: &mut SExpr,
-        subst: &dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol,
-    ) {
-        match e {
-            SExpr::Var(x, _) => *x = subst(*x),
-            SExpr::Lambda(ps, body, _) => {
-                for p in ps.iter_mut() {
-                    *p = subst(*p);
-                }
-                expr(body, subst);
+    type Subst<'f> = &'f dyn Fn(algst_core::symbol::Symbol) -> algst_core::symbol::Symbol;
+    fn ty(a: &mut Arena, t: TyId, subst: Subst<'_>) -> TyId {
+        use SType::*;
+        let node = match a.ty(t) {
+            Var(v) => Var(subst(v)),
+            Forall(v, k, body) => Forall(subst(v), k, ty(a, body, subst)),
+            Arrow(x, y) => Arrow(ty(a, x, subst), ty(a, y, subst)),
+            Pair(x, y) => Pair(ty(a, x, subst), ty(a, y, subst)),
+            In(x, y) => In(ty(a, x, subst), ty(a, y, subst)),
+            Out(x, y) => Out(ty(a, x, subst), ty(a, y, subst)),
+            Dual(x) => Dual(ty(a, x, subst)),
+            Neg(x) => Neg(ty(a, x, subst)),
+            Name(n, args) => {
+                let args: Vec<TyId> = a.tys(args).collect();
+                let args: Vec<TyId> = args.into_iter().map(|x| ty(a, x, subst)).collect();
+                Name(n, a.push_tys(args))
             }
-            SExpr::Let(pat, bound, body, _) => {
-                match pat {
-                    Pattern::Var(x) => *x = subst(*x),
-                    Pattern::Pair(x, y) => {
-                        *x = subst(*x);
-                        *y = subst(*y);
-                    }
-                    Pattern::Unit | Pattern::Wild => {}
-                }
-                expr(bound, subst);
-                expr(body, subst);
+            Unit | EndIn | EndOut => return t,
+        };
+        a.push_ty(node)
+    }
+    fn expr(a: &mut Arena, e: ExprId, subst: Subst<'_>) {
+        match a.expr(e).clone() {
+            SExpr::Var(x, span) => *a.expr_mut(e) = SExpr::Var(subst(x), span),
+            SExpr::Lambda(ps, body, _) => {
+                a.names_mut(ps).iter_mut().for_each(|p| *p = subst(*p));
+                expr(a, body, subst);
+            }
+            SExpr::Let(pat, bound, body, span) => {
+                let pat = match pat {
+                    Pattern::Var(x) => Pattern::Var(subst(x)),
+                    Pattern::Pair(x, y) => Pattern::Pair(subst(x), subst(y)),
+                    Pattern::Unit | Pattern::Wild => pat,
+                };
+                *a.expr_mut(e) = SExpr::Let(pat, bound, body, span);
+                expr(a, bound, subst);
+                expr(a, body, subst);
             }
             SExpr::Case(s, arms, _) => {
-                expr(s, subst);
-                for arm in arms {
-                    for b in arm.binders.iter_mut() {
-                        *b = subst(*b);
-                    }
-                    expr(&mut arm.body, subst);
+                expr(a, s, subst);
+                let arms: Vec<_> = a.arms(arms).map(|arm| (arm.binders, arm.body)).collect();
+                for (binders, body) in arms {
+                    a.names_mut(binders).iter_mut().for_each(|b| *b = subst(*b));
+                    expr(a, body, subst);
                 }
             }
-            SExpr::App(f, a, _) => {
-                expr(f, subst);
-                expr(a, subst);
+            SExpr::App(f, x, _) => {
+                expr(a, f, subst);
+                expr(a, x, subst);
             }
-            SExpr::TApp(f, tys, _) => {
-                expr(f, subst);
-                tys.iter_mut().for_each(|t| *t = ty(t, subst));
+            SExpr::TApp(f, tys, span) => {
+                expr(a, f, subst);
+                let old: Vec<TyId> = a.tys(tys).collect();
+                let new: Vec<TyId> = old.into_iter().map(|t| ty(a, t, subst)).collect();
+                let tys = a.push_tys(new);
+                *a.expr_mut(e) = SExpr::TApp(f, tys, span);
             }
             SExpr::BinOp(_, l, r, _) | SExpr::Pair(l, r, _) => {
-                expr(l, subst);
-                expr(r, subst);
+                expr(a, l, subst);
+                expr(a, r, subst);
             }
             SExpr::If(c, t, f, _) => {
-                expr(c, subst);
-                expr(t, subst);
-                expr(f, subst);
+                expr(a, c, subst);
+                expr(a, t, subst);
+                expr(a, f, subst);
             }
             SExpr::Lit(..) | SExpr::Con(..) | SExpr::Select(..) => {}
         }
     }
-    match d {
-        Decl::Signature(s) => {
+    let a = &mut d.arena;
+    match &mut d.kind {
+        DeclKind::Signature(s) => {
             s.name = subst(s.name);
-            s.ty = ty(&s.ty, subst);
+            s.ty = ty(a, s.ty, subst);
         }
-        Decl::Binding(b) => {
+        DeclKind::Binding(b) => {
             b.name = subst(b.name);
             for p in &mut b.params {
                 match p {
@@ -615,59 +617,67 @@ fn rename_decl(
                     Param::Wild => {}
                 }
             }
-            expr(&mut b.body, subst);
+            expr(a, b.body, subst);
         }
-        Decl::Alias(a) => {
-            for p in &mut a.params {
+        DeclKind::Alias(al) => {
+            for p in &mut al.params {
                 *p = subst(*p);
             }
-            a.body = ty(&a.body, subst);
+            al.body = ty(a, al.body, subst);
         }
         // Protocol/data declarations carry no lowercase names in the
         // generated fragment (unparameterized); leave them alone.
-        Decl::Protocol(_) | Decl::Data(_) => {}
+        DeclKind::Protocol(_) | DeclKind::Data(_) => {}
     }
 }
 
-fn for_each_signature(ast: &mut Program, f: fn(&SType) -> SType) {
+/// Rewrites every signature's type with `f`, which pushes the new nodes
+/// into the signature's arena.
+fn for_each_signature(ast: &mut Program, f: fn(&mut Arena, TyId) -> TyId) {
     for d in &mut ast.decls {
-        if let Decl::Signature(s) = d {
-            s.ty = f(&s.ty);
+        if let DeclKind::Signature(s) = &mut d.kind {
+            s.ty = f(&mut d.arena, s.ty);
         }
     }
 }
 
 /// `T ↦ -(-T)` on every message payload (C-NegNeg keeps equivalence).
-fn double_neg_payloads(t: &SType) -> SType {
-    use STypeNode::*;
-    let neg2 = |p: &SType| SType::new(Neg(SType::new(Neg(p.clone()))));
-    let node = match &**t {
-        In(p, s) => In(neg2(p), double_neg_payloads(s)),
-        Out(p, s) => Out(neg2(p), double_neg_payloads(s)),
-        Arrow(a, b) => Arrow(double_neg_payloads(a), double_neg_payloads(b)),
-        Pair(a, b) => Pair(double_neg_payloads(a), double_neg_payloads(b)),
-        Forall(v, k, body) => Forall(*v, *k, double_neg_payloads(body)),
-        Dual(x) => Dual(double_neg_payloads(x)),
-        Neg(x) => Neg(double_neg_payloads(x)),
-        Name(..) | Unit | Var(..) | EndIn | EndOut => return t.clone(),
+fn double_neg_payloads(a: &mut Arena, t: TyId) -> TyId {
+    use SType::*;
+    let neg2 = |a: &mut Arena, p: TyId| {
+        let neg = a.push_ty(Neg(p));
+        a.push_ty(Neg(neg))
     };
-    SType::new(node)
+    let node = match a.ty(t) {
+        In(p, s) => In(neg2(a, p), double_neg_payloads(a, s)),
+        Out(p, s) => Out(neg2(a, p), double_neg_payloads(a, s)),
+        Arrow(x, y) => Arrow(double_neg_payloads(a, x), double_neg_payloads(a, y)),
+        Pair(x, y) => Pair(double_neg_payloads(a, x), double_neg_payloads(a, y)),
+        Forall(v, k, body) => Forall(v, k, double_neg_payloads(a, body)),
+        Dual(x) => Dual(double_neg_payloads(a, x)),
+        Neg(x) => Neg(double_neg_payloads(a, x)),
+        Name(..) | Unit | Var(..) | EndIn | EndOut => return t,
+    };
+    a.push_ty(node)
 }
 
 /// Wraps the outermost session-type nodes in `Dual (Dual ·)` (C-DualInv
 /// keeps equivalence; the wrapped node is session-kinded so the result
 /// stays well-kinded).
-fn dual_of_dual(t: &SType) -> SType {
-    use STypeNode::*;
-    let node = match &**t {
-        In(..) | Out(..) | EndIn | EndOut => Dual(SType::new(Dual(t.clone()))),
-        Arrow(a, b) => Arrow(dual_of_dual(a), dual_of_dual(b)),
-        Pair(a, b) => Pair(dual_of_dual(a), dual_of_dual(b)),
-        Forall(v, k, body) => Forall(*v, *k, dual_of_dual(body)),
-        Dual(x) => Dual(dual_of_dual(x)),
-        Name(..) | Unit | Var(..) | Neg(..) => return t.clone(),
+fn dual_of_dual(a: &mut Arena, t: TyId) -> TyId {
+    use SType::*;
+    let node = match a.ty(t) {
+        In(..) | Out(..) | EndIn | EndOut => {
+            let dual = a.push_ty(Dual(t));
+            Dual(dual)
+        }
+        Arrow(x, y) => Arrow(dual_of_dual(a, x), dual_of_dual(a, y)),
+        Pair(x, y) => Pair(dual_of_dual(a, x), dual_of_dual(a, y)),
+        Forall(v, k, body) => Forall(v, k, dual_of_dual(a, body)),
+        Dual(x) => Dual(dual_of_dual(a, x)),
+        Name(..) | Unit | Var(..) | Neg(..) => return t,
     };
-    SType::new(node)
+    a.push_ty(node)
 }
 
 // --------------------------------------------------------------- runtime

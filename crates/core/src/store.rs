@@ -1012,9 +1012,9 @@ fn rebuild<S: StoreOps>(
 
 /// Seeded multiply-mix hasher: every word is folded into the state with
 /// one 64×64→128-bit multiply. Its keys derive from client input (the
-/// shared store's intern table, [`rebuild`]'s memo, the parser's
-/// hash-consing of surface types), so every user seeds it from
-/// [`RandomState`].
+/// shared store's intern table, `rebuild`'s memo, the parser's
+/// hash-consing of surface types, the symbol interner's per-thread
+/// caches), so every user seeds it from [`RandomState`].
 pub struct MixHasher(pub(crate) u64);
 
 impl Hasher for MixHasher {
@@ -1048,10 +1048,10 @@ impl Hasher for MixHasher {
     }
 }
 
-/// [`MixHasher`]s with one seed per process, for maps keyed by ids,
-/// addresses or other words ([`rebuild`]'s memo, the parser's and the
-/// elaborator's tables): the default SipHash cost more than the rebuild
-/// of a short signature.
+/// [`MixHasher`]s with one seed per process, for maps keyed by ids or
+/// other words (`rebuild`'s memo, the parser's table) and by short
+/// names (the symbol caches): the default SipHash cost more than the
+/// rebuild of a short signature.
 #[derive(Clone, Copy)]
 pub struct MixState(u64);
 

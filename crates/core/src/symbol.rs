@@ -3,8 +3,13 @@
 //! All names in the system — type variables, protocol names, constructor
 //! tags, term variables — are interned [`Symbol`]s, so comparison and
 //! hashing are O(1). The interner is global and leaks its strings, which is
-//! the standard trade-off for compiler-style workloads.
+//! the standard trade-off for compiler-style workloads. Each thread keeps
+//! a bounded cache of the names it has interned in front of it, so the
+//! lexer's identifier tokens do not all take the global lock: concurrent
+//! parses (a server's workers) would contend on it.
 
+use crate::store::MixState;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -98,18 +103,44 @@ fn interner() -> &'static Mutex<Interner> {
     })
 }
 
+/// Names a thread's cache holds before it starts over (about 50 KiB): a
+/// generated module brings a few new names, and the common ones come
+/// back after a start-over at one lock each.
+const NEAR_CAP: usize = 1024;
+
+thread_local! {
+    /// The names this thread interned most recently, with their symbols.
+    static NEAR: RefCell<HashMap<&'static str, Symbol, MixState>> = RefCell::default();
+}
+
 impl Symbol {
     /// Interns `name`, returning the canonical symbol for it.
     pub fn intern(name: &str) -> Symbol {
-        let mut i = interner().lock().expect("interner poisoned");
-        if let Some(&id) = i.map.get(name) {
-            return Symbol(id);
+        if let Ok(Some(sym)) = NEAR.try_with(|near| near.borrow().get(name).copied()) {
+            return sym;
         }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = i.names.len() as u32;
-        i.names.push(leaked);
-        i.map.insert(leaked, id);
-        Symbol(id)
+        let (text, sym) = {
+            let mut i = interner().lock().expect("interner poisoned");
+            match i.map.get_key_value(name) {
+                Some((&text, &id)) => (text, Symbol(id)),
+                None => {
+                    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+                    let id = i.names.len() as u32;
+                    i.names.push(leaked);
+                    i.map.insert(leaked, id);
+                    (leaked, Symbol(id))
+                }
+            }
+        };
+        // A thread being torn down has no cache left to fill.
+        let _ = NEAR.try_with(|near| {
+            let mut near = near.borrow_mut();
+            if near.len() >= NEAR_CAP {
+                near.clear();
+            }
+            near.insert(text, sym);
+        });
+        sym
     }
 
     /// Returns a fresh symbol guaranteed to be distinct from every symbol
@@ -187,6 +218,22 @@ mod tests {
         for (i, name) in BUILTINS.iter().enumerate() {
             assert_eq!(Symbol::intern(name), Symbol(i as u32));
         }
+    }
+
+    #[test]
+    fn threads_agree_past_their_caches() {
+        let first = Symbol::intern("near-first");
+        // Overflow this thread's cache: it starts over, and every name
+        // still maps to its one symbol.
+        let names: Vec<String> = (0..NEAR_CAP + 10).map(|i| format!("near-{i}")).collect();
+        let syms: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        assert_eq!(Symbol::intern("near-first"), first);
+        let other = std::thread::spawn(move || {
+            assert_eq!(Symbol::intern("near-first"), first);
+            names.iter().map(|n| Symbol::intern(n)).collect::<Vec<_>>()
+        });
+        assert_eq!(other.join().unwrap(), syms);
+        assert_eq!(syms[7].as_str(), "near-7");
     }
 
     #[test]

@@ -335,55 +335,54 @@ pub fn generate_program<R: Rng>(rng: &mut R, cfg: &ProgConfig) -> GenProgram {
 /// parseable `main`, no `fork`ed client, or no client binding) — such a
 /// candidate cannot be judged and must not count as failing.
 pub fn expected_output_of(source: &str) -> Option<Vec<String>> {
-    use algst_syntax::ast::{Decl, Program, SExpr};
+    use algst_syntax::ast::{Arena, DeclKind, ExprId, Program, SExpr};
 
     let program: Program = algst_syntax::parse_program(source).ok()?;
     let binding = |name: &str| {
-        program.decls.iter().find_map(|d| match d {
-            Decl::Binding(b) if b.name.as_str() == name => Some(b),
+        program.decls.iter().find_map(|d| match &d.kind {
+            DeclKind::Binding(b) if b.name.as_str() == name => Some((&d.arena, b.body)),
             _ => None,
         })
     };
 
     // `main = let (p, q) = new [T] in let _ = fork (\u -> client p) in …`
     // — find the lambda handed to `fork` and take its head variable.
-    fn forked_client(e: &SExpr) -> Option<&'static str> {
-        match e {
-            SExpr::App(f, a, _) => {
-                if let SExpr::Var(name, _) = spine_head(f) {
+    fn forked_client(a: &Arena, e: ExprId) -> Option<&'static str> {
+        let go = |e: &ExprId| forked_client(a, *e);
+        match a.expr(e) {
+            SExpr::App(f, x, _) => {
+                if let SExpr::Var(name, _) = a.expr(spine_head(a, *f)) {
                     if name.as_str() == "fork" {
-                        if let SExpr::Lambda(_, body, _) = &**a {
-                            if let SExpr::Var(callee, _) = spine_head(body) {
+                        if let SExpr::Lambda(_, body, _) = a.expr(*x) {
+                            if let SExpr::Var(callee, _) = a.expr(spine_head(a, *body)) {
                                 return Some(callee.as_str());
                             }
                         }
                     }
                 }
-                forked_client(f).or_else(|| forked_client(a))
+                go(f).or_else(|| go(x))
             }
-            SExpr::TApp(f, _, _) | SExpr::Lambda(_, f, _) => forked_client(f),
-            SExpr::Let(_, rhs, body, _) => forked_client(rhs).or_else(|| forked_client(body)),
-            SExpr::Pair(l, r, _) | SExpr::BinOp(_, l, r, _) => {
-                forked_client(l).or_else(|| forked_client(r))
+            SExpr::TApp(f, _, _) | SExpr::Lambda(_, f, _) => go(f),
+            SExpr::Let(_, rhs, body, _) => go(rhs).or_else(|| go(body)),
+            SExpr::Pair(l, r, _) | SExpr::BinOp(_, l, r, _) => go(l).or_else(|| go(r)),
+            SExpr::If(c, t, f, _) => go(c).or_else(|| go(t)).or_else(|| go(f)),
+            SExpr::Case(scrut, arms, _) => {
+                go(scrut).or_else(|| a.arms(*arms).find_map(|arm| go(&arm.body)))
             }
-            SExpr::If(c, t, f, _) => forked_client(c)
-                .or_else(|| forked_client(t))
-                .or_else(|| forked_client(f)),
-            SExpr::Case(scrut, arms, _) => forked_client(scrut)
-                .or_else(|| arms.iter().find_map(|arm| forked_client(&arm.body))),
             _ => None,
         }
     }
 
     /// The variable (or other atom) at the head of an application spine.
-    fn spine_head(e: &SExpr) -> &SExpr {
-        match e {
-            SExpr::App(f, _, _) | SExpr::TApp(f, _, _) => spine_head(f),
+    fn spine_head(a: &Arena, e: ExprId) -> ExprId {
+        match a.expr(e) {
+            SExpr::App(f, _, _) | SExpr::TApp(f, _, _) => spine_head(a, *f),
             _ => e,
         }
     }
 
-    let client = forked_client(&binding("main")?.body)?;
+    let (main_arena, main_body) = binding("main")?;
+    let client = forked_client(main_arena, main_body)?;
 
     // Int-sending functions: `sendInt` itself plus any binding that
     // bottoms out in one (the generated `forall` forwarders are a single
@@ -392,8 +391,8 @@ pub fn expected_output_of(source: &str) -> Option<Vec<String>> {
     loop {
         let before = senders.len();
         for d in &program.decls {
-            if let Decl::Binding(b) = d {
-                if let SExpr::Var(head, _) = spine_head(&b.body) {
+            if let DeclKind::Binding(b) = &d.kind {
+                if let SExpr::Var(head, _) = d.arena.expr(spine_head(&d.arena, b.body)) {
                     if senders.contains(&head.as_str()) && !senders.contains(&b.name.as_str()) {
                         senders.push(b.name.as_str());
                     }
@@ -408,63 +407,66 @@ pub fn expected_output_of(source: &str) -> Option<Vec<String>> {
     // Collect the literal `Int` arguments of maximal application spines
     // headed by an Int-sender, left to right. Only spine roots are
     // inspected, so `((sendInt [T]) 5) c` counts once.
-    fn collect(e: &SExpr, senders: &[&str], out: &mut Vec<String>) {
-        match e {
-            SExpr::App(..) | SExpr::TApp(..) => {
-                let mut args = Vec::new();
-                let mut head = e;
-                loop {
-                    match head {
-                        SExpr::App(f, a, _) => {
-                            args.push(&**a);
-                            head = f;
-                        }
-                        SExpr::TApp(f, _, _) => head = f,
-                        _ => break,
+    fn collect(a: &Arena, e: ExprId, senders: &[&str], out: &mut Vec<String>) {
+        if let SExpr::App(..) | SExpr::TApp(..) = a.expr(e) {
+            let mut args = Vec::new();
+            let mut head = e;
+            loop {
+                match a.expr(head) {
+                    SExpr::App(f, x, _) => {
+                        args.push(*x);
+                        head = *f;
                     }
-                }
-                args.reverse();
-                if let SExpr::Var(name, _) = head {
-                    if senders.contains(&name.as_str()) {
-                        for a in &args {
-                            if let SExpr::Lit(Lit::Int(n), _) = a {
-                                out.push(n.to_string());
-                            }
-                        }
-                    }
-                } else {
-                    collect(head, senders, out);
-                }
-                for a in args {
-                    collect(a, senders, out);
+                    SExpr::TApp(f, _, _) => head = *f,
+                    _ => break,
                 }
             }
-            SExpr::Lambda(_, b, _) => collect(b, senders, out),
+            args.reverse();
+            if let SExpr::Var(name, _) = a.expr(head) {
+                if senders.contains(&name.as_str()) {
+                    for x in &args {
+                        if let SExpr::Lit(Lit::Int(n), _) = a.expr(*x) {
+                            out.push(n.to_string());
+                        }
+                    }
+                }
+            } else {
+                collect(a, head, senders, out);
+            }
+            for x in args {
+                collect(a, x, senders, out);
+            }
+            return;
+        }
+        let mut go = |e: &ExprId| collect(a, *e, senders, out);
+        match a.expr(e) {
+            SExpr::Lambda(_, b, _) => go(b),
             SExpr::Let(_, rhs, body, _) => {
-                collect(rhs, senders, out);
-                collect(body, senders, out);
+                go(rhs);
+                go(body);
             }
             SExpr::Pair(l, r, _) | SExpr::BinOp(_, l, r, _) => {
-                collect(l, senders, out);
-                collect(r, senders, out);
+                go(l);
+                go(r);
             }
             SExpr::If(c, t, f, _) => {
-                collect(c, senders, out);
-                collect(t, senders, out);
-                collect(f, senders, out);
+                go(c);
+                go(t);
+                go(f);
             }
             SExpr::Case(scrut, arms, _) => {
-                collect(scrut, senders, out);
-                for arm in arms {
-                    collect(&arm.body, senders, out);
+                go(scrut);
+                for arm in a.arms(*arms) {
+                    go(&arm.body);
                 }
             }
             _ => {}
         }
     }
 
+    let (client_arena, client_body) = binding(client)?;
     let mut out = Vec::new();
-    collect(&binding(client)?.body, &senders, &mut out);
+    collect(client_arena, client_body, &senders, &mut out);
     Some(out)
 }
 

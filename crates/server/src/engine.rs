@@ -909,9 +909,9 @@ fn resolve_cached(
         insert_capped(parsed, src, id);
         return Ok(id);
     }
-    // Cold resolve: one pass from source to id (lex, then parse straight
-    // into the store), timed when the engine is recording (first-sight
-    // strings already pay µs here).
+    // Cold resolve: one pass from source to id (the parser pulls tokens
+    // and builds straight into the store), timed when the engine is
+    // recording (first-sight strings already pay µs here).
     let span = ctx.obs.enabled().then(Span::begin);
     let id = intern_type_str(session, src)?;
     if let Some(span) = span {

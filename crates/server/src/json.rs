@@ -341,11 +341,14 @@ impl Parser<'_> {
                             .get(self.pos..self.pos + 4)
                             .ok_or("truncated \\u escape")?;
                         self.pos += 4;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign, as in `\u+041`.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err("bad \\u escape".into());
+                        }
+                        let code = hex.iter().fold(0, |code, &d| {
+                            code * 16 + char::from(d).to_digit(16).expect("a hex digit")
+                        });
                         // Surrogate pairs are rejected rather than paired:
                         // the protocol is ASCII in practice.
                         out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
@@ -409,10 +412,16 @@ mod tests {
             r#"{"a":[1]}"#,
             r#"{"a":{"b":1}}"#,
             r#"{"a":"unterminated}"#,
+            r#"{"a":"\u+041"}"#,
+            r#"{"a":"\u-041"}"#,
+            r#"{"a":"\u 41"}"#,
             "not json at all",
         ] {
             assert!(parse_object(bad).is_err(), "accepted: {bad}");
         }
+        // Four hex digits of either case are an escape.
+        let pairs = parse_object(r#"{"a":"\u0041\u00E9\u00e9"}"#).unwrap();
+        assert_eq!(get(&pairs, "a").unwrap().as_str(), Some("Aéé"));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub fn type_from_str(src: &str) -> Result<Type, String> {
 
 /// Parses a single type straight into `session`'s store: the id
 /// `session.intern(&type_from_str(src)?)` would return, without building
-/// the tree. On a parse error, nodes interned before the error stay in
-/// the store as unreferenced garbage; they change no verdict.
+/// the tree. On an error, lexical or not, nodes interned before it stay
+/// in the store as unreferenced garbage; they change no verdict.
 pub fn intern_type_str(session: &mut Session, src: &str) -> Result<TypeId, String> {
     let mut ids = Ids {
         session,

@@ -10,33 +10,33 @@ use algst_gen::workload::cold_heavy_workload;
 use algst_gen::{build_suite, SuiteKind};
 use algst_server::resolve::{intern_type_str, type_from_str};
 use algst_server::{Engine, Op, Request, Response};
-use algst_syntax::ast::{SType, STypeNode};
+use algst_syntax::ast::{Arena, SType, TyId};
 use algst_syntax::parse_type;
 use std::sync::Arc;
 
 /// Nominal resolution as a separate walk over the surface AST: the
 /// reference the resolving builders must agree with.
-fn resolve(st: &SType) -> Type {
-    let arc = |t: &SType| Arc::new(resolve(t));
-    match &**st {
-        STypeNode::Unit => Type::Unit,
-        STypeNode::Var(v) => Type::Var(*v),
-        STypeNode::Name(name, args) => match (name.as_str(), args.is_empty()) {
+fn resolve(arena: &Arena, st: TyId) -> Type {
+    let arc = |t: TyId| Arc::new(resolve(arena, t));
+    match arena.ty(st) {
+        SType::Unit => Type::Unit,
+        SType::Var(v) => Type::Var(v),
+        SType::Name(name, args) => match (name.as_str(), args.is_empty()) {
             ("Int", true) => Type::int(),
             ("Bool", true) => Type::bool(),
             ("Char", true) => Type::char(),
             ("String", true) => Type::string(),
-            _ => Type::Proto(*name, args.iter().map(resolve).collect()),
+            _ => Type::Proto(name, arena.tys(args).map(|a| resolve(arena, a)).collect()),
         },
-        STypeNode::Arrow(a, b) => Type::Arrow(arc(a), arc(b)),
-        STypeNode::Pair(a, b) => Type::Pair(arc(a), arc(b)),
-        STypeNode::Forall(v, k, body) => Type::Forall(*v, *k, arc(body)),
-        STypeNode::In(p, s) => Type::In(arc(p), arc(s)),
-        STypeNode::Out(p, s) => Type::Out(arc(p), arc(s)),
-        STypeNode::EndIn => Type::EndIn,
-        STypeNode::EndOut => Type::EndOut,
-        STypeNode::Dual(s) => Type::Dual(arc(s)),
-        STypeNode::Neg(p) => Type::Neg(arc(p)),
+        SType::Arrow(a, b) => Type::Arrow(arc(a), arc(b)),
+        SType::Pair(a, b) => Type::Pair(arc(a), arc(b)),
+        SType::Forall(v, k, body) => Type::Forall(v, k, arc(body)),
+        SType::In(p, s) => Type::In(arc(p), arc(s)),
+        SType::Out(p, s) => Type::Out(arc(p), arc(s)),
+        SType::EndIn => Type::EndIn,
+        SType::EndOut => Type::EndOut,
+        SType::Dual(s) => Type::Dual(arc(s)),
+        SType::Neg(p) => Type::Neg(arc(p)),
     }
 }
 
@@ -66,9 +66,10 @@ fn one_pass_ids_match_the_tree_paths() {
         let mut ids = Vec::new();
         for src in [&lhs, &rhs] {
             let one_pass = intern_type_str(&mut session, src).unwrap();
-            let tree = session.intern(&type_from_str(src).unwrap());
-            let surface = session.intern(&resolve(&parse_type(src).unwrap()));
-            assert_eq!(one_pass, tree, "{src}");
+            let built = session.intern(&type_from_str(src).unwrap());
+            let parsed = parse_type(src).unwrap();
+            let surface = session.intern(&resolve(&parsed.arena, parsed.root));
+            assert_eq!(one_pass, built, "{src}");
             assert_eq!(one_pass, surface, "{src}");
             ids.push(one_pass);
         }

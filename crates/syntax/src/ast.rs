@@ -1,19 +1,26 @@
-//! The surface abstract syntax tree.
+//! The surface abstract syntax tree, stored flat.
 //!
 //! Surface types and expressions keep *unresolved* names: an uppercase
 //! name application `Stream Int` may refer to a protocol, a datatype or a
 //! type alias — resolution happens during elaboration (`algst-check`),
-//! which has the full declaration table. Expressions and declarations
-//! keep their source spans; types are shared nodes without spans (see
-//! [`SType`]).
+//! which has the full declaration table.
+//!
+//! Every [`Decl`] owns one [`Arena`] that holds its surface nodes, types
+//! and expressions alike. A node names its children by `u32` ids into
+//! the same arena ([`TyId`], [`ExprId`]), and a list of children — a
+//! name's arguments, a type application's types, a case's arms — is a
+//! range of a side vector. Types are hash-consed within their arena, so
+//! a type written twice in one declaration is one node and one id.
+//! Expressions and declarations keep their source spans; types carry
+//! none (diagnostics point at tokens and declarations). A declaration
+//! is self-contained: it can move into another [`Program`] with its
+//! arena.
 
 use crate::span::Span;
 use algst_core::expr::Lit;
 use algst_core::kind::Kind;
 use algst_core::symbol::Symbol;
 use std::fmt;
-use std::ops::Deref;
-use std::sync::Arc;
 
 /// A parsed source file.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -21,9 +28,17 @@ pub struct Program {
     pub decls: Vec<Decl>,
 }
 
-/// A top-level declaration.
+/// A top-level declaration with the arena its nodes live in.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Decl {
+pub struct Decl {
+    pub kind: DeclKind,
+    pub arena: Arena,
+}
+
+/// The shape of a top-level declaration; its ids point into the
+/// declaration's [`Arena`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum DeclKind {
     /// `protocol P a b = C1 T… | C2 T…`
     Protocol(TypeDecl),
     /// `data D a b = C1 T… | C2 T…`
@@ -38,11 +53,11 @@ pub enum Decl {
 
 impl Decl {
     pub fn span(&self) -> Span {
-        match self {
-            Decl::Protocol(d) | Decl::Data(d) => d.span,
-            Decl::Alias(d) => d.span,
-            Decl::Signature(d) => d.span,
-            Decl::Binding(d) => d.span,
+        match &self.kind {
+            DeclKind::Protocol(d) | DeclKind::Data(d) => d.span,
+            DeclKind::Alias(d) => d.span,
+            DeclKind::Signature(d) => d.span,
+            DeclKind::Binding(d) => d.span,
         }
     }
 }
@@ -59,7 +74,7 @@ pub struct TypeDecl {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CtorDecl {
     pub name: Symbol,
-    pub args: Vec<SType>,
+    pub args: TyList,
     pub span: Span,
 }
 
@@ -67,14 +82,14 @@ pub struct CtorDecl {
 pub struct AliasDecl {
     pub name: Symbol,
     pub params: Vec<Symbol>,
-    pub body: SType,
+    pub body: TyId,
     pub span: Span,
 }
 
 #[derive(Clone, Debug, PartialEq)]
 pub struct SignatureDecl {
     pub name: Symbol,
-    pub ty: SType,
+    pub ty: TyId,
     pub span: Span,
 }
 
@@ -82,7 +97,7 @@ pub struct SignatureDecl {
 pub struct BindingDecl {
     pub name: Symbol,
     pub params: Vec<Param>,
-    pub body: SExpr,
+    pub body: ExprId,
     pub span: Span,
 }
 
@@ -95,102 +110,114 @@ pub enum Param {
     Types(Vec<Symbol>),
 }
 
-/// A surface type: a cheap handle to an immutable node. The parser
-/// hash-conses within each parse, so every occurrence of one type in a
-/// program is a single node — a clone is a reference-count bump, and
-/// [`SType::as_ptr`] names a distinct type for the length of that
-/// parse. Equality is structural (identical handles compare in O(1)).
-/// Type nodes carry no span: diagnostics point at tokens and
-/// declarations.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SType(Arc<STypeNode>);
+/// A type in its [`Arena`]. Within one arena, equal ids are equal types.
+/// The parser builds each distinct type of a declaration once, so among
+/// its types distinct ids are distinct types too, but for the rare node
+/// whose 64-bit key hash another node holds (it stays unshared).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct TyId(u32);
 
-/// The shape of a surface type (see [`SType`]).
-#[derive(Debug, PartialEq, Eq)]
-pub enum STypeNode {
+/// An expression in its [`Arena`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ExprId(u32);
+
+impl TyId {
+    pub(crate) fn from_raw(id: u32) -> TyId {
+        TyId(id)
+    }
+
+    /// The id's position in its arena: below [`Arena::len`], so a dense
+    /// table indexed by it covers every type of the arena.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A range of an arena's side vector: the ids of a list of types.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct TyList(ListRange);
+
+/// A range of an arena's side vector: the arms of a `case`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Arms(ListRange);
+
+/// A range of an arena's names: lambda parameters or arm binders.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Names(ListRange);
+
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+struct ListRange {
+    start: u32,
+    len: u32,
+}
+
+impl ListRange {
+    fn of(start: usize, end: usize) -> ListRange {
+        ListRange {
+            start: u32::try_from(start).expect("an arena list starts below u32::MAX"),
+            len: u32::try_from(end - start).expect("an arena list is shorter than u32::MAX"),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+impl TyList {
+    pub fn len(self) -> usize {
+        self.0.len as usize
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0.len == 0
+    }
+}
+
+impl Names {
+    pub fn len(self) -> usize {
+        self.0.len as usize
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0.len == 0
+    }
+}
+
+impl Arms {
+    pub fn len(self) -> usize {
+        self.0.len as usize
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0.len == 0
+    }
+}
+
+/// The shape of a surface type. Children are ids in the same arena.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SType {
     Unit,
     /// Uppercase name, possibly applied: protocol, datatype, alias, or a
     /// builtin (`Int`, `Bool`, `Char`, `String`).
-    Name(Symbol, Vec<SType>),
+    Name(Symbol, TyList),
     /// Lowercase type variable.
     Var(Symbol),
-    Arrow(SType, SType),
-    Pair(SType, SType),
-    Forall(Symbol, Kind, SType),
+    Arrow(TyId, TyId),
+    Pair(TyId, TyId),
+    Forall(Symbol, Kind, TyId),
     /// `?T.S`
-    In(SType, SType),
+    In(TyId, TyId),
     /// `!T.S`
-    Out(SType, SType),
+    Out(TyId, TyId),
     EndIn,
     EndOut,
-    Dual(SType),
+    Dual(TyId),
     /// `-T`
-    Neg(SType),
+    Neg(TyId),
 }
 
-impl SType {
-    /// A new node of its own, shared with nothing built before it.
-    pub fn new(node: STypeNode) -> SType {
-        SType(Arc::new(node))
-    }
-
-    /// The node's address: the same for every handle to it.
-    pub fn as_ptr(&self) -> *const STypeNode {
-        Arc::as_ptr(&self.0)
-    }
-
-    /// Whether `self` and `other` are handles to one node.
-    pub fn ptr_eq(&self, other: &SType) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Deref for SType {
-    type Target = STypeNode;
-
-    fn deref(&self) -> &STypeNode {
-        &self.0
-    }
-}
-
-impl fmt::Debug for SType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// Displays as parseable source. Delegates to the precedence-aware
-/// printer ([`crate::printer::type_to_source`]); the old ad-hoc
-/// parenthesizer emitted text that reparsed differently for arrows and
-/// quantifiers in continuation position.
-impl fmt::Display for SType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::printer::type_to_source(self))
-    }
-}
-
-/// Displays as parseable source (see [`crate::printer::expr_to_source`]).
-impl fmt::Display for SExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::printer::expr_to_source(self))
-    }
-}
-
-/// Displays as one line of parseable source.
-impl fmt::Display for Decl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::printer::decl_to_source(self))
-    }
-}
-
-/// Displays as parseable source, one declaration per line.
-impl fmt::Display for Program {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::printer::program_to_source(self))
-    }
-}
-
-/// A surface expression.
+/// A surface expression. Children are ids in the same arena.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SExpr {
     Lit(Lit, Span),
@@ -200,21 +227,21 @@ pub enum SExpr {
     Con(Symbol, Span),
     /// `select C`
     Select(Symbol, Span),
-    App(Box<SExpr>, Box<SExpr>, Span),
+    App(ExprId, ExprId, Span),
     /// `e [T, U, …]`
-    TApp(Box<SExpr>, Vec<SType>, Span),
+    TApp(ExprId, TyList, Span),
     /// `\x y -> e`
-    Lambda(Vec<Symbol>, Box<SExpr>, Span),
+    Lambda(Names, ExprId, Span),
     /// Binary operator application, e.g. `x + y`.
-    BinOp(Symbol, Box<SExpr>, Box<SExpr>, Span),
-    Pair(Box<SExpr>, Box<SExpr>, Span),
+    BinOp(Symbol, ExprId, ExprId, Span),
+    Pair(ExprId, ExprId, Span),
     /// `let pat = e in e`
-    Let(Pattern, Box<SExpr>, Box<SExpr>, Span),
+    Let(Pattern, ExprId, ExprId, Span),
     /// `case e of { … }` or `match e with { … }` — same construct, the
     /// scrutinee's type disambiguates (paper Section 5: the artifact
     /// overloads `case` as `match`).
-    Case(Box<SExpr>, Vec<SArm>, Span),
-    If(Box<SExpr>, Box<SExpr>, Box<SExpr>, Span),
+    Case(ExprId, Arms, Span),
+    If(ExprId, ExprId, ExprId, Span),
 }
 
 impl SExpr {
@@ -240,13 +267,13 @@ impl SExpr {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SArm {
     pub tag: Symbol,
-    pub binders: Vec<Symbol>,
-    pub body: SExpr,
+    pub binders: Names,
+    pub body: ExprId,
     pub span: Span,
 }
 
 /// Patterns allowed on the left of `let` and in equation parameters.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Pattern {
     Var(Symbol),
     Pair(Symbol, Symbol),
@@ -254,34 +281,257 @@ pub enum Pattern {
     Wild,
 }
 
+/// A node of an arena.
+#[derive(Clone, Debug, PartialEq)]
+enum Node {
+    Type(SType),
+    Expr(SExpr),
+    Arm(SArm),
+}
+
+/// The nodes of one declaration (or of one standalone type or
+/// expression, see [`Tree`]), addressed by id.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Arena {
+    nodes: Vec<Node>,
+    /// Lists of node ids: names' arguments, type applications' types
+    /// and cases' arms.
+    lists: Vec<u32>,
+    /// Lists of names: lambda parameters and arm binders.
+    names: Vec<Symbol>,
+}
+
+impl Arena {
+    /// Nodes in the arena: every id of it is below this.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The type `id` names.
+    pub fn ty(&self, id: TyId) -> SType {
+        match &self.nodes[id.index()] {
+            Node::Type(t) => *t,
+            other => unreachable!("type id names {other:?}"),
+        }
+    }
+
+    /// The expression `id` names.
+    pub fn expr(&self, id: ExprId) -> &SExpr {
+        match &self.nodes[id.0 as usize] {
+            Node::Expr(e) => e,
+            other => unreachable!("expression id names {other:?}"),
+        }
+    }
+
+    /// The expression `id` names, to rewrite in place.
+    pub fn expr_mut(&mut self, id: ExprId) -> &mut SExpr {
+        match &mut self.nodes[id.0 as usize] {
+            Node::Expr(e) => e,
+            other => unreachable!("expression id names {other:?}"),
+        }
+    }
+
+    /// The types of `list`, in order.
+    pub fn tys(&self, list: TyList) -> impl ExactSizeIterator<Item = TyId> + '_ {
+        self.lists[list.0.range()].iter().map(|&id| TyId(id))
+    }
+
+    /// The arms of `list`, in order.
+    pub fn arms(&self, list: Arms) -> impl ExactSizeIterator<Item = &SArm> + '_ {
+        self.lists[list.0.range()]
+            .iter()
+            .map(|&id| match &self.nodes[id as usize] {
+                Node::Arm(arm) => arm,
+                other => unreachable!("arm id names {other:?}"),
+            })
+    }
+
+    /// The names of `list`, in order.
+    pub fn names(&self, list: Names) -> &[Symbol] {
+        &self.names[list.0.range()]
+    }
+
+    /// The names of `list`, to rename in place.
+    pub fn names_mut(&mut self, list: Names) -> &mut [Symbol] {
+        &mut self.names[list.0.range()]
+    }
+
+    /// Appends `t` as a node of its own, shared with nothing already in
+    /// the arena. Rewrites use it to build new types next to the old.
+    pub fn push_ty(&mut self, t: SType) -> TyId {
+        TyId(self.push(Node::Type(t)))
+    }
+
+    /// Appends a list of types.
+    pub fn push_tys(&mut self, tys: impl IntoIterator<Item = TyId>) -> TyList {
+        TyList(self.push_list(tys.into_iter().map(|t| t.0)))
+    }
+
+    pub(crate) fn push_expr(&mut self, e: SExpr) -> ExprId {
+        ExprId(self.push(Node::Expr(e)))
+    }
+
+    /// Appends `arm` as a node; the id goes into its case's [`Arms`].
+    pub(crate) fn push_arm(&mut self, arm: SArm) -> u32 {
+        self.push(Node::Arm(arm))
+    }
+
+    /// Appends the arm ids `ids` as one case's arms.
+    pub(crate) fn push_arms(&mut self, ids: impl IntoIterator<Item = u32>) -> Arms {
+        Arms(self.push_list(ids))
+    }
+
+    pub(crate) fn push_name(&mut self, name: Symbol) {
+        self.names.push(name);
+    }
+
+    /// Names pushed so far: where the next list of names starts.
+    pub(crate) fn names_len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The names pushed since there were `start`.
+    pub(crate) fn names_since(&self, start: usize) -> Names {
+        Names(ListRange::of(start, self.names.len()))
+    }
+
+    /// The raw ids of `list`.
+    pub(crate) fn list_ids(&self, list: TyList) -> &[u32] {
+        &self.lists[list.0.range()]
+    }
+
+    /// Makes room for `nodes` nodes, `lists` list entries and `names`
+    /// names.
+    pub(crate) fn reserve(&mut self, nodes: usize, lists: usize, names: usize) {
+        self.nodes.reserve(nodes);
+        self.lists.reserve(lists);
+        self.names.reserve(names);
+    }
+
+    /// Moves the contents out into an arena of exactly their size,
+    /// leaving `self` empty with its capacity.
+    pub(crate) fn take_exact(&mut self) -> Arena {
+        Arena {
+            nodes: self.nodes.drain(..).collect(),
+            lists: self.lists.drain(..).collect(),
+            names: self.names.drain(..).collect(),
+        }
+    }
+
+    fn push_list(&mut self, ids: impl IntoIterator<Item = u32>) -> ListRange {
+        let start = self.lists.len();
+        self.lists.extend(ids);
+        ListRange::of(start, self.lists.len())
+    }
+
+    fn push(&mut self, node: Node) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("an arena holds fewer than u32::MAX nodes");
+        self.nodes.push(node);
+        id
+    }
+}
+
+/// A standalone type or expression with the arena that holds it, as
+/// [`parse_type`](crate::parse_type) and [`parse_expr`](crate::parse_expr)
+/// return them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Tree<Id> {
+    pub arena: Arena,
+    pub root: Id,
+}
+
+impl Tree<TyId> {
+    /// The root's shape.
+    pub fn node(&self) -> SType {
+        self.arena.ty(self.root)
+    }
+}
+
+impl Tree<ExprId> {
+    /// The root's shape.
+    pub fn node(&self) -> &SExpr {
+        self.arena.expr(self.root)
+    }
+}
+
+/// Displays as parseable source (see [`crate::printer::type_to_source`]).
+impl fmt::Display for Tree<TyId> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&crate::printer::type_to_source(&self.arena, self.root))
+    }
+}
+
+/// Displays as parseable source (see [`crate::printer::expr_to_source`]).
+impl fmt::Display for Tree<ExprId> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&crate::printer::expr_to_source(&self.arena, self.root))
+    }
+}
+
+/// Displays as one line of parseable source.
+impl fmt::Display for Decl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&crate::printer::decl_to_source(self))
+    }
+}
+
+/// Displays as parseable source, one declaration per line.
+impl fmt::Display for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&crate::printer::program_to_source(self))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tree(build: impl FnOnce(&mut Arena) -> TyId) -> Tree<TyId> {
+        let mut arena = Arena::default();
+        let root = build(&mut arena);
+        Tree { arena, root }
+    }
+
     #[test]
     fn stype_display() {
-        let name = |n: &str, args| SType::new(STypeNode::Name(Symbol::intern(n), args));
-        let t = SType::new(STypeNode::Out(
-            name("Stream", vec![name("Int", vec![])]),
-            SType::new(STypeNode::EndOut),
-        ));
+        let t = tree(|a| {
+            let int = a.push_ty(SType::Name(Symbol::intern("Int"), TyList::default()));
+            let args = a.push_tys([int]);
+            let stream = a.push_ty(SType::Name(Symbol::intern("Stream"), args));
+            let end = a.push_ty(SType::EndOut);
+            a.push_ty(SType::Out(stream, end))
+        });
         assert_eq!(t.to_string(), "!(Stream Int).End!");
     }
 
     #[test]
     fn arrow_display_parenthesizes_domain() {
-        let unit = || SType::new(STypeNode::Unit);
-        let inner = SType::new(STypeNode::Arrow(unit(), unit()));
-        let t = SType::new(STypeNode::Arrow(inner, unit()));
+        let t = tree(|a| {
+            let unit = a.push_ty(SType::Unit);
+            let inner = a.push_ty(SType::Arrow(unit, unit));
+            a.push_ty(SType::Arrow(inner, unit))
+        });
         assert_eq!(t.to_string(), "(Unit -> Unit) -> Unit");
     }
 
     #[test]
     fn equality_is_structural() {
-        let unit = || SType::new(STypeNode::Unit);
-        let (a, b) = (unit(), unit());
-        assert!(!a.ptr_eq(&b));
-        assert_eq!(a, b);
-        assert_ne!(a, SType::new(STypeNode::EndIn));
+        use crate::printer::ty_eq;
+        let mut a = Arena::default();
+        let (x, y) = (a.push_ty(SType::Unit), a.push_ty(SType::Unit));
+        let end = a.push_ty(SType::EndIn);
+        assert_ne!(x, y);
+        assert!(ty_eq(&a, x, &a, y));
+        assert!(!ty_eq(&a, x, &a, end));
+        // Across arenas, by shape alone.
+        let t = tree(|b| {
+            b.push_ty(SType::EndOut);
+            b.push_ty(SType::Unit)
+        });
+        assert!(ty_eq(&a, x, &t.arena, t.root));
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! The lexer scans bytes and decodes a char only where the input is not
 //! ASCII. Keywords and builtin names are matched on bytes and come out
-//! as pre-interned symbols, so only other identifiers take the symbol
-//! interner's lock.
+//! as pre-interned symbols, so only other identifiers go through the
+//! symbol interner. The parser pulls one token at a time, so no token
+//! vector is ever built.
 
 use crate::span::Span;
 use crate::token::{Tok, Token};
@@ -33,7 +34,9 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'s> {
+/// Produces the tokens of a source one at a time, as the parser pulls
+/// them: nothing holds more than the token in hand.
+pub(crate) struct Lexer<'s> {
     src: &'s str,
     /// Byte offset of the next unread character.
     pos: usize,
@@ -41,19 +44,15 @@ struct Lexer<'s> {
     col: u32,
 }
 
-/// Tokenizes `src`.
+/// Tokenizes all of `src` at once, for tests and tooling; the parser
+/// pulls them one at a time instead.
 ///
 /// # Errors
 /// Returns a [`LexError`] on unterminated literals/comments or unexpected
 /// characters.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut lx = Lexer {
-        src,
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
-    lx.run()
+    let mut lx = Lexer::new(src);
+    std::iter::from_fn(|| lx.next_token().transpose()).collect()
 }
 
 /// Number of chars in `bytes`: every byte that is not a UTF-8
@@ -63,6 +62,15 @@ fn char_count(bytes: &[u8]) -> u32 {
 }
 
 impl<'s> Lexer<'s> {
+    pub(crate) fn new(src: &'s str) -> Lexer<'s> {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
+        }
+    }
+
     fn byte_at(&self, offset: usize) -> Option<u8> {
         self.src.as_bytes().get(self.pos + offset).copied()
     }
@@ -100,21 +108,24 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn run(&mut self) -> Result<Vec<Token>, LexError> {
-        // Type strings run at about one token per two bytes.
-        let mut out = Vec::with_capacity(self.src.len() / 2 + 1);
-        loop {
-            self.skip_trivia()?;
-            let start = self.pos;
-            let (line, col) = (self.line, self.col);
-            let Some(b) = self.byte_at(0) else { break };
-            let tok = self.next_tok(b)?;
-            out.push(Token {
-                tok,
-                span: Span::new(start, self.pos, line, col),
-            });
-        }
-        Ok(out)
+    /// The next token, or `None` at the end of the input.
+    ///
+    /// # Errors
+    /// A [`LexError`] where the next token is malformed; the lexer is
+    /// not to be pulled from again after one.
+    #[inline]
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+        self.skip_trivia()?;
+        let start = self.pos;
+        let (line, col) = (self.line, self.col);
+        let Some(b) = self.byte_at(0) else {
+            return Ok(None);
+        };
+        let tok = self.next_tok(b)?;
+        Ok(Some(Token {
+            tok,
+            span: Span::new(start, self.pos, line, col),
+        }))
     }
 
     /// Skips whitespace and comments.

@@ -31,7 +31,7 @@ pub mod printer;
 pub mod span;
 pub mod token;
 
-pub use ast::{Decl, Program, SExpr, SType, STypeNode};
+pub use ast::{Arena, Decl, DeclKind, ExprId, Program, SExpr, SType, Tree, TyId};
 pub use parser::{
     parse_expr, parse_program, parse_type, parse_type_with, ParseError, TypeBuilder,
     MAX_EXPR_DEPTH, MAX_TYPE_DEPTH,

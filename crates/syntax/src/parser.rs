@@ -19,9 +19,17 @@
 //! at column 1 terminates the expression or type being parsed. This
 //! replaces Haskell's layout algorithm with the one convention the paper's
 //! examples already follow.
+//!
+//! The parser pulls tokens from the lexer one at a time and keeps only
+//! the current one and the span of the one before. Each declaration's
+//! nodes are built in one scratch [`Arena`] and moved out at the
+//! declaration's end into an arena of exactly their size. A lex error
+//! anywhere in the source wins over a parse error, as if the whole
+//! source had been lexed first: on a parse error the parser lexes the
+//! rest of the source before it reports.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError};
+use crate::lexer::{LexError, Lexer};
 use crate::span::Span;
 use crate::token::{Tok, Token};
 use algst_core::expr::Lit;
@@ -60,36 +68,46 @@ type PResult<T> = Result<T, ParseError>;
 
 /// Parses a full program (a sequence of declarations).
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let mut p = Parser::new(src)?;
-    let mut decls = Vec::new();
-    while p.pos < p.tokens.len() {
-        decls.push(p.decl()?);
-    }
-    Ok(Program { decls })
+    let mut p = Parser::new(src);
+    p.surface.reserve();
+    let parsed = p.program();
+    p.finish(parsed)
 }
 
 /// Parses a single type, e.g. for tests and tooling. Repeated subtypes
-/// are shared, as in [`parse_program`].
-pub fn parse_type(src: &str) -> PResult<SType> {
-    parse_type_with(src, &mut Surface::default())
+/// are one node, as in each declaration of [`parse_program`].
+pub fn parse_type(src: &str) -> PResult<Tree<TyId>> {
+    let mut surface = Surface::default();
+    let root = parse_type_with(src, &mut surface)?;
+    Ok(Tree {
+        arena: surface.arena,
+        root,
+    })
 }
 
 /// Parses a single type with `builder` building each node as the parser
 /// recognises it — the same grammar and errors as [`parse_type`],
-/// without an intermediate [`SType`] unless the builder makes one.
+/// without an intermediate arena unless the builder makes one.
 pub fn parse_type_with<B: TypeBuilder>(src: &str, builder: &mut B) -> PResult<B::Out> {
-    let mut p = Parser::new(src)?;
-    let t = p.ty(builder)?.build(builder);
-    p.expect_eof()?;
-    Ok(t)
+    let mut p = Parser::new(src);
+    let parsed = p.ty(builder).and_then(|t| {
+        let t = t.build(builder);
+        p.expect_eof().map(|()| t)
+    });
+    p.finish(parsed)
 }
 
 /// Parses a single expression.
-pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    let mut p = Parser::new(src)?;
-    let (e, _) = p.expr()?;
-    p.expect_eof()?;
-    Ok(e)
+pub fn parse_expr(src: &str) -> PResult<Tree<ExprId>> {
+    let mut p = Parser::new(src);
+    let parsed = p.expr().and_then(|(root, _)| {
+        p.expect_eof()?;
+        Ok(Tree {
+            arena: p.surface.arena.take_exact(),
+            root,
+        })
+    });
+    p.finish(parsed)
 }
 
 /// How deeply a type may nest. Every type constructor and every pair of
@@ -108,7 +126,7 @@ pub const MAX_TYPE_DEPTH: usize = 2048;
 pub const MAX_EXPR_DEPTH: usize = 2048;
 
 /// An expression with the height of its tree (see [`MAX_EXPR_DEPTH`]).
-type Node = (SExpr, usize);
+type Node = (ExprId, usize);
 
 /// What the type productions build, one call per recognised node.
 /// Children are built before their parent, in source order.
@@ -149,31 +167,38 @@ pub trait TypeBuilder {
     fn neg(&mut self, t: Self::Out) -> Self::Out;
 }
 
-/// The [`TypeBuilder`] of the surface AST. It hash-conses within one
-/// parse: a node is keyed by its kind and the identities of its
-/// children, which are already shared, so a type written twice — every
-/// explicit type application restates the rest of a protocol — is built
-/// once and then handed out again.
+/// The arena under construction and the [`TypeBuilder`] of its types.
+/// Types are hash-consed within the arena: a node is keyed by its kind,
+/// its names and the ids of its children, which are already shared, so
+/// a type written twice — every explicit type application restates the
+/// rest of a protocol — is built once and its id handed out again.
 #[derive(Default)]
 struct Surface {
-    /// The node built for each key, by the key's hash. A node whose hash
+    arena: Arena,
+    /// The id built for each key, by the key's hash. A node whose hash
     /// is taken by a different node stays unshared.
-    nodes: HashMap<u64, SType, MixState>,
+    types: HashMap<u64, TyId, MixState>,
     /// Hashes the keys.
     seed: MixState,
+    /// Ids of the lists being parsed — the types of type applications
+    /// and the arms of cases, innermost last — until each list is
+    /// complete and moves into the arena in one piece.
+    pending: Vec<u32>,
 }
 
 impl Surface {
-    fn share(&mut self, node: STypeNode) -> SType {
-        use STypeNode::*;
+    /// The id of `node` — for a name, with the arguments `args` in place
+    /// of its (empty) list — added to the arena unless it is there.
+    fn share(&mut self, node: SType, args: &[TyId]) -> TyId {
+        use SType::*;
         let mut h = self.seed.build_hasher();
-        let child = |h: &mut MixHasher, t: &SType| h.write_usize(t.as_ptr() as usize);
+        let child = |h: &mut MixHasher, t: TyId| h.write_u32(t.index() as u32);
         std::mem::discriminant(&node).hash(&mut h);
-        match &node {
+        match node {
             Unit | EndIn | EndOut => {}
-            Name(name, args) => {
+            Name(name, _) => {
                 name.hash(&mut h);
-                args.iter().for_each(|a| child(&mut h, a));
+                args.iter().for_each(|&a| child(&mut h, a));
             }
             Var(v) => v.hash(&mut h),
             Arrow(a, b) | Pair(a, b) | In(a, b) | Out(a, b) => {
@@ -187,72 +212,98 @@ impl Surface {
             }
             Dual(t) | Neg(t) => child(&mut h, t),
         }
-        match self.nodes.entry(h.finish()) {
-            Entry::Occupied(e) if same_node(e.get(), &node) => e.get().clone(),
-            Entry::Occupied(_) => SType::new(node),
-            Entry::Vacant(e) => e.insert(SType::new(node)).clone(),
+        let arena = &mut self.arena;
+        match self.types.entry(h.finish()) {
+            Entry::Occupied(e) if same_node(arena, arena.ty(*e.get()), node, args) => *e.get(),
+            Entry::Occupied(_) => push_node(arena, node, args),
+            Entry::Vacant(e) => *e.insert(push_node(arena, node, args)),
         }
+    }
+
+    /// Sizes the scratch space for a module's declarations at once, so
+    /// that it seldom grows: most declarations of a generated module
+    /// have fewer than 32 nodes, and few more than 256.
+    fn reserve(&mut self) {
+        self.arena.reserve(256, 64, 16);
+        self.types.reserve(64);
+        self.pending.reserve(32);
+    }
+
+    /// Moves the finished declaration's nodes out and starts the next
+    /// declaration's arena, keeping the scratch capacity.
+    fn finish(&mut self) -> Arena {
+        self.types.clear();
+        self.arena.take_exact()
     }
 }
 
-/// `a` and `b` have the same kind, names and children (by identity).
-fn same_node(a: &STypeNode, b: &STypeNode) -> bool {
-    use STypeNode::*;
-    let same = |x: &SType, y: &SType| x.ptr_eq(y);
-    match (a, b) {
-        (Unit, Unit) | (EndIn, EndIn) | (EndOut, EndOut) => true,
-        (Name(n, xs), Name(m, ys)) => {
-            n == m && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+/// Appends `node`, a name with the arguments `args` or any other node,
+/// to `arena` as a node of its own.
+fn push_node(arena: &mut Arena, node: SType, args: &[TyId]) -> TyId {
+    match node {
+        SType::Name(name, _) => {
+            let args = arena.push_tys(args.iter().copied());
+            arena.push_ty(SType::Name(name, args))
         }
-        (Var(v), Var(w)) => v == w,
-        (Arrow(a1, b1), Arrow(a2, b2))
-        | (Pair(a1, b1), Pair(a2, b2))
-        | (In(a1, b1), In(a2, b2))
-        | (Out(a1, b1), Out(a2, b2)) => same(a1, a2) && same(b1, b2),
-        (Forall(v, k, x), Forall(w, l, y)) => v == w && k == l && same(x, y),
-        (Dual(x), Dual(y)) | (Neg(x), Neg(y)) => same(x, y),
-        _ => false,
+        other => arena.push_ty(other),
+    }
+}
+
+/// `old` (in `arena`) and `new`, with the name arguments `args`, have
+/// the same kind, names and children.
+fn same_node(arena: &Arena, old: SType, new: SType, args: &[TyId]) -> bool {
+    use SType::*;
+    match (old, new) {
+        (Name(n, xs), Name(m, _)) => {
+            n == m
+                && arena
+                    .list_ids(xs)
+                    .iter()
+                    .copied()
+                    .eq(args.iter().map(|a| a.index() as u32))
+        }
+        _ => old == new,
     }
 }
 
 impl TypeBuilder for Surface {
-    type Out = SType;
+    type Out = TyId;
 
-    fn unit(&mut self) -> SType {
-        self.share(STypeNode::Unit)
+    fn unit(&mut self) -> TyId {
+        self.share(SType::Unit, &[])
     }
-    fn name(&mut self, name: Symbol, args: Vec<SType>) -> SType {
-        self.share(STypeNode::Name(name, args))
+    fn name(&mut self, name: Symbol, args: Vec<TyId>) -> TyId {
+        self.share(SType::Name(name, TyList::default()), &args)
     }
-    fn var(&mut self, var: Symbol) -> SType {
-        self.share(STypeNode::Var(var))
+    fn var(&mut self, var: Symbol) -> TyId {
+        self.share(SType::Var(var), &[])
     }
-    fn arrow(&mut self, dom: SType, cod: SType) -> SType {
-        self.share(STypeNode::Arrow(dom, cod))
+    fn arrow(&mut self, dom: TyId, cod: TyId) -> TyId {
+        self.share(SType::Arrow(dom, cod), &[])
     }
-    fn pair(&mut self, fst: SType, snd: SType) -> SType {
-        self.share(STypeNode::Pair(fst, snd))
+    fn pair(&mut self, fst: TyId, snd: TyId) -> TyId {
+        self.share(SType::Pair(fst, snd), &[])
     }
-    fn forall(&mut self, var: Symbol, kind: Kind, body: SType) -> SType {
-        self.share(STypeNode::Forall(var, kind, body))
+    fn forall(&mut self, var: Symbol, kind: Kind, body: TyId) -> TyId {
+        self.share(SType::Forall(var, kind, body), &[])
     }
-    fn input(&mut self, payload: SType, cont: SType) -> SType {
-        self.share(STypeNode::In(payload, cont))
+    fn input(&mut self, payload: TyId, cont: TyId) -> TyId {
+        self.share(SType::In(payload, cont), &[])
     }
-    fn output(&mut self, payload: SType, cont: SType) -> SType {
-        self.share(STypeNode::Out(payload, cont))
+    fn output(&mut self, payload: TyId, cont: TyId) -> TyId {
+        self.share(SType::Out(payload, cont), &[])
     }
-    fn end_in(&mut self) -> SType {
-        self.share(STypeNode::EndIn)
+    fn end_in(&mut self) -> TyId {
+        self.share(SType::EndIn, &[])
     }
-    fn end_out(&mut self) -> SType {
-        self.share(STypeNode::EndOut)
+    fn end_out(&mut self) -> TyId {
+        self.share(SType::EndOut, &[])
     }
-    fn dual(&mut self, s: SType) -> SType {
-        self.share(STypeNode::Dual(s))
+    fn dual(&mut self, s: TyId) -> TyId {
+        self.share(SType::Dual(s), &[])
     }
-    fn neg(&mut self, t: SType) -> SType {
-        self.share(STypeNode::Neg(t))
+    fn neg(&mut self, t: TyId) -> TyId {
+        self.share(SType::Neg(t), &[])
     }
 }
 
@@ -272,32 +323,70 @@ impl<O> Parsed<O> {
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    /// Builds the surface types of the whole parse, sharing repeats.
-    types: Surface,
+struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The current token; `None` at the end of the input, and from the
+    /// first lex error on.
+    tok: Option<Token>,
+    /// The span of the last token consumed (the default before any).
+    last: Span,
+    /// The first lex error, which ends the token stream.
+    lex_error: Option<LexError>,
+    /// The current declaration's nodes.
+    surface: Surface,
     /// Current type nesting, bounded by [`MAX_TYPE_DEPTH`].
     depth: usize,
     /// Current expression recursion, bounded by [`MAX_EXPR_DEPTH`].
     expr_depth: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> PResult<Parser> {
-        Ok(Parser {
-            tokens: lex(src)?,
-            pos: 0,
-            types: Surface::default(),
+impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Parser<'s> {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            tok: None,
+            last: Span::default(),
+            lex_error: None,
+            surface: Surface::default(),
             depth: 0,
             expr_depth: 0,
-        })
+        };
+        p.advance();
+        p
+    }
+
+    /// Pulls the next token into `tok`. Out of line, with the lexer
+    /// inlined into it once, rather than into every `bump`.
+    #[inline(never)]
+    fn advance(&mut self) {
+        if self.lex_error.is_some() {
+            return;
+        }
+        self.tok = self.lexer.next_token().unwrap_or_else(|e| {
+            self.lex_error = Some(e);
+            None
+        });
+    }
+
+    /// The outcome of a parse that ended with `parsed`. A lex error
+    /// anywhere in the source wins, so a parse error first lexes the
+    /// rest of the source.
+    fn finish<T>(&mut self, parsed: PResult<T>) -> PResult<T> {
+        if parsed.is_err() {
+            while self.tok.is_some() {
+                self.advance();
+            }
+        }
+        match self.lex_error.take() {
+            Some(e) => Err(e.into()),
+            None => parsed,
+        }
     }
 
     // ---------------------------------------------------------- utilities
 
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.tok.as_ref()
     }
 
     fn peek_tok(&self) -> Option<&Tok> {
@@ -315,11 +404,7 @@ impl Parser {
     }
 
     fn last_span(&self) -> Span {
-        if self.pos == 0 {
-            Span::default()
-        } else {
-            self.tokens[self.pos - 1].span
-        }
+        self.last
     }
 
     fn here(&self) -> Span {
@@ -332,8 +417,9 @@ impl Parser {
     /// consumes nothing).
     fn bump(&mut self) -> Span {
         let span = self.here();
-        if self.pos < self.tokens.len() {
-            self.pos += 1;
+        if self.tok.is_some() {
+            self.last = span;
+            self.advance();
         }
         span
     }
@@ -394,26 +480,44 @@ impl Parser {
         }
     }
 
-    /// A type of a declaration or an expression, as surface AST.
-    fn surface_ty(&mut self) -> PResult<SType> {
+    /// A type of a declaration or an expression, in the declaration's
+    /// arena.
+    fn surface_ty(&mut self) -> PResult<TyId> {
         self.with_types(Self::ty)
     }
 
-    /// Runs a type production with the parse's [`Surface`] builder.
+    /// Runs a type production with the declaration's [`Surface`] as
+    /// its builder.
     fn with_types(
         &mut self,
-        production: fn(&mut Self, &mut Surface) -> PResult<Parsed<SType>>,
-    ) -> PResult<SType> {
-        let mut types = std::mem::take(&mut self.types);
-        let parsed = production(self, &mut types).map(|t| t.build(&mut types));
-        self.types = types;
+        production: fn(&mut Self, &mut Surface) -> PResult<Parsed<TyId>>,
+    ) -> PResult<TyId> {
+        let mut surface = std::mem::take(&mut self.surface);
+        let parsed = production(self, &mut surface).map(|t| t.build(&mut surface));
+        self.surface = surface;
         parsed
+    }
+
+    fn arena(&mut self) -> &mut Arena {
+        &mut self.surface.arena
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.surface.arena.expr(e).span()
     }
 
     // ------------------------------------------------------- declarations
 
+    fn program(&mut self) -> PResult<Program> {
+        let mut decls = Vec::new();
+        while self.tok.is_some() {
+            decls.push(self.decl()?);
+        }
+        Ok(Program { decls })
+    }
+
     fn decl(&mut self) -> PResult<Decl> {
-        match self.peek_tok() {
+        let kind = match self.peek_tok() {
             Some(Tok::Protocol) => self.type_decl(true),
             Some(Tok::Data) => self.type_decl(false),
             Some(Tok::TypeKw) => self.alias_decl(),
@@ -422,10 +526,14 @@ impl Parser {
                 "expected a declaration (protocol/data/type/definition), found `{other}`"
             )),
             None => self.error("expected a declaration"),
-        }
+        }?;
+        Ok(Decl {
+            kind,
+            arena: self.surface.finish(),
+        })
     }
 
-    fn type_decl(&mut self, is_protocol: bool) -> PResult<Decl> {
+    fn type_decl(&mut self, is_protocol: bool) -> PResult<DeclKind> {
         let start = self.bump(); // protocol/data
         let (name, _) = self.uident()?;
         let mut params = Vec::new();
@@ -447,18 +555,20 @@ impl Parser {
             span,
         };
         Ok(if is_protocol {
-            Decl::Protocol(d)
+            DeclKind::Protocol(d)
         } else {
-            Decl::Data(d)
+            DeclKind::Data(d)
         })
     }
 
     fn ctor_decl(&mut self) -> PResult<CtorDecl> {
         let (name, start) = self.uident()?;
-        let mut args = Vec::new();
+        let mark = self.surface.pending.len();
         while self.starts_type_atom() {
-            args.push(self.with_types(Self::ty_atom)?);
+            let arg = self.with_types(Self::ty_atom)?;
+            self.surface.pending.push(arg.index() as u32);
         }
+        let args = self.take_tys(mark);
         Ok(CtorDecl {
             name,
             args,
@@ -466,7 +576,13 @@ impl Parser {
         })
     }
 
-    fn alias_decl(&mut self) -> PResult<Decl> {
+    /// The types pending since `mark`, moved into the arena as one list.
+    fn take_tys(&mut self, mark: usize) -> TyList {
+        let Surface { arena, pending, .. } = &mut self.surface;
+        arena.push_tys(pending.drain(mark..).map(TyId::from_raw))
+    }
+
+    fn alias_decl(&mut self) -> PResult<DeclKind> {
         let start = self.bump(); // type
         let (name, _) = self.uident()?;
         let mut params = Vec::new();
@@ -476,7 +592,7 @@ impl Parser {
         }
         self.expect(Tok::Equals)?;
         let body = self.surface_ty()?;
-        Ok(Decl::Alias(AliasDecl {
+        Ok(DeclKind::Alias(AliasDecl {
             name,
             params,
             body,
@@ -484,12 +600,12 @@ impl Parser {
         }))
     }
 
-    fn signature_or_binding(&mut self) -> PResult<Decl> {
+    fn signature_or_binding(&mut self) -> PResult<DeclKind> {
         let (name, start) = self.lident()?;
         if self.cont_tok() == Some(&Tok::Colon) {
             self.bump();
             let ty = self.surface_ty()?;
-            return Ok(Decl::Signature(SignatureDecl {
+            return Ok(DeclKind::Signature(SignatureDecl {
                 name,
                 ty,
                 span: start.to(self.last_span()),
@@ -528,14 +644,13 @@ impl Parser {
         }
         self.expect(Tok::Equals)?;
         let (body, _) = self.expr()?;
-        Ok(Decl::Binding(BindingDecl {
+        Ok(DeclKind::Binding(BindingDecl {
             name,
             params,
             body,
             span: start.to(self.last_span()),
         }))
     }
-
     // --------------------------------------------------------------- types
     //
     // One grammar for every consumer: the productions are generic over
@@ -735,12 +850,18 @@ impl Parser {
         parsed
     }
 
-    /// `expr` one level above children of height at most `height`.
-    fn node(&self, expr: SExpr, height: usize) -> PResult<Node> {
+    /// `expr`, one level above children of height at most `height`,
+    /// added to the arena.
+    fn node(&mut self, expr: SExpr, height: usize) -> PResult<Node> {
         if height >= MAX_EXPR_DEPTH {
             return self.expr_too_deep();
         }
-        Ok((expr, height + 1))
+        Ok((self.arena().push_expr(expr), height + 1))
+    }
+
+    /// A leaf expression, added to the arena.
+    fn leaf(&mut self, expr: SExpr) -> Node {
+        (self.arena().push_expr(expr), 1)
     }
 
     fn expr_too_deep<T>(&self) -> PResult<T> {
@@ -751,28 +872,29 @@ impl Parser {
 
     fn lambda(&mut self) -> PResult<Node> {
         let start = self.bump(); // backslash
-        let mut params = Vec::new();
+        let first = self.arena().names_len();
         loop {
             match self.peek_tok() {
                 Some(&Tok::LIdent(x)) => {
-                    params.push(x);
+                    self.arena().push_name(x);
                     self.bump();
                 }
                 Some(Tok::Underscore) => {
-                    params.push(Symbol::fresh("_wild"));
+                    self.arena().push_name(Symbol::fresh("_wild"));
                     self.bump();
                 }
                 Some(Tok::Arrow) => break,
                 _ => return self.error("expected a lambda parameter or `->`"),
             }
         }
+        let params = self.arena().names_since(first);
         if params.is_empty() {
             return self.error("lambda needs at least one parameter");
         }
         self.expect(Tok::Arrow)?;
         let (body, height) = self.sub_expr()?;
-        let span = start.to(body.span());
-        self.node(SExpr::Lambda(params, Box::new(body), span), height)
+        let span = start.to(self.span_of(body));
+        self.node(SExpr::Lambda(params, body, span), height)
     }
 
     fn let_expr(&mut self) -> PResult<Node> {
@@ -782,11 +904,8 @@ impl Parser {
         let (bound, h1) = self.sub_expr()?;
         self.expect(Tok::In)?;
         let (body, h2) = self.sub_expr()?;
-        let span = start.to(body.span());
-        self.node(
-            SExpr::Let(pat, Box::new(bound), Box::new(body), span),
-            h1.max(h2),
-        )
+        let span = start.to(self.span_of(body));
+        self.node(SExpr::Let(pat, bound, body, span), h1.max(h2))
     }
 
     fn pattern(&mut self) -> PResult<Pattern> {
@@ -826,11 +945,8 @@ impl Parser {
         let (thn, h2) = self.sub_expr()?;
         self.expect(Tok::Else)?;
         let (els, h3) = self.sub_expr()?;
-        let span = start.to(els.span());
-        self.node(
-            SExpr::If(Box::new(cond), Box::new(thn), Box::new(els), span),
-            h1.max(h2).max(h3),
-        )
+        let span = start.to(self.span_of(els));
+        self.node(SExpr::If(cond, thn, els, span), h1.max(h2).max(h3))
     }
 
     /// `case e of { arms }` / `match e with { arms }`.
@@ -839,10 +955,10 @@ impl Parser {
         let (scrutinee, mut height) = self.nested_expr(Self::pipe_expr)?;
         self.expect(separator)?;
         self.expect(Tok::LBrace)?;
-        let mut arms = Vec::new();
+        let mark = self.surface.pending.len();
         loop {
             let (arm, h) = self.arm()?;
-            arms.push(arm);
+            self.surface.pending.push(arm);
             height = height.max(h);
             match self.peek_tok() {
                 Some(Tok::Comma) => {
@@ -857,39 +973,39 @@ impl Parser {
             }
         }
         let end = self.expect(Tok::RBrace)?;
-        self.node(
-            SExpr::Case(Box::new(scrutinee), arms, start.to(end)),
-            height,
-        )
+        let Surface { arena, pending, .. } = &mut self.surface;
+        let arms = arena.push_arms(pending.drain(mark..));
+        self.node(SExpr::Case(scrutinee, arms, start.to(end)), height)
     }
 
-    /// A case arm with the height of its body.
-    fn arm(&mut self) -> PResult<(SArm, usize)> {
+    /// A case arm, added to the arena, with the height of its body.
+    fn arm(&mut self) -> PResult<(u32, usize)> {
         let (tag, start) = self.uident()?;
-        let mut binders = Vec::new();
+        let first = self.arena().names_len();
         loop {
             match self.peek_tok() {
                 Some(&Tok::LIdent(x)) => {
-                    binders.push(x);
+                    self.arena().push_name(x);
                     self.bump();
                 }
                 Some(Tok::Underscore) => {
-                    binders.push(Symbol::fresh("_wild"));
+                    self.arena().push_name(Symbol::fresh("_wild"));
                     self.bump();
                 }
                 _ => break,
             }
         }
+        let binders = self.arena().names_since(first);
         self.expect(Tok::Arrow)?;
         let (body, height) = self.sub_expr()?;
-        let span = start.to(body.span());
+        let span = start.to(self.span_of(body));
         let arm = SArm {
             tag,
             binders,
             body,
             span,
         };
-        Ok((arm, height))
+        Ok((self.arena().push_arm(arm), height))
     }
 
     /// `e |> f |> g` — reverse application, lowest precedence,
@@ -903,11 +1019,8 @@ impl Parser {
                 Some(Tok::Backslash) => self.lambda()?,
                 _ => self.or_expr()?,
             };
-            let span = lhs.span().to(rhs.span());
-            (lhs, height) = self.node(
-                SExpr::App(Box::new(rhs), Box::new(lhs), span),
-                height.max(h),
-            )?;
+            let span = self.span_of(lhs).to(self.span_of(rhs));
+            (lhs, height) = self.node(SExpr::App(rhs, lhs, span), height.max(h))?;
         }
         Ok((lhs, height))
     }
@@ -981,12 +1094,9 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn binop(&self, op: Symbol, (lhs, h1): Node, (rhs, h2): Node) -> PResult<Node> {
-        let span = lhs.span().to(rhs.span());
-        self.node(
-            SExpr::BinOp(op, Box::new(lhs), Box::new(rhs), span),
-            h1.max(h2),
-        )
+    fn binop(&mut self, op: Symbol, (lhs, h1): Node, (rhs, h2): Node) -> PResult<Node> {
+        let span = self.span_of(lhs).to(self.span_of(rhs));
+        self.node(SExpr::BinOp(op, lhs, rhs, span), h1.max(h2))
     }
 
     fn app_expr(&mut self) -> PResult<Node> {
@@ -994,21 +1104,23 @@ impl Parser {
         loop {
             if self.starts_expr_atom() {
                 let (arg, h) = self.atom()?;
-                let span = head.span().to(arg.span());
-                (head, height) = self.node(
-                    SExpr::App(Box::new(head), Box::new(arg), span),
-                    height.max(h),
-                )?;
+                let span = self.span_of(head).to(self.span_of(arg));
+                (head, height) = self.node(SExpr::App(head, arg, span), height.max(h))?;
             } else if self.cont_tok() == Some(&Tok::LBracket) {
                 self.bump();
-                let mut tys = vec![self.surface_ty()?];
-                while self.peek_tok() == Some(&Tok::Comma) {
+                let mark = self.surface.pending.len();
+                loop {
+                    let t = self.surface_ty()?;
+                    self.surface.pending.push(t.index() as u32);
+                    if self.peek_tok() != Some(&Tok::Comma) {
+                        break;
+                    }
                     self.bump();
-                    tys.push(self.surface_ty()?);
                 }
                 let end = self.expect(Tok::RBracket)?;
-                let span = head.span().to(end);
-                (head, height) = self.node(SExpr::TApp(Box::new(head), tys, span), height)?;
+                let tys = self.take_tys(mark);
+                let span = self.span_of(head).to(end);
+                (head, height) = self.node(SExpr::TApp(head, tys, span), height)?;
             } else {
                 break;
             }
@@ -1054,7 +1166,7 @@ impl Parser {
                 let start = self.bump();
                 if self.peek_tok() == Some(&Tok::RParen) {
                     let end = self.bump();
-                    return Ok((SExpr::Lit(Lit::Unit, start.to(end)), 1));
+                    return Ok(self.leaf(SExpr::Lit(Lit::Unit, start.to(end))));
                 }
                 // Parentheses open a level of their own, so deep
                 // nesting is refused even where it builds no node.
@@ -1063,15 +1175,18 @@ impl Parser {
                     self.bump();
                     let (second, h2) = self.sub_expr()?;
                     let end = self.expect(Tok::RParen)?;
-                    let pair = SExpr::Pair(Box::new(first), Box::new(second), start.to(end));
+                    let pair = SExpr::Pair(first, second, start.to(end));
                     return self.node(pair, h1.max(h2));
                 }
                 self.expect(Tok::RParen)?;
-                return self.node(first, h1);
+                if h1 >= MAX_EXPR_DEPTH {
+                    return self.expr_too_deep();
+                }
+                return Ok((first, h1 + 1));
             }
             _ => return self.error("expected an expression"),
         };
-        Ok((leaf, 1))
+        Ok(self.leaf(leaf))
     }
 }
 
@@ -1079,26 +1194,33 @@ impl Parser {
 mod tests {
     use super::*;
 
+    /// The only declaration of `src`.
+    fn only_decl(src: &str) -> Decl {
+        let mut p = parse_program(src).unwrap();
+        assert_eq!(p.decls.len(), 1);
+        p.decls.pop().unwrap()
+    }
+
     #[test]
     fn parses_protocol_decl() {
-        let p = parse_program("protocol IntListP = Nil | Cons Int IntListP").unwrap();
-        assert_eq!(p.decls.len(), 1);
-        let Decl::Protocol(d) = &p.decls[0] else {
+        let d = only_decl("protocol IntListP = Nil | Cons Int IntListP");
+        let DeclKind::Protocol(td) = &d.kind else {
             panic!("expected protocol")
         };
-        assert_eq!(d.name.as_str(), "IntListP");
-        assert_eq!(d.ctors.len(), 2);
-        assert_eq!(d.ctors[1].args.len(), 2);
+        assert_eq!(td.name.as_str(), "IntListP");
+        assert_eq!(td.ctors.len(), 2);
+        assert_eq!(td.ctors[1].args.len(), 2);
     }
 
     #[test]
     fn parses_parameterized_protocol() {
-        let p = parse_program("protocol Stream a = Next a (Stream a)").unwrap();
-        let Decl::Protocol(d) = &p.decls[0] else {
+        let d = only_decl("protocol Stream a = Next a (Stream a)");
+        let DeclKind::Protocol(td) = &d.kind else {
             panic!()
         };
-        assert_eq!(d.params.len(), 1);
-        let STypeNode::Name(n, args) = &*d.ctors[0].args[1] else {
+        assert_eq!(td.params.len(), 1);
+        let arg = d.arena.tys(td.ctors[0].args).nth(1).unwrap();
+        let SType::Name(n, args) = d.arena.ty(arg) else {
             panic!()
         };
         assert_eq!(n.as_str(), "Stream");
@@ -1111,10 +1233,10 @@ mod tests {
         // debug assertion in `ty_app` (and silently dropped the
         // arguments in release builds).
         let t = parse_type("!(Repeat Int).End!").unwrap();
-        let STypeNode::Out(payload, _) = &*t else {
+        let SType::Out(payload, _) = t.node() else {
             panic!("expected an output type")
         };
-        let STypeNode::Name(n, args) = &**payload else {
+        let SType::Name(n, args) = t.arena.ty(payload) else {
             panic!("expected an applied name")
         };
         assert_eq!(n.as_str(), "Repeat");
@@ -1128,82 +1250,93 @@ mod tests {
     fn a_repeated_type_is_one_shared_node() {
         let p = parse_program(
             "f : forall (s:S). !Int.?Bool.s -> s\n\
-             f [s] c = c |> g [?Bool.s] |> g [s]\n\
-             h : ?Bool.End? -> Unit\n",
+             f [s] c = c |> g [?Bool.s] |> g [s] |> g [?Bool.s]\n",
         )
         .unwrap();
-        let (Decl::Signature(f), Decl::Binding(b), Decl::Signature(h)) =
-            (&p.decls[0], &p.decls[1], &p.decls[2])
-        else {
-            panic!("expected a signature, a binding and a signature")
+        let (sig, binding) = (&p.decls[0], &p.decls[1]);
+        let (DeclKind::Signature(f), DeclKind::Binding(b)) = (&sig.kind, &binding.kind) else {
+            panic!("expected a signature and a binding")
         };
-        let STypeNode::Forall(_, _, body) = &*f.ty else {
+        // Within the signature, the continuation `s` is one node: the
+        // codomain and the tail of the domain.
+        let a = &sig.arena;
+        let SType::Forall(_, _, body) = a.ty(f.ty) else {
             panic!("expected a forall")
         };
-        let STypeNode::Arrow(dom, s) = &**body else {
+        let SType::Arrow(dom, s) = a.ty(body) else {
             panic!("expected an arrow")
         };
-        let STypeNode::Out(_, rest) = &**dom else {
+        let SType::Out(_, rest) = a.ty(dom) else {
             panic!("expected an output")
         };
-        // `g [?Bool.s]` restates the signature's continuation, and the
-        // final `g [s]` its variable: one node each, across declarations.
-        let SExpr::App(last, first, _) = &b.body else {
-            panic!("expected a pipeline")
-        };
-        let (SExpr::TApp(_, outer, _), SExpr::App(inner, _, _)) = (&**last, &**first) else {
-            panic!("expected type applications")
-        };
-        let SExpr::TApp(_, tys, _) = &**inner else {
-            panic!("expected a type application")
-        };
-        assert!(tys[0].ptr_eq(rest));
-        assert!(outer[0].ptr_eq(s));
-        // `Bool` in `h` is the node inside `f`'s `?Bool.s`.
-        let (STypeNode::Arrow(h_dom, _), STypeNode::In(bool1, _)) = (&*h.ty, &**rest) else {
-            panic!("expected an arrow and an input")
-        };
-        let STypeNode::In(bool2, _) = &**h_dom else {
+        let SType::In(_, tail) = a.ty(rest) else {
             panic!("expected an input")
         };
-        assert!(bool1.ptr_eq(bool2));
+        assert_eq!(tail, s);
+        // In the binding, the two `g [?Bool.s]` are one id.
+        let a = &binding.arena;
+        let mut tapps = Vec::new();
+        let mut e = b.body;
+        while let SExpr::App(f, x, _) = a.expr(e) {
+            let SExpr::TApp(_, tys, _) = a.expr(*f) else {
+                panic!("expected a type application")
+            };
+            tapps.push(a.tys(*tys).next().unwrap());
+            e = *x;
+        }
+        assert_eq!(tapps.len(), 3);
+        assert_eq!(tapps[0], tapps[2]);
+        assert_ne!(tapps[0], tapps[1]);
     }
 
     #[test]
     fn parse_type_shares_repeats() {
         let t = parse_type("(!Int.End!, !Int.End!) -> !Int.End!").unwrap();
-        let STypeNode::Arrow(pair, cod) = &*t else {
+        let SType::Arrow(pair, cod) = t.node() else {
             panic!("expected an arrow")
         };
-        let STypeNode::Pair(a, b) = &**pair else {
+        let SType::Pair(a, b) = t.arena.ty(pair) else {
             panic!("expected a pair")
         };
-        assert!(a.ptr_eq(b) && b.ptr_eq(cod));
+        assert!(a == b && b == cod);
+        // `Int`, `End!`, `!Int.End!`, the pair and the arrow.
+        assert_eq!(t.arena.len(), 5);
         // Different types stay different nodes.
         let u = parse_type("(!Int.End!, ?Int.End!)").unwrap();
-        let STypeNode::Pair(a, b) = &*u else {
+        let SType::Pair(a, b) = u.node() else {
             panic!("expected a pair")
         };
-        assert!(!a.ptr_eq(b));
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn applied_names_share_by_their_arguments() {
+        let t = parse_type("(Stream Int, (Stream Int, Stream Bool))").unwrap();
+        let SType::Pair(a, rest) = t.node() else {
+            panic!("expected a pair")
+        };
+        let SType::Pair(b, c) = t.arena.ty(rest) else {
+            panic!("expected a pair")
+        };
+        assert_eq!(a, b);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn parses_polarity_in_ctor_args() {
-        let p = parse_program("protocol Arith = Neg Int -Int | Add Int Int -Int").unwrap();
-        let Decl::Protocol(d) = &p.decls[0] else {
+        let d = only_decl("protocol Arith = Neg Int -Int | Add Int Int -Int");
+        let DeclKind::Protocol(td) = &d.kind else {
             panic!()
         };
-        assert!(matches!(*d.ctors[0].args[1], STypeNode::Neg(..)));
-        assert_eq!(d.ctors[1].args.len(), 3);
+        let arg = d.arena.tys(td.ctors[0].args).nth(1).unwrap();
+        assert!(matches!(d.arena.ty(arg), SType::Neg(..)));
+        assert_eq!(td.ctors[1].args.len(), 3);
     }
 
     #[test]
     fn parses_signature_with_forall() {
-        let p = parse_program("sendAst : Ast -> forall (s:S). !AstP.s -> s").unwrap();
-        let Decl::Signature(sig) = &p.decls[0] else {
-            panic!()
-        };
-        assert_eq!(sig.ty.to_string(), "Ast -> forall (s:S). !AstP.s -> s");
+        let d = only_decl("sendAst : Ast -> forall (s:S). !AstP.s -> s");
+        assert_eq!(d.to_string(), "sendAst : Ast -> forall (s:S). !AstP.s -> s");
     }
 
     #[test]
@@ -1211,20 +1344,21 @@ mod tests {
         let t = parse_type("?Repeat Int . !(Char, End!) . End!").unwrap();
         assert_eq!(t.to_string(), "?(Repeat Int).!(Char, End!).End!");
         let t = parse_type("Dual (!Repeat Int. ?(Char, End!). Dual End!)").unwrap();
-        assert!(matches!(*t, STypeNode::Dual(..)));
+        assert!(matches!(t.node(), SType::Dual(..)));
     }
 
     #[test]
     fn parses_negated_payloads() {
         let t = parse_type("?-a.s").unwrap();
-        let STypeNode::In(p, _) = &*t else { panic!() };
-        assert!(matches!(**p, STypeNode::Neg(..)));
+        let SType::In(p, _) = t.node() else { panic!() };
+        assert!(matches!(t.arena.ty(p), SType::Neg(..)));
         let t = parse_type("! Stream -a .End!").unwrap();
-        let STypeNode::Out(p, _) = &*t else { panic!() };
-        let STypeNode::Name(_, args) = &**p else {
+        let SType::Out(p, _) = t.node() else { panic!() };
+        let SType::Name(_, args) = t.arena.ty(p) else {
             panic!()
         };
-        assert!(matches!(*args[0], STypeNode::Neg(..)));
+        let first = t.arena.tys(args).next().unwrap();
+        assert!(matches!(t.arena.ty(first), SType::Neg(..)));
     }
 
     #[test]
@@ -1232,55 +1366,63 @@ mod tests {
         let e =
             parse_expr("match c with { ConP c -> recvInt [s] c, AddP c -> recvAst [?AstP.s] c }")
                 .unwrap();
-        let SExpr::Case(_, arms, _) = e else { panic!() };
+        let SExpr::Case(_, arms, _) = e.node() else {
+            panic!()
+        };
         assert_eq!(arms.len(), 2);
-        assert_eq!(arms[0].binders.len(), 1);
+        let first = e.arena.arms(*arms).next().unwrap();
+        assert_eq!(e.arena.names(first.binders).len(), 1);
     }
 
     #[test]
     fn parses_pipe_as_reverse_application() {
         // x |> f |> g  ==  g (f x)
         let e = parse_expr("x |> f |> g").unwrap();
-        let SExpr::App(g, fx, _) = e else { panic!() };
-        assert!(matches!(*g, SExpr::Var(..)));
-        let SExpr::App(f, x, _) = *fx else { panic!() };
-        assert!(matches!(*f, SExpr::Var(..)));
-        assert!(matches!(*x, SExpr::Var(..)));
+        let a = &e.arena;
+        let SExpr::App(g, fx, _) = e.node() else {
+            panic!()
+        };
+        assert!(matches!(a.expr(*g), SExpr::Var(..)));
+        let SExpr::App(f, x, _) = a.expr(*fx) else {
+            panic!()
+        };
+        assert!(matches!(a.expr(*f), SExpr::Var(..)));
+        assert!(matches!(a.expr(*x), SExpr::Var(..)));
     }
 
     #[test]
     fn parses_type_application_lists() {
         let e = parse_expr("select Next [Int, End!] c").unwrap();
         // select Next [Int,End!] c = App(TApp(Select, [Int, End!]), c)
-        let SExpr::App(f, _, _) = e else { panic!() };
-        let SExpr::TApp(sel, tys, _) = *f else {
+        let SExpr::App(f, _, _) = e.node() else {
             panic!()
         };
-        assert!(matches!(*sel, SExpr::Select(..)));
+        let SExpr::TApp(sel, tys, _) = e.arena.expr(*f) else {
+            panic!()
+        };
+        assert!(matches!(e.arena.expr(*sel), SExpr::Select(..)));
         assert_eq!(tys.len(), 2);
     }
 
     #[test]
     fn parses_let_pair() {
         let e = parse_expr("let (x, c) = receive [Int, s] c in (x, c)").unwrap();
-        let SExpr::Let(Pattern::Pair(..), _, _, _) = e else {
-            panic!()
-        };
+        assert!(matches!(e.node(), SExpr::Let(Pattern::Pair(..), ..)));
     }
 
     #[test]
     fn parses_operators_with_precedence() {
         // 1 + 2 * 3 == 7  parses as  (1 + (2*3)) == 7
         let e = parse_expr("1 + 2 * 3 == 7").unwrap();
-        let SExpr::BinOp(eq, lhs, _, _) = e else {
+        let SExpr::BinOp(eq, lhs, _, _) = e.node() else {
             panic!()
         };
         assert_eq!(eq.as_str(), "==");
-        let SExpr::BinOp(plus, _, rhs, _) = *lhs else {
+        let SExpr::BinOp(plus, _, rhs, _) = e.arena.expr(*lhs) else {
             panic!()
         };
         assert_eq!(plus.as_str(), "+");
-        assert!(matches!(*rhs, SExpr::BinOp(..)));
+        assert!(matches!(e.arena.expr(*rhs), SExpr::BinOp(..)));
     }
 
     #[test]
@@ -1310,7 +1452,7 @@ serveArith [s] c = match c with {
 "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.decls.len(), 2);
-        let Decl::Binding(b) = &p.decls[1] else {
+        let DeclKind::Binding(b) = &p.decls[1].kind else {
             panic!()
         };
         assert_eq!(b.params.len(), 2); // [s] and c
@@ -1324,9 +1466,30 @@ serveArith [s] c = match c with {
     }
 
     #[test]
+    fn a_later_lex_error_wins_over_an_earlier_parse_error() {
+        let err = parse_program("main = let in ()\nf = # x").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 2:5: unexpected character '#'"
+        );
+        // After a complete declaration, too.
+        let err = parse_program("main = ()\n#").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 2:1: unexpected character '#'"
+        );
+        let err = parse_type("!Int #").unwrap_err();
+        assert_eq!(err.message, "unexpected character '#'");
+        let err = parse_expr("(x #").unwrap_err();
+        assert_eq!(err.message, "unexpected character '#'");
+    }
+
+    #[test]
     fn trailing_comma_in_arms_ok() {
         let e = parse_expr("match c with { A c -> c, B c -> c, }").unwrap();
-        let SExpr::Case(_, arms, _) = e else { panic!() };
+        let SExpr::Case(_, arms, _) = e.node() else {
+            panic!()
+        };
         assert_eq!(arms.len(), 2);
     }
 }

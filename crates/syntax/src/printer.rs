@@ -37,14 +37,14 @@ enum TPrec {
     Atom,
 }
 
-/// Renders a surface type as parseable source.
-pub fn type_to_source(t: &SType) -> String {
+/// Renders type `t` of `arena` as parseable source.
+pub fn type_to_source(arena: &Arena, t: TyId) -> String {
     let mut out = String::new();
-    fmt_stype(t, &mut out, TPrec::Top);
+    fmt_stype(arena, t, &mut out, TPrec::Top);
     out
 }
 
-fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
+fn fmt_stype(arena: &Arena, t: TyId, out: &mut String, prec: TPrec) {
     let paren = |out: &mut String, needed: bool, body: &dyn Fn(&mut String)| {
         if needed {
             out.push('(');
@@ -54,12 +54,13 @@ fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
             body(out);
         }
     };
-    match &**t {
-        STypeNode::Unit => out.push_str("Unit"),
-        STypeNode::Var(v) => out.push_str(v.as_str()),
-        STypeNode::EndIn => out.push_str("End?"),
-        STypeNode::EndOut => out.push_str("End!"),
-        STypeNode::Name(n, args) => {
+    let ty = |t: TyId, out: &mut String, prec: TPrec| fmt_stype(arena, t, out, prec);
+    match arena.ty(t) {
+        SType::Unit => out.push_str("Unit"),
+        SType::Var(v) => out.push_str(v.as_str()),
+        SType::EndIn => out.push_str("End?"),
+        SType::EndOut => out.push_str("End!"),
+        SType::Name(n, args) => {
             if args.is_empty() {
                 out.push_str(n.as_str());
             } else {
@@ -68,53 +69,53 @@ fn fmt_stype(t: &SType, out: &mut String, prec: TPrec) {
                 // curry applications through argument positions).
                 paren(out, prec >= TPrec::Atom, &|out| {
                     out.push_str(n.as_str());
-                    for a in args {
+                    for a in arena.tys(args) {
                         out.push(' ');
-                        fmt_stype(a, out, TPrec::Atom);
+                        ty(a, out, TPrec::Atom);
                     }
                 });
             }
         }
-        STypeNode::Arrow(a, b) => paren(out, prec > TPrec::Top, &|out| {
-            fmt_stype(a, out, TPrec::Seq);
+        SType::Arrow(a, b) => paren(out, prec > TPrec::Top, &|out| {
+            ty(a, out, TPrec::Seq);
             out.push_str(" -> ");
-            fmt_stype(b, out, TPrec::Top);
+            ty(b, out, TPrec::Top);
         }),
-        STypeNode::Pair(a, b) => {
+        SType::Pair(a, b) => {
             out.push('(');
-            fmt_stype(a, out, TPrec::Top);
+            ty(a, out, TPrec::Top);
             out.push_str(", ");
-            fmt_stype(b, out, TPrec::Top);
+            ty(b, out, TPrec::Top);
             out.push(')');
         }
-        STypeNode::Forall(v, k, body) => paren(out, prec > TPrec::Top, &|out| {
+        SType::Forall(v, k, body) => paren(out, prec > TPrec::Top, &|out| {
             let _ = write!(out, "forall ({v}:{k}). ");
-            fmt_stype(body, out, TPrec::Top);
+            ty(body, out, TPrec::Top);
         }),
-        STypeNode::In(p, s) => paren(out, prec > TPrec::Seq, &|out| {
+        SType::In(p, s) => paren(out, prec > TPrec::Seq, &|out| {
             out.push('?');
-            fmt_stype(p, out, TPrec::Atom);
+            ty(p, out, TPrec::Atom);
             out.push('.');
-            fmt_stype(s, out, TPrec::Seq);
+            ty(s, out, TPrec::Seq);
         }),
-        STypeNode::Out(p, s) => paren(out, prec > TPrec::Seq, &|out| {
+        SType::Out(p, s) => paren(out, prec > TPrec::Seq, &|out| {
             out.push('!');
-            fmt_stype(p, out, TPrec::Atom);
+            ty(p, out, TPrec::Atom);
             out.push('.');
-            fmt_stype(s, out, TPrec::Seq);
+            ty(s, out, TPrec::Seq);
         }),
         // `Dual` and `-` each take one atom and are atoms themselves, so
         // they never need surrounding parentheses.
-        STypeNode::Dual(inner) => {
+        SType::Dual(inner) => {
             out.push_str("Dual ");
-            fmt_stype(inner, out, TPrec::Atom);
+            ty(inner, out, TPrec::Atom);
         }
-        STypeNode::Neg(inner) => {
+        SType::Neg(inner) => {
             out.push('-');
             // `--` would lex as a line comment, so a nested negation is
             // always parenthesized.
-            paren(out, matches!(**inner, STypeNode::Neg(..)), &|out| {
-                fmt_stype(inner, out, TPrec::Atom);
+            paren(out, matches!(arena.ty(inner), SType::Neg(..)), &|out| {
+                ty(inner, out, TPrec::Atom);
             });
         }
     }
@@ -137,10 +138,10 @@ enum EPrec {
     Atom,
 }
 
-/// Renders a surface expression as parseable source.
-pub fn expr_to_source(e: &SExpr) -> String {
+/// Renders expression `e` of `arena` as parseable source.
+pub fn expr_to_source(arena: &Arena, e: ExprId) -> String {
     let mut out = String::new();
-    fmt_sexpr(e, &mut out, EPrec::Expr);
+    fmt_sexpr(arena, e, &mut out, EPrec::Expr);
     out
 }
 
@@ -164,7 +165,7 @@ fn op_prec(op: Symbol) -> EPrec {
     }
 }
 
-fn fmt_sexpr(e: &SExpr, out: &mut String, prec: EPrec) {
+fn fmt_sexpr(arena: &Arena, e: ExprId, out: &mut String, prec: EPrec) {
     let paren = |out: &mut String, needed: bool, body: &dyn Fn(&mut String)| {
         if needed {
             out.push('(');
@@ -174,7 +175,8 @@ fn fmt_sexpr(e: &SExpr, out: &mut String, prec: EPrec) {
             body(out);
         }
     };
-    match e {
+    let expr = |e: ExprId, out: &mut String, prec: EPrec| fmt_sexpr(arena, e, out, prec);
+    match arena.expr(e) {
         SExpr::Lit(l, _) => fmt_lit(l, out),
         SExpr::Var(x, _) => out.push_str(x.as_str()),
         SExpr::Con(c, _) => out.push_str(c.as_str()),
@@ -183,12 +185,12 @@ fn fmt_sexpr(e: &SExpr, out: &mut String, prec: EPrec) {
         }
         SExpr::Lambda(params, body, _) => paren(out, prec > EPrec::Expr, &|out| {
             out.push('\\');
-            for p in params {
+            for p in arena.names(*params) {
                 push_binder(out, *p);
                 out.push(' ');
             }
             out.push_str("-> ");
-            fmt_sexpr(body, out, EPrec::Expr);
+            expr(*body, out, EPrec::Expr);
         }),
         SExpr::Let(pat, bound, body, _) => paren(out, prec > EPrec::Expr, &|out| {
             out.push_str("let ");
@@ -201,34 +203,34 @@ fn fmt_sexpr(e: &SExpr, out: &mut String, prec: EPrec) {
                 Pattern::Wild => out.push('_'),
             }
             out.push_str(" = ");
-            fmt_sexpr(bound, out, EPrec::Expr);
+            expr(*bound, out, EPrec::Expr);
             out.push_str(" in ");
-            fmt_sexpr(body, out, EPrec::Expr);
+            expr(*body, out, EPrec::Expr);
         }),
         SExpr::If(c, t, f, _) => paren(out, prec > EPrec::Expr, &|out| {
             out.push_str("if ");
-            fmt_sexpr(c, out, EPrec::Expr);
+            expr(*c, out, EPrec::Expr);
             out.push_str(" then ");
-            fmt_sexpr(t, out, EPrec::Expr);
+            expr(*t, out, EPrec::Expr);
             out.push_str(" else ");
-            fmt_sexpr(f, out, EPrec::Expr);
+            expr(*f, out, EPrec::Expr);
         }),
         SExpr::Case(scrutinee, arms, _) => paren(out, prec > EPrec::Expr, &|out| {
             out.push_str("match ");
             // The parser reads the scrutinee at pipe level.
-            fmt_sexpr(scrutinee, out, EPrec::Or);
+            expr(*scrutinee, out, EPrec::Or);
             out.push_str(" with { ");
-            for (i, arm) in arms.iter().enumerate() {
+            for (i, arm) in arena.arms(*arms).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 out.push_str(arm.tag.as_str());
-                for b in &arm.binders {
+                for b in arena.names(arm.binders) {
                     out.push(' ');
                     push_binder(out, *b);
                 }
                 out.push_str(" -> ");
-                fmt_sexpr(&arm.body, out, EPrec::Expr);
+                expr(arm.body, out, EPrec::Expr);
             }
             out.push_str(" }");
         }),
@@ -245,32 +247,32 @@ fn fmt_sexpr(e: &SExpr, out: &mut String, prec: EPrec) {
                     EPrec::Add => (EPrec::Add, EPrec::Mul),
                     _ => (EPrec::Mul, EPrec::App),
                 };
-                fmt_sexpr(lhs, out, lp);
+                expr(*lhs, out, lp);
                 let _ = write!(out, " {op} ");
-                fmt_sexpr(rhs, out, rp);
+                expr(*rhs, out, rp);
             });
         }
         SExpr::App(f, a, _) => paren(out, prec > EPrec::App, &|out| {
-            fmt_sexpr(f, out, EPrec::App);
+            expr(*f, out, EPrec::App);
             out.push(' ');
-            fmt_sexpr(a, out, EPrec::Atom);
+            expr(*a, out, EPrec::Atom);
         }),
         SExpr::TApp(f, tys, _) => paren(out, prec > EPrec::App, &|out| {
-            fmt_sexpr(f, out, EPrec::App);
+            expr(*f, out, EPrec::App);
             out.push_str(" [");
-            for (i, t) in tys.iter().enumerate() {
+            for (i, t) in arena.tys(*tys).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                fmt_stype(t, out, TPrec::Top);
+                fmt_stype(arena, t, out, TPrec::Top);
             }
             out.push(']');
         }),
         SExpr::Pair(a, b, _) => {
             out.push('(');
-            fmt_sexpr(a, out, EPrec::Expr);
+            expr(*a, out, EPrec::Expr);
             out.push_str(", ");
-            fmt_sexpr(b, out, EPrec::Expr);
+            expr(*b, out, EPrec::Expr);
             out.push(')');
         }
     }
@@ -321,9 +323,10 @@ fn fmt_lit(l: &Lit, out: &mut String) {
 /// Renders a declaration as one line of parseable source.
 pub fn decl_to_source(d: &Decl) -> String {
     let mut out = String::new();
-    match d {
-        Decl::Protocol(td) | Decl::Data(td) => {
-            out.push_str(if matches!(d, Decl::Protocol(_)) {
+    let arena = &d.arena;
+    match &d.kind {
+        DeclKind::Protocol(td) | DeclKind::Data(td) => {
+            out.push_str(if matches!(d.kind, DeclKind::Protocol(_)) {
                 "protocol "
             } else {
                 "data "
@@ -336,25 +339,25 @@ pub fn decl_to_source(d: &Decl) -> String {
             for (i, c) in td.ctors.iter().enumerate() {
                 out.push_str(if i == 0 { " " } else { " | " });
                 out.push_str(c.name.as_str());
-                for a in &c.args {
+                for a in arena.tys(c.args) {
                     out.push(' ');
-                    fmt_stype(a, &mut out, TPrec::Atom);
+                    fmt_stype(arena, a, &mut out, TPrec::Atom);
                 }
             }
         }
-        Decl::Alias(a) => {
+        DeclKind::Alias(a) => {
             let _ = write!(out, "type {}", a.name);
             for p in &a.params {
                 let _ = write!(out, " {p}");
             }
             out.push_str(" = ");
-            fmt_stype(&a.body, &mut out, TPrec::Top);
+            fmt_stype(arena, a.body, &mut out, TPrec::Top);
         }
-        Decl::Signature(s) => {
+        DeclKind::Signature(s) => {
             let _ = write!(out, "{} : ", s.name);
-            fmt_stype(&s.ty, &mut out, TPrec::Top);
+            fmt_stype(arena, s.ty, &mut out, TPrec::Top);
         }
-        Decl::Binding(b) => {
+        DeclKind::Binding(b) => {
             out.push_str(b.name.as_str());
             for p in &b.params {
                 out.push(' ');
@@ -374,7 +377,7 @@ pub fn decl_to_source(d: &Decl) -> String {
                 }
             }
             out.push_str(" = ");
-            fmt_sexpr(&b.body, &mut out, EPrec::Expr);
+            fmt_sexpr(arena, b.body, &mut out, EPrec::Expr);
         }
     }
     out
@@ -393,7 +396,29 @@ pub fn program_to_source(p: &Program) -> String {
 
 // ------------------------------------------- span-insensitive equality
 //
-// Types carry no spans, so they compare with `==`.
+// Each side is read through its own arena, so nodes compare by shape,
+// never by id.
+
+/// Structural type equality across arenas.
+pub fn ty_eq(a: &Arena, x: TyId, b: &Arena, y: TyId) -> bool {
+    let eq = |x, y| ty_eq(a, x, b, y);
+    match (a.ty(x), b.ty(y)) {
+        (SType::Unit, SType::Unit)
+        | (SType::EndIn, SType::EndIn)
+        | (SType::EndOut, SType::EndOut) => true,
+        (SType::Name(n, xs), SType::Name(m, ys)) => {
+            n == m && xs.len() == ys.len() && a.tys(xs).zip(b.tys(ys)).all(|(x, y)| eq(x, y))
+        }
+        (SType::Var(v), SType::Var(w)) => v == w,
+        (SType::Arrow(x1, x2), SType::Arrow(y1, y2))
+        | (SType::Pair(x1, x2), SType::Pair(y1, y2))
+        | (SType::In(x1, x2), SType::In(y1, y2))
+        | (SType::Out(x1, x2), SType::Out(y1, y2)) => eq(x1, y1) && eq(x2, y2),
+        (SType::Forall(v, k, x), SType::Forall(w, l, y)) => v == w && k == l && eq(x, y),
+        (SType::Dual(x), SType::Dual(y)) | (SType::Neg(x), SType::Neg(y)) => eq(x, y),
+        _ => false,
+    }
+}
 
 /// Binder names compare equal when identical, or when both are
 /// parser-generated fresh names for `_` (the numeric suffix differs on
@@ -402,43 +427,44 @@ fn binder_eq(a: Symbol, b: Symbol) -> bool {
     a == b || (a.as_str().contains('%') && b.as_str().contains('%'))
 }
 
-/// Structural expression equality ignoring spans (and fresh `_` binder
-/// suffixes).
-pub fn expr_eq(a: &SExpr, b: &SExpr) -> bool {
-    match (a, b) {
+fn binders_eq(xs: &[Symbol], ys: &[Symbol]) -> bool {
+    xs.len() == ys.len() && xs.iter().zip(ys).all(|(p, q)| binder_eq(*p, *q))
+}
+
+fn tys_eq(a: &Arena, xs: TyList, b: &Arena, ys: TyList) -> bool {
+    xs.len() == ys.len() && a.tys(xs).zip(b.tys(ys)).all(|(x, y)| ty_eq(a, x, b, y))
+}
+
+/// Structural expression equality across arenas, ignoring spans (and
+/// fresh `_` binder suffixes).
+pub fn expr_eq(a: &Arena, x: ExprId, b: &Arena, y: ExprId) -> bool {
+    let eq = |x: &ExprId, y: &ExprId| expr_eq(a, *x, b, *y);
+    match (a.expr(x), b.expr(y)) {
         (SExpr::Lit(x, _), SExpr::Lit(y, _)) => x == y,
         (SExpr::Var(x, _), SExpr::Var(y, _))
         | (SExpr::Con(x, _), SExpr::Con(y, _))
         | (SExpr::Select(x, _), SExpr::Select(y, _)) => x == y,
-        (SExpr::App(f, x, _), SExpr::App(g, y, _)) => expr_eq(f, g) && expr_eq(x, y),
-        (SExpr::TApp(f, ts, _), SExpr::TApp(g, us, _)) => expr_eq(f, g) && ts == us,
+        (SExpr::App(f, x, _), SExpr::App(g, y, _)) => eq(f, g) && eq(x, y),
+        (SExpr::TApp(f, ts, _), SExpr::TApp(g, us, _)) => eq(f, g) && tys_eq(a, *ts, b, *us),
         (SExpr::Lambda(ps, x, _), SExpr::Lambda(qs, y, _)) => {
-            ps.len() == qs.len()
-                && ps.iter().zip(qs).all(|(p, q)| binder_eq(*p, *q))
-                && expr_eq(x, y)
+            binders_eq(a.names(*ps), b.names(*qs)) && eq(x, y)
         }
         (SExpr::BinOp(o, l1, r1, _), SExpr::BinOp(p, l2, r2, _)) => {
-            o == p && expr_eq(l1, l2) && expr_eq(r1, r2)
+            o == p && eq(l1, l2) && eq(r1, r2)
         }
-        (SExpr::Pair(a1, b1, _), SExpr::Pair(a2, b2, _)) => expr_eq(a1, a2) && expr_eq(b1, b2),
-        (SExpr::Let(p, x1, x2, _), SExpr::Let(q, y1, y2, _)) => {
-            p == q && expr_eq(x1, y1) && expr_eq(x2, y2)
-        }
+        (SExpr::Pair(a1, b1, _), SExpr::Pair(a2, b2, _)) => eq(a1, a2) && eq(b1, b2),
+        (SExpr::Let(p, x1, x2, _), SExpr::Let(q, y1, y2, _)) => p == q && eq(x1, y1) && eq(x2, y2),
         (SExpr::Case(s1, arms1, _), SExpr::Case(s2, arms2, _)) => {
-            expr_eq(s1, s2)
+            eq(s1, s2)
                 && arms1.len() == arms2.len()
-                && arms1.iter().zip(arms2).all(|(x, y)| {
+                && a.arms(*arms1).zip(b.arms(*arms2)).all(|(x, y)| {
                     x.tag == y.tag
-                        && x.binders.len() == y.binders.len()
-                        && x.binders
-                            .iter()
-                            .zip(&y.binders)
-                            .all(|(p, q)| binder_eq(*p, *q))
-                        && expr_eq(&x.body, &y.body)
+                        && binders_eq(a.names(x.binders), b.names(y.binders))
+                        && eq(&x.body, &y.body)
                 })
         }
         (SExpr::If(c1, t1, f1, _), SExpr::If(c2, t2, f2, _)) => {
-            expr_eq(c1, c2) && expr_eq(t1, t2) && expr_eq(f1, f2)
+            eq(c1, c2) && eq(t1, t2) && eq(f1, f2)
         }
         _ => false,
     }
@@ -446,6 +472,7 @@ pub fn expr_eq(a: &SExpr, b: &SExpr) -> bool {
 
 /// Structural declaration equality ignoring spans.
 pub fn decl_eq(a: &Decl, b: &Decl) -> bool {
+    let (ta, tb) = (&a.arena, &b.arena);
     let type_decl_eq = |x: &TypeDecl, y: &TypeDecl| {
         x.name == y.name
             && x.params == y.params
@@ -453,17 +480,19 @@ pub fn decl_eq(a: &Decl, b: &Decl) -> bool {
             && x.ctors
                 .iter()
                 .zip(&y.ctors)
-                .all(|(c, d)| c.name == d.name && c.args == d.args)
+                .all(|(c, d)| c.name == d.name && tys_eq(ta, c.args, tb, d.args))
     };
-    match (a, b) {
-        (Decl::Protocol(x), Decl::Protocol(y)) | (Decl::Data(x), Decl::Data(y)) => {
+    match (&a.kind, &b.kind) {
+        (DeclKind::Protocol(x), DeclKind::Protocol(y)) | (DeclKind::Data(x), DeclKind::Data(y)) => {
             type_decl_eq(x, y)
         }
-        (Decl::Alias(x), Decl::Alias(y)) => {
-            x.name == y.name && x.params == y.params && x.body == y.body
+        (DeclKind::Alias(x), DeclKind::Alias(y)) => {
+            x.name == y.name && x.params == y.params && ty_eq(ta, x.body, tb, y.body)
         }
-        (Decl::Signature(x), Decl::Signature(y)) => x.name == y.name && x.ty == y.ty,
-        (Decl::Binding(x), Decl::Binding(y)) => {
+        (DeclKind::Signature(x), DeclKind::Signature(y)) => {
+            x.name == y.name && ty_eq(ta, x.ty, tb, y.ty)
+        }
+        (DeclKind::Binding(x), DeclKind::Binding(y)) => {
             x.name == y.name
                 && x.params.len() == y.params.len()
                 && x.params.iter().zip(&y.params).all(|(p, q)| match (p, q) {
@@ -472,7 +501,7 @@ pub fn decl_eq(a: &Decl, b: &Decl) -> bool {
                     (Param::Types(vs), Param::Types(ws)) => vs == ws,
                     _ => false,
                 })
-                && expr_eq(&x.body, &y.body)
+                && expr_eq(ta, x.body, tb, y.body)
         }
         _ => false,
     }
@@ -490,11 +519,11 @@ mod tests {
 
     fn roundtrip_type(src: &str) {
         let t = parse_type(src).unwrap_or_else(|e| panic!("cannot parse {src}: {e}"));
-        let printed = type_to_source(&t);
+        let printed = t.to_string();
         let back =
             parse_type(&printed).unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e}"));
         assert!(
-            t == back,
+            ty_eq(&t.arena, t.root, &back.arena, back.root),
             "type round-trip changed the AST:\n  source:  {src}\n  printed: {printed}"
         );
     }
@@ -572,11 +601,11 @@ mod tests {
             "0 - 3",
         ] {
             let e = parse_expr(src).unwrap_or_else(|er| panic!("cannot parse {src}: {er}"));
-            let printed = expr_to_source(&e);
+            let printed = e.to_string();
             let back = parse_expr(&printed)
                 .unwrap_or_else(|er| panic!("reparse of `{printed}` failed: {er}"));
             assert!(
-                expr_eq(&e, &back),
+                expr_eq(&e.arena, e.root, &back.arena, back.root),
                 "expr round-trip changed the AST:\n  source:  {src}\n  printed: {printed}"
             );
         }
@@ -613,17 +642,18 @@ use_ = let u = \_ -> () in u ()
     #[test]
     fn wild_binders_print_as_underscore() {
         let e = parse_expr("\\_ x -> x").unwrap();
-        assert_eq!(expr_to_source(&e), "\\_ x -> x");
+        assert_eq!(e.to_string(), "\\_ x -> x");
         let e = parse_expr("match c with { A _ c -> c }").unwrap();
-        assert_eq!(expr_to_source(&e), "match c with { A _ c -> c }");
+        assert_eq!(e.to_string(), "match c with { A _ c -> c }");
     }
 
     #[test]
     fn negative_literals_render_as_constant_expressions() {
         use crate::span::Span;
-        let e = SExpr::Lit(Lit::Int(-3), Span::default());
-        assert_eq!(expr_to_source(&e), "(0 - 3)");
+        let mut arena = Arena::default();
+        let e = arena.push_expr(SExpr::Lit(Lit::Int(-3), Span::default()));
+        assert_eq!(expr_to_source(&arena, e), "(0 - 3)");
         // The rendering parses (to a different, equivalent AST).
-        assert!(parse_expr(&expr_to_source(&e)).is_ok());
+        assert!(parse_expr(&expr_to_source(&arena, e)).is_ok());
     }
 }
