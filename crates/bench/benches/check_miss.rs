@@ -6,6 +6,11 @@
 //!
 //! * `miss` — [`ModuleCache::check_source`] on a cache that has not
 //!   seen the module: digest, parse, elaborate and check.
+//! * `two_workers` — the same misses on two threads at once, each with
+//!   its own session over one [`SharedStore`], as two server workers
+//!   check distinct modules. Both threads live for the whole case; an
+//!   iteration hands each a batch of [`BATCH`] modules and waits for
+//!   both, so the time is per batch and the rate is modules per second.
 //! * `parse` — [`parse_program`] alone.
 //! * `check` — elaboration and checking of an already-parsed module
 //!   ([`verdict_of_parsed_in`]), the rest of a miss.
@@ -15,12 +20,15 @@
 //!   non-equivalent pairs).
 //!
 //! Each iteration takes the next module (or type string) of the
-//! stream, so a sample averages over many. Every bench runs on one
-//! session, warm after its first pass over the stream, as an engine
-//! worker's is.
+//! stream, so a sample averages over many. Every bench runs on warm
+//! sessions, as an engine worker's is: the first pass over the stream
+//! warms them. Each case takes [`SAMPLES`] samples of about a
+//! millisecond, so that its median does not follow a few noisy
+//! samples; compare two builds in alternating runs all the same.
 
 use algst_check::cache::ModuleCache;
 use algst_check::verdict_of_parsed_in;
+use algst_core::shared::SharedStore;
 use algst_core::Session;
 use algst_gen::{build_suite, generate_program, ProgConfig, SuiteKind};
 use algst_server::resolve::intern_type_str;
@@ -28,9 +36,16 @@ use algst_syntax::parse_program;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::{mpsc, Arc};
 
 /// Modules in the stream.
 const MODULES: usize = 256;
+
+/// Samples per case.
+const SAMPLES: usize = 200;
+
+/// Modules each thread of `two_workers` checks per iteration.
+const BATCH: usize = 8;
 
 fn modules(seed: u64) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -75,7 +90,7 @@ fn bench_check_miss(c: &mut Criterion) {
         .collect();
 
     let mut group = c.benchmark_group("check_miss");
-    group.sample_size(20);
+    group.sample_size(SAMPLES);
     group.throughput(Throughput::Elements(1));
 
     let mut session = Session::new();
@@ -87,6 +102,49 @@ fn bench_check_miss(c: &mut Criterion) {
             black_box(verdict)
         })
     });
+
+    // Thread `i` checks modules `i`, `i + 2`, …: the two never check
+    // one module at once. The threads live for the whole case, as a
+    // server's workers do, so their thread-local caches stay warm and
+    // an iteration times the checking and two hand-offs, not a spawn.
+    let shared = SharedStore::new_arc();
+    group.throughput(Throughput::Elements(2 * BATCH as u64));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|i| {
+                let (go, start) = mpsc::channel::<()>();
+                let (finished, done) = mpsc::channel::<()>();
+                let mut session = Session::with_store(Arc::clone(&shared));
+                let mine: Vec<&String> = sources.iter().skip(i).step_by(2).collect();
+                scope.spawn(move || {
+                    let mut source = cycle(&mine);
+                    while start.recv().is_ok() {
+                        for _ in 0..BATCH {
+                            let (verdict, hit) =
+                                ModuleCache::new().check_source(&mut session, source());
+                            assert!(!hit);
+                            let _ = black_box(verdict);
+                        }
+                        finished.send(()).expect("the bench waits for every batch");
+                    }
+                });
+                (go, done)
+            })
+            .collect();
+        group.bench_function("two_workers", |b| {
+            b.iter(|| {
+                for (go, _) in &workers {
+                    go.send(()).expect("a worker outlives the case");
+                }
+                for (_, done) in &workers {
+                    done.recv().expect("a worker finishes its batch");
+                }
+            })
+        });
+        // Dropping the senders ends the workers' loops.
+        drop(workers);
+    });
+    group.throughput(Throughput::Elements(1));
 
     let mut source = cycle(&sources);
     group.bench_function("parse", |b| {

@@ -23,7 +23,11 @@
 //! declaration once (a type another declaration restates costs one
 //! store lookup per node), and an application spine
 //! `g [T] x₁ … xₙ` checks its arguments against the opened domains of
-//! `g`'s signature without interning the instantiated signature.
+//! `g`'s signature without interning the instantiated signature. The
+//! module's core terms are elaborated into one flat
+//! [`Terms`](algst_core::terms::Terms) arena that the checker walks by
+//! id and the miss drops whole: no term tree is built, and a miss
+//! costs about a hundred allocations, a quarter of them the parse's.
 //!
 //! The type-level warm state behind a hit is shared too: elaboration
 //! interns every signature and annotation through the **caller's

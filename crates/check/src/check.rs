@@ -12,17 +12,21 @@
 //! lambdas and pushes goals through `let`/`if`/`match` (the E-Abs'/E-App'
 //! style extensions described in Section 5).
 //!
-//! Representation: the checker works on α-canonical
-//! [`TypeId`]s of its [`Session`] throughout. It reads
-//! [`TNode`]s to destructure types, builds new ones with `mk_node`, and
-//! normalizes with the store's memoized `nrm`. Since α-equivalent normal
-//! forms share one id, every equality test (E-Check, branch agreement,
-//! context agreement) is `==` on ids. The core term's annotations are
-//! ids of the same session, interned once by the elaborator: E-Abs,
-//! E-Rec and E-TApp only kind-check and normalize them. Literal, builtin
-//! and constant types are built node by node; declared constructor
-//! fields are interned once per checker ([`FieldTypes`]). A tree is
-//! extracted only to build a [`TypeError`].
+//! Representation: the checker walks core terms by [`TermId`] in the
+//! flat [`Terms`] arena the elaborator emitted a module into (a tree
+//! [`Expr`](algst_core::expr::Expr) is pushed into an arena first), and
+//! works on α-canonical [`TypeId`]s of its [`Session`] throughout. It
+//! reads [`TNode`]s to destructure types, builds new ones with
+//! `mk_node`, and normalizes with the store's memoized `nrm`. Since
+//! α-equivalent normal forms share one id, every equality test (E-Check,
+//! branch agreement, context agreement) is `==` on ids. The terms'
+//! annotations are ids of the same session, interned once by the
+//! elaborator: E-Abs, E-Rec and E-TApp only kind-check and normalize
+//! them, and the kind checker walks each distinct annotation once per
+//! `Δ`. Literal, builtin and constant types are built node by node;
+//! declared constructor fields are interned once per checker
+//! ([`FieldTypes`]). A type tree is extracted only to build a
+//! [`TypeError`].
 //!
 //! The session is **injected** ([`Checker::new`]): two checkers over
 //! two sessions share no state, and a server can hand every worker its
@@ -32,13 +36,13 @@
 use crate::constants::type_of_const;
 use crate::context::Ctx;
 use crate::error::TypeError;
-use algst_core::expr::{Arm, Expr};
 use algst_core::kind::Kind;
 use algst_core::kindcheck::KindCtx;
 use algst_core::normalize::resugar;
 use algst_core::protocol::{Ctor, Declarations};
 use algst_core::store::{StoreOps, TNode, TypeId};
 use algst_core::symbol::Symbol;
+use algst_core::terms::{TArm, Term, TermId, Terms};
 use algst_core::types::{BaseType, Type};
 use algst_core::Session;
 use std::collections::HashMap;
@@ -148,53 +152,54 @@ impl<'d, 's> Checker<'d, 's> {
 
     // ------------------------------------------------------------ synthesis
 
-    /// `Δ | Γ ⊢ e ⇒ T | Γ'` — synthesizes the type of `e`, consuming the
-    /// used linear entries of `ctx` in place. The result is in normal form.
-    pub fn synth(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<TypeId, TypeError> {
-        match e {
+    /// `Δ | Γ ⊢ e ⇒ T | Γ'` — synthesizes the type of term `e` of
+    /// `terms`, consuming the used linear entries of `ctx` in place. The
+    /// result is in normal form.
+    pub fn synth(&mut self, ctx: &mut Ctx, terms: &Terms, e: TermId) -> Result<TypeId, TypeError> {
+        match terms.get(e) {
             // E-Const (literals, builtins and session constants)
-            Expr::Lit(l) => Ok(l.type_of(self.session)),
-            Expr::Builtin(b) => Ok(b.type_of(self.session)),
-            Expr::Const(c) => type_of_const(self.session, self.decls, &mut self.fields, *c),
+            Term::Lit(l) => Ok(terms.lit(l).type_of(self.session)),
+            Term::Builtin(b) => Ok(b.type_of(self.session)),
+            Term::Const(c) => type_of_const(self.session, self.decls, &mut self.fields, c),
 
             // E-Var / E-Var⋆
-            Expr::Var(x) => ctx.use_var(*x).ok_or(TypeError::UnboundVariable(*x)),
+            Term::Var(x) => ctx.use_var(x).ok_or(TypeError::UnboundVariable(x)),
 
             // E-Abs
-            Expr::Abs(x, ann, body) => {
-                let v = self.annotation(*ann, Kind::Value)?;
-                self.push_term(ctx, *x, v);
-                let u = self.synth(ctx, body)?;
-                ctx.expect_consumed(*x)?;
+            Term::Abs(x, ann, body) => {
+                let v = self.annotation(ann, Kind::Value)?;
+                self.push_term(ctx, x, v);
+                let u = self.synth(ctx, terms, body)?;
+                ctx.expect_consumed(x)?;
                 Ok(self.mk(TNode::Arrow(v, u)))
             }
 
-            Expr::AbsU(..) => Err(TypeError::NeedsAnnotation),
+            Term::AbsU(..) => Err(TypeError::NeedsAnnotation),
 
             // E-App — with the E-App' refinement (Section 5) for applied
             // unannotated lambdas: synthesize the argument first, then
             // type the body like a let. Such redexes arise from
             // β-reduction of checked terms (cf. Theorem 4).
-            Expr::App(f, a) => {
-                if let Expr::AbsU(x, body) = &**f {
-                    let t = self.synth(ctx, a)?;
-                    self.push_term(ctx, *x, t);
-                    let u = self.synth(ctx, body)?;
-                    ctx.expect_consumed(*x)?;
+            Term::App(f, a) => {
+                if let Term::AbsU(x, body) = terms.get(f) {
+                    let t = self.synth(ctx, terms, a)?;
+                    self.push_term(ctx, x, t);
+                    let u = self.synth(ctx, terms, body)?;
+                    ctx.expect_consumed(x)?;
                     return Ok(u);
                 }
-                self.synth_spine(ctx, e)
+                self.synth_spine(ctx, terms, e)
             }
 
             // E-TAbs (with the value restriction)
-            Expr::TAbs(alpha, kappa, v) => {
-                if !v.is_value() {
+            Term::TAbs(alpha, kappa, v) => {
+                if !terms.is_value(v) {
                     return Err(TypeError::TAbsNotValue);
                 }
-                self.kinds.push_var(*alpha, *kappa);
-                let t = self.synth(ctx, v);
+                self.kinds.push_var(alpha, kappa);
+                let t = self.synth(ctx, terms, v);
                 self.kinds.pop_var();
-                Ok(self.session.close(*alpha, *kappa, t?))
+                Ok(self.session.close(alpha, kappa, t?))
             }
 
             // E-TApp: β-instantiate and normalize at the id level —
@@ -202,23 +207,23 @@ impl<'d, 's> Checker<'d, 's> {
             // memoized, so re-instantiating a signature already seen is
             // mostly table lookups. Applied to arguments, the ∀ body is
             // opened one arrow at a time instead (see `spine`).
-            Expr::TApp(..) => self.synth_spine(ctx, e),
+            Term::TApp(..) => self.synth_spine(ctx, terms, e),
 
             // E-Rec: unrestricted self-binding, no linear captures.
-            Expr::Rec(x, ann, v) => {
-                let vty = self.annotation(*ann, Kind::Value)?;
+            Term::Rec(x, ann, v) => {
+                let vty = self.annotation(ann, Kind::Value)?;
                 if !matches!(self.node(vty), TNode::Arrow(..) | TNode::Forall(..)) {
                     return Err(TypeError::RecNotArrow(self.show(vty)));
                 }
                 let before = ctx.linear_names();
-                ctx.push_unrestricted(*x, vty);
-                self.check(ctx, v, vty)?;
-                ctx.remove(*x);
+                ctx.push_unrestricted(x, vty);
+                self.check(ctx, terms, v, vty)?;
+                ctx.remove(x);
                 let after = ctx.linear_names();
                 if before != after {
                     let captured = before.into_iter().filter(|n| !after.contains(n)).collect();
                     return Err(TypeError::LinearInRecursive {
-                        function: *x,
+                        function: x,
                         captured,
                     });
                 }
@@ -226,43 +231,43 @@ impl<'d, 's> Checker<'d, 's> {
             }
 
             // E-Pair
-            Expr::Pair(a, b) => {
-                let ta = self.synth(ctx, a)?;
-                let tb = self.synth(ctx, b)?;
+            Term::Pair(a, b) => {
+                let ta = self.synth(ctx, terms, a)?;
+                let tb = self.synth(ctx, terms, b)?;
                 Ok(self.mk(TNode::Pair(ta, tb)))
             }
 
             // E-Let (pair elimination)
-            Expr::LetPair(x, y, bound, body) => {
-                self.bind_pair(ctx, *x, *y, bound)?;
-                let v = self.synth(ctx, body)?;
-                ctx.expect_consumed(*y)?;
-                ctx.expect_consumed(*x)?;
+            Term::LetPair(x, y, bound, body) => {
+                self.bind_pair(ctx, terms, x, y, bound)?;
+                let v = self.synth(ctx, terms, body)?;
+                ctx.expect_consumed(y)?;
+                ctx.expect_consumed(x)?;
                 Ok(v)
             }
 
             // E-Let*
-            Expr::LetUnit(bound, body) => {
+            Term::LetUnit(bound, body) => {
                 let unit = self.mk(TNode::Unit);
-                self.check(ctx, bound, unit)?;
-                self.synth(ctx, body)
+                self.check(ctx, terms, bound, unit)?;
+                self.synth(ctx, terms, body)
             }
 
             // let x = e in e (sugar, checked like a linear binder)
-            Expr::Let(x, bound, body) => {
-                let t = self.synth(ctx, bound)?;
-                self.push_term(ctx, *x, t);
-                let v = self.synth(ctx, body)?;
-                ctx.expect_consumed(*x)?;
+            Term::Let(x, bound, body) => {
+                let t = self.synth(ctx, terms, bound)?;
+                self.push_term(ctx, x, t);
+                let v = self.synth(ctx, terms, body)?;
+                ctx.expect_consumed(x)?;
                 Ok(v)
             }
 
-            Expr::If(cond, thn, els) => {
+            Term::If(cond, thn, els) => {
                 let boolean = self.mk(TNode::Base(BaseType::Bool));
-                self.check(ctx, cond, boolean)?;
+                self.check(ctx, terms, cond, boolean)?;
                 let mut ctx2 = ctx.clone();
-                let t1 = self.synth(ctx, thn)?;
-                let t2 = self.synth(&mut ctx2, els)?;
+                let t1 = self.synth(ctx, terms, thn)?;
+                let t2 = self.synth(&mut ctx2, terms, els)?;
                 if t1 != t2 {
                     return Err(self.branch_mismatch(t1, t2));
                 }
@@ -271,10 +276,12 @@ impl<'d, 's> Checker<'d, 's> {
                 Ok(t1)
             }
 
-            Expr::Con(tag, args) => self.synth_con(ctx, *tag, args, None),
+            Term::Con(tag, args) => self.synth_con(ctx, terms, tag, terms.args(args), None),
 
             // E-Match (channels) / case (datatypes)
-            Expr::Case(scrutinee, arms) => self.case_expr(ctx, scrutinee, arms, None),
+            Term::Case(scrutinee, arms) => {
+                self.case_expr(ctx, terms, scrutinee, terms.arms(arms), None)
+            }
         }
     }
 
@@ -287,15 +294,15 @@ impl<'d, 's> Checker<'d, 's> {
     /// of the instantiated signature is interned. Arguments past the ∀
     /// body's arrows, and spines with any other head, take E-App one
     /// argument at a time.
-    fn spine(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<Spine, TypeError> {
-        match e {
+    fn spine(&mut self, ctx: &mut Ctx, terms: &Terms, e: TermId) -> Result<Spine, TypeError> {
+        match terms.get(e) {
             // An applied unannotated lambda is E-App' (see `synth`).
-            Expr::App(f, a) if !matches!(&**f, Expr::AbsU(..)) => {
-                let ft = match self.spine(ctx, f)? {
+            Term::App(f, a) if !matches!(terms.get(f), Term::AbsU(..)) => {
+                let ft = match self.spine(ctx, terms, f)? {
                     Spine::Open { part, arg } => match self.node(part) {
                         TNode::Arrow(dom, cod) => {
                             let dom = self.opened(dom, arg);
-                            self.check(ctx, a, dom)?;
+                            self.check(ctx, terms, a, dom)?;
                             return Ok(Spine::Open { part: cod, arg });
                         }
                         _ => self.opened(part, arg),
@@ -305,27 +312,29 @@ impl<'d, 's> Checker<'d, 's> {
                 let TNode::Arrow(dom, cod) = self.node(ft) else {
                     return Err(TypeError::NotAFunction(self.show(ft)));
                 };
-                self.check(ctx, a, dom)?;
+                self.check(ctx, terms, a, dom)?;
                 Ok(Spine::Type(cod))
             }
-            Expr::TApp(f, arg) => {
-                let ft = self.synth(ctx, f)?;
+            Term::TApp(f, arg) => {
+                let ft = self.synth(ctx, terms, f)?;
                 let TNode::Forall(kappa, body) = self.node(ft) else {
                     return Err(TypeError::NotAForall(self.show(ft)));
                 };
-                self.kinds.check_id(self.session.local(), *arg, kappa)?;
-                Ok(Spine::Open {
-                    part: body,
-                    arg: *arg,
-                })
+                self.kinds.check_id(self.session.local(), arg, kappa)?;
+                Ok(Spine::Open { part: body, arg })
             }
-            _ => self.synth(ctx, e).map(Spine::Type),
+            _ => self.synth(ctx, terms, e).map(Spine::Type),
         }
     }
 
     /// The type of the application spine `e` (see [`Checker::spine`]).
-    fn synth_spine(&mut self, ctx: &mut Ctx, e: &Expr) -> Result<TypeId, TypeError> {
-        Ok(match self.spine(ctx, e)? {
+    fn synth_spine(
+        &mut self,
+        ctx: &mut Ctx,
+        terms: &Terms,
+        e: TermId,
+    ) -> Result<TypeId, TypeError> {
+        Ok(match self.spine(ctx, terms, e)? {
             Spine::Open { part, arg } => self.opened(part, arg),
             Spine::Type(t) => t,
         })
@@ -343,11 +352,12 @@ impl<'d, 's> Checker<'d, 's> {
     fn bind_pair(
         &mut self,
         ctx: &mut Ctx,
+        terms: &Terms,
         x: Symbol,
         y: Symbol,
-        bound: &Expr,
+        bound: TermId,
     ) -> Result<(), TypeError> {
-        let bt = self.synth(ctx, bound)?;
+        let bt = self.synth(ctx, terms, bound)?;
         let TNode::Pair(t, u) = self.node(bt) else {
             return Err(TypeError::NotAPair(self.show(bt)));
         };
@@ -358,86 +368,92 @@ impl<'d, 's> Checker<'d, 's> {
 
     // ------------------------------------------------------------- checking
 
-    /// `Δ | Γ ⊢ e ⇐ T | Γ'` — checks `e` against `expected`, which must be
-    /// in normal form.
-    pub fn check(&mut self, ctx: &mut Ctx, e: &Expr, expected: TypeId) -> Result<(), TypeError> {
-        match e {
+    /// `Δ | Γ ⊢ e ⇐ T | Γ'` — checks term `e` of `terms` against
+    /// `expected`, which must be in normal form.
+    pub fn check(
+        &mut self,
+        ctx: &mut Ctx,
+        terms: &Terms,
+        e: TermId,
+        expected: TypeId,
+    ) -> Result<(), TypeError> {
+        match terms.get(e) {
             // E-Abs' — unannotated lambda against an arrow.
-            Expr::AbsU(x, body) => {
+            Term::AbsU(x, body) => {
                 let TNode::Arrow(dom, cod) = self.node(expected) else {
                     return Err(TypeError::NotAFunction(self.show(expected)));
                 };
-                self.push_term(ctx, *x, dom);
-                self.check(ctx, body, cod)?;
-                ctx.expect_consumed(*x)
+                self.push_term(ctx, x, dom);
+                self.check(ctx, terms, body, cod)?;
+                ctx.expect_consumed(x)
             }
 
             // Λα:κ.v against ∀β:κ.U
-            Expr::TAbs(alpha, kappa, v) if matches!(self.node(expected), TNode::Forall(k, _) if k == *kappa) =>
+            Term::TAbs(alpha, kappa, v) if matches!(self.node(expected), TNode::Forall(k, _) if k == kappa) =>
             {
-                if !v.is_value() {
+                if !terms.is_value(v) {
                     return Err(TypeError::TAbsNotValue);
                 }
-                let var = self.mk(TNode::Free(*alpha));
+                let var = self.mk(TNode::Free(alpha));
                 let goal = self
                     .session
                     .instantiate(expected, var)
                     .expect("matched a Forall");
-                self.kinds.push_var(*alpha, *kappa);
-                let r = self.check(ctx, v, goal);
+                self.kinds.push_var(alpha, kappa);
+                let r = self.check(ctx, terms, v, goal);
                 self.kinds.pop_var();
                 r
             }
 
             // Push the goal through binders and branches for better
             // propagation of expected types.
-            Expr::Let(x, bound, body) => {
-                let t = self.synth(ctx, bound)?;
-                self.push_term(ctx, *x, t);
-                self.check(ctx, body, expected)?;
-                ctx.expect_consumed(*x)
+            Term::Let(x, bound, body) => {
+                let t = self.synth(ctx, terms, bound)?;
+                self.push_term(ctx, x, t);
+                self.check(ctx, terms, body, expected)?;
+                ctx.expect_consumed(x)
             }
-            Expr::LetUnit(bound, body) => {
+            Term::LetUnit(bound, body) => {
                 let unit = self.mk(TNode::Unit);
-                self.check(ctx, bound, unit)?;
-                self.check(ctx, body, expected)
+                self.check(ctx, terms, bound, unit)?;
+                self.check(ctx, terms, body, expected)
             }
-            Expr::LetPair(x, y, bound, body) => {
-                self.bind_pair(ctx, *x, *y, bound)?;
-                self.check(ctx, body, expected)?;
-                ctx.expect_consumed(*y)?;
-                ctx.expect_consumed(*x)
+            Term::LetPair(x, y, bound, body) => {
+                self.bind_pair(ctx, terms, x, y, bound)?;
+                self.check(ctx, terms, body, expected)?;
+                ctx.expect_consumed(y)?;
+                ctx.expect_consumed(x)
             }
-            Expr::If(cond, thn, els) => {
+            Term::If(cond, thn, els) => {
                 let boolean = self.mk(TNode::Base(BaseType::Bool));
-                self.check(ctx, cond, boolean)?;
+                self.check(ctx, terms, cond, boolean)?;
                 let mut ctx2 = ctx.clone();
-                self.check(ctx, thn, expected)?;
-                self.check(&mut ctx2, els, expected)?;
+                self.check(ctx, terms, thn, expected)?;
+                self.check(&mut ctx2, terms, els, expected)?;
                 ctx.same_linear(&ctx2, self.session)
                     .map_err(|detail| TypeError::BranchContextMismatch { detail })
             }
-            Expr::Case(scrutinee, arms) => self
-                .case_expr(ctx, scrutinee, arms, Some(expected))
+            Term::Case(scrutinee, arms) => self
+                .case_expr(ctx, terms, scrutinee, terms.arms(arms), Some(expected))
                 .map(|_| ()),
             // E-App' for an applied unannotated lambda in checking mode.
-            Expr::App(f, a) if matches!(&**f, Expr::AbsU(..)) => {
-                let Expr::AbsU(x, body) = &**f else {
+            Term::App(f, a) if matches!(terms.get(f), Term::AbsU(..)) => {
+                let Term::AbsU(x, body) = terms.get(f) else {
                     unreachable!("guarded by matches!")
                 };
-                let t = self.synth(ctx, a)?;
-                self.push_term(ctx, *x, t);
-                self.check(ctx, body, expected)?;
-                ctx.expect_consumed(*x)
+                let t = self.synth(ctx, terms, a)?;
+                self.push_term(ctx, x, t);
+                self.check(ctx, terms, body, expected)?;
+                ctx.expect_consumed(x)
             }
-            Expr::Con(tag, args) if matches!(self.node(expected), TNode::Data(..)) => {
-                let t = self.synth_con(ctx, *tag, args, Some(expected))?;
+            Term::Con(tag, args) if matches!(self.node(expected), TNode::Data(..)) => {
+                let t = self.synth_con(ctx, terms, tag, terms.args(args), Some(expected))?;
                 self.expect_eq(expected, t)
             }
 
             // E-Check: synthesize and compare up to α-equivalence.
             _ => {
-                let found = self.synth(ctx, e)?;
+                let found = self.synth(ctx, terms, e)?;
                 self.expect_eq(expected, found)
             }
         }
@@ -460,8 +476,9 @@ impl<'d, 's> Checker<'d, 's> {
     fn synth_con(
         &mut self,
         ctx: &mut Ctx,
+        terms: &Terms,
         tag: Symbol,
-        args: &[Expr],
+        args: &[TermId],
         expected: Option<TypeId>,
     ) -> Result<TypeId, TypeError> {
         let (decl, k) = self
@@ -482,9 +499,9 @@ impl<'d, 's> Checker<'d, 's> {
             if let TNode::Data(dname, dargs) = self.node(expected) {
                 if dname == name && dargs.len() == params.len() {
                     // Check-mode: instantiate from the expected type.
-                    for (arg, &field) in args.iter().zip(fields.iter()) {
+                    for (&arg, &field) in args.iter().zip(fields.iter()) {
                         let goal = self.instantiate_field(field, params, &dargs);
-                        self.check(ctx, arg, goal)?;
+                        self.check(ctx, terms, arg, goal)?;
                     }
                     return Ok(expected);
                 }
@@ -492,9 +509,9 @@ impl<'d, 's> Checker<'d, 's> {
         }
 
         if params.is_empty() {
-            for (arg, &field) in args.iter().zip(fields.iter()) {
+            for (&arg, &field) in args.iter().zip(fields.iter()) {
                 let goal = self.session.nrm(field);
-                self.check(ctx, arg, goal)?;
+                self.check(ctx, terms, arg, goal)?;
             }
             return Ok(self.mk(TNode::Data(name, Vec::new())));
         }
@@ -502,8 +519,8 @@ impl<'d, 's> Checker<'d, 's> {
         // Synthesis-mode inference: match declared argument types against
         // the synthesized ones to solve for the data parameters.
         let mut solved: HashMap<Symbol, TypeId> = HashMap::new();
-        for (arg, &field) in args.iter().zip(fields.iter()) {
-            let actual = self.synth(ctx, arg)?;
+        for (&arg, &field) in args.iter().zip(fields.iter()) {
+            let actual = self.synth(ctx, terms, arg)?;
             let pattern = self.session.nrm(field);
             if !match_type(self.session, pattern, actual, params, &mut solved) {
                 return Err(TypeError::Mismatch {
@@ -530,11 +547,12 @@ impl<'d, 's> Checker<'d, 's> {
     fn case_expr(
         &mut self,
         ctx: &mut Ctx,
-        scrutinee: &Expr,
-        arms: &[Arm],
+        terms: &Terms,
+        scrutinee: TermId,
+        arms: &[TArm],
         goal: Option<TypeId>,
     ) -> Result<TypeId, TypeError> {
-        let st = self.synth(ctx, scrutinee)?;
+        let st = self.synth(ctx, terms, scrutinee)?;
 
         // Per declared tag, the types its arm binds: the continuation
         // for a channel match (one binder), the fields for a data case.
@@ -612,25 +630,26 @@ impl<'d, 's> Checker<'d, 's> {
         for arm in arms {
             let mut bctx = base.clone();
             let tys = &table[&arm.tag];
-            if arm.binders.len() != tys.len() {
+            let binders = terms.names(arm.binders);
+            if binders.len() != tys.len() {
                 return Err(TypeError::WrongArmArity {
                     tag: arm.tag,
                     expected: tys.len(),
-                    found: arm.binders.len(),
+                    found: binders.len(),
                 });
             }
-            for (b, &t) in arm.binders.iter().zip(tys) {
-                self.push_term(&mut bctx, *b, t);
+            for (&b, &t) in binders.iter().zip(tys) {
+                self.push_term(&mut bctx, b, t);
             }
             let vt = match goal {
                 Some(t) => {
-                    self.check(&mut bctx, &arm.body, t)?;
+                    self.check(&mut bctx, terms, arm.body, t)?;
                     t
                 }
-                None => self.synth(&mut bctx, &arm.body)?,
+                None => self.synth(&mut bctx, terms, arm.body)?,
             };
-            for b in arm.binders.iter().rev() {
-                bctx.expect_consumed(*b)?;
+            for &b in binders.iter().rev() {
+                bctx.expect_consumed(b)?;
             }
             match &result {
                 None => result = Some((vt, bctx)),

@@ -16,18 +16,26 @@
 //!   (unrestricted, enabling the mutual recursion of paper App. A.3),
 //!   session constants and builtins;
 //! * saturate or η-expand data constructor applications.
+//!
+//! The definitions of a program are emitted into one flat [`Terms`]
+//! arena, a node per core term with children by id, reserved from the
+//! size of the bindings' surface arenas: spines, scopes and constructor
+//! arguments take no vector of their own.
 
 use crate::error::{CheckError, TypeError};
-use algst_core::expr::{Arm, Builtin, Const, Expr};
+use algst_core::expr::{Builtin, Const, Expr};
 use algst_core::protocol::{Ctor, DataDecl, Declarations, ProtocolDecl};
 use algst_core::store::{StoreOps, TNode, TypeId};
 use algst_core::symbol::Symbol;
+use algst_core::terms::{TArm, Term, TermId, TermList, Terms};
 use algst_core::types::BaseType;
 use algst_core::Session;
 use algst_syntax::ast::{
-    Arena, Decl, DeclKind, ExprId, Param, Pattern, SArm, SExpr, SType, SignatureDecl, TyId,
+    Arena, Decl, DeclKind, ExprId, Param, Pattern, SExpr, SType, SignatureDecl, TyId,
 };
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Result of elaborating a whole program.
 #[derive(Debug)]
@@ -36,8 +44,17 @@ pub struct Elaborated {
     /// Signatures in source order (the prelude's first), resolved but
     /// not normalized.
     pub sigs: Vec<(Symbol, TypeId)>,
-    /// The program's definitions in source order.
-    pub defs: Vec<(Symbol, Expr)>,
+    /// The core terms of the program's definitions.
+    pub terms: Terms,
+    /// The program's definitions in source order, as roots in `terms`.
+    pub defs: Vec<(Symbol, TermId)>,
+}
+
+impl Elaborated {
+    /// The definitions as trees, for the runtime.
+    pub fn def_exprs(&self) -> impl Iterator<Item = (Symbol, Arc<Expr>)> + '_ {
+        (self.defs.iter()).map(|&(name, root)| (name, Arc::new(self.terms.to_expr(root))))
+    }
 }
 
 /// Elaborates `program` against `session`, after the already-checked
@@ -51,6 +68,11 @@ pub fn elaborate(
     program: &[Decl],
     session: &mut Session,
 ) -> Result<Elaborated, CheckError> {
+    // The core terms take about a node per surface node of a binding.
+    let term_nodes = (program.iter())
+        .filter(|d| matches!(d.kind, DeclKind::Binding(_)))
+        .map(|d| d.arena.len())
+        .sum();
     let program = || prelude.iter().chain(program);
     // Pass 1: collect headers so names resolve regardless of order.
     let mut protocol_names: HashSet<Symbol> = HashSet::new();
@@ -131,8 +153,10 @@ pub fn elaborate(
     }
 
     // Pass 4: bindings.
-    let mut defs: Vec<(Symbol, Expr)> = Vec::new();
+    let mut defs: Vec<(Symbol, TermId)> = Vec::new();
     let mut seen_defs: HashSet<Symbol> = HashSet::new();
+    let mut terms = Terms::with_capacity(term_nodes);
+    let mut scope = Vec::new();
     for (i, d) in program().enumerate() {
         if let DeclKind::Binding(b) = &d.kind {
             if !seen_defs.insert(b.name) {
@@ -144,12 +168,15 @@ pub fn elaborate(
             let sig = *sig_map
                 .get(&b.name)
                 .ok_or(TypeError::MissingSignature(b.name))?;
+            scope.clear();
             let mut ee = ExprElab {
                 resolver: &mut resolver,
                 arena: &d.arena,
                 decls: &decls,
                 globals: &sig_map,
-                scope: Vec::new(),
+                scope: &mut scope,
+                terms: &mut terms,
+                etas: 0,
             };
             defs.push((b.name, build_params(&mut ee, sig, &b.params, b.body)?));
         }
@@ -160,7 +187,12 @@ pub fn elaborate(
         }
     }
 
-    Ok(Elaborated { decls, sigs, defs })
+    Ok(Elaborated {
+        decls,
+        sigs,
+        terms,
+        defs,
+    })
 }
 
 // ----------------------------------------------------------- type resolver
@@ -304,7 +336,7 @@ fn build_params(
     ty: TypeId,
     params: &[Param],
     body: ExprId,
-) -> Result<Expr, CheckError> {
+) -> Result<TermId, CheckError> {
     let Some((first, rest)) = params.split_first() else {
         return Ok(ee.elab(body)?);
     };
@@ -314,12 +346,12 @@ fn build_params(
         (Param::Term(_) | Param::Wild, TNode::Arrow(dom, cod)) => {
             let x = match first {
                 Param::Term(x) => *x,
-                _ => Symbol::fresh("_wild"),
+                _ => Symbol::WILD,
             };
             ee.scope.push(x);
             let inner = build_params(ee, cod, rest, body)?;
             ee.scope.pop();
-            Ok(Expr::abs(x, dom, inner))
+            Ok(ee.terms.push(Term::Abs(x, dom, inner)))
         }
         (Param::Term(_) | Param::Wild, _) => {
             Err(TypeError::NotAFunction(session.extract(ty)).into())
@@ -336,7 +368,7 @@ fn build_tyvars(
     vars: &[Symbol],
     rest: &[Param],
     body: ExprId,
-) -> Result<Expr, CheckError> {
+) -> Result<TermId, CheckError> {
     let Some((v, more)) = vars.split_first() else {
         return build_params(ee, ty, rest, body);
     };
@@ -347,11 +379,13 @@ fn build_tyvars(
     let var = session.mk_node(TNode::Free(*v));
     let ty = session.instantiate(ty, var).expect("matched a Forall");
     let inner = build_tyvars(ee, ty, more, rest, body)?;
-    Ok(Expr::tabs(*v, kappa, inner))
+    Ok(ee.terms.push(Term::TAbs(*v, kappa, inner)))
 }
 
 // ------------------------------------------------------ expression elabor.
 
+/// Emits the definitions of a program, one binding after another, into
+/// one arena of core terms.
 struct ExprElab<'r, 's, 'd> {
     resolver: &'r mut Resolver<'s, 'd>,
     /// The arena of the binding being elaborated.
@@ -359,7 +393,13 @@ struct ExprElab<'r, 's, 'd> {
     decls: &'r Declarations,
     /// The signatures, by name: the module-level definitions.
     globals: &'r HashMap<Symbol, TypeId>,
-    scope: Vec<Symbol>,
+    /// The local binders in scope, innermost last.
+    scope: &'r mut Vec<Symbol>,
+    terms: &'r mut Terms,
+    /// η-expansion binders supplied so far in this binding: each gets a
+    /// name of its own, so a partial constructor nested in another's
+    /// argument never shadows the outer one's binders.
+    etas: usize,
 }
 
 impl ExprElab<'_, '_, '_> {
@@ -367,57 +407,50 @@ impl ExprElab<'_, '_, '_> {
         self.resolver.resolve(self.arena, t)
     }
 
-    fn elab(&mut self, e: ExprId) -> Result<Expr, TypeError> {
+    fn elab(&mut self, e: ExprId) -> Result<TermId, TypeError> {
         let arena = self.arena;
-        match arena.expr(e) {
-            SExpr::Lit(l, _) => Ok(Expr::Lit(l.clone())),
-            SExpr::Var(x, _) => self.resolve_var(*x),
-            SExpr::Con(c, _) => self.elab_con(*c, &[]),
-            SExpr::Select(tag, _) => Ok(Expr::Const(Const::Select(*tag))),
+        let term = match arena.expr(e) {
+            SExpr::Lit(l, _) => return Ok(self.terms.push_lit(l.clone())),
+            SExpr::Var(x, _) => self.resolve_var(*x)?,
+            SExpr::Con(c, _) => return self.elab_con(*c, e, 0),
+            SExpr::Select(tag, _) => Term::Const(Const::Select(*tag)),
             SExpr::App(..) => {
-                // Flatten the application spine to saturate constructors.
-                let mut args: Vec<ExprId> = Vec::new();
-                let mut head = e;
-                while let SExpr::App(f, a, _) = arena.expr(head) {
-                    args.push(*a);
-                    head = *f;
+                // Constructors at the head of a spine are saturated.
+                let (mut head, mut args) = (e, 0);
+                while let SExpr::App(f, _, _) = arena.expr(head) {
+                    (head, args) = (*f, args + 1);
                 }
-                args.reverse();
-                if let SExpr::Con(c, _) = arena.expr(head) {
-                    self.elab_con(*c, &args)
-                } else {
-                    let mut acc = self.elab(head)?;
-                    for a in args {
-                        acc = Expr::app(acc, self.elab(a)?);
-                    }
-                    Ok(acc)
-                }
+                return match arena.expr(head) {
+                    SExpr::Con(c, _) => self.elab_con(*c, e, args),
+                    _ => self.elab_apps(e),
+                };
             }
             SExpr::TApp(f, tys, _) => {
                 let mut acc = self.elab(*f)?;
                 for t in arena.tys(*tys) {
-                    acc = Expr::tapp(acc, self.resolve_ty(t)?);
+                    let t = self.resolve_ty(t)?;
+                    acc = self.terms.push(Term::TApp(acc, t));
                 }
-                Ok(acc)
+                return Ok(acc);
             }
             SExpr::Lambda(params, body, _) => {
                 let params = arena.names(*params);
                 self.scope.extend_from_slice(params);
                 let mut acc = self.elab(*body)?;
-                for p in params.iter().rev() {
+                for &p in params.iter().rev() {
                     self.scope.pop();
-                    acc = Expr::abs_u(*p, acc);
+                    acc = self.terms.push(Term::AbsU(p, acc));
                 }
-                Ok(acc)
+                return Ok(acc);
             }
             SExpr::BinOp(op, l, r, _) => {
                 let b = Builtin::from_operator(*op).ok_or(TypeError::UnboundVariable(*op))?;
-                Ok(Expr::apps(
-                    Expr::Builtin(b),
-                    [self.elab(*l)?, self.elab(*r)?],
-                ))
+                let b = self.terms.push(Term::Builtin(b));
+                let l = self.elab(*l)?;
+                let partial = self.terms.push(Term::App(b, l));
+                Term::App(partial, self.elab(*r)?)
             }
-            SExpr::Pair(a, b, _) => Ok(Expr::pair(self.elab(*a)?, self.elab(*b)?)),
+            SExpr::Pair(a, b, _) => Term::Pair(self.elab(*a)?, self.elab(*b)?),
             SExpr::Let(pat, bound, body, _) => {
                 let bound = self.elab(*bound)?;
                 match *pat {
@@ -425,48 +458,56 @@ impl ExprElab<'_, '_, '_> {
                         self.scope.push(x);
                         let body = self.elab(*body)?;
                         self.scope.pop();
-                        Ok(Expr::let_(x, bound, body))
+                        Term::Let(x, bound, body)
                     }
                     Pattern::Pair(x, y) => {
-                        self.scope.push(x);
-                        self.scope.push(y);
+                        self.scope.extend([x, y]);
                         let body = self.elab(*body)?;
-                        self.scope.pop();
-                        self.scope.pop();
-                        Ok(Expr::let_pair(x, y, bound, body))
+                        self.scope.truncate(self.scope.len() - 2);
+                        Term::LetPair(x, y, bound, body)
                     }
                     // In a linear language values cannot be discarded, so
                     // the wildcard let is the unit-let: `let _ = e in e'`
                     // requires `e : Unit` (like `let * = e in e'`).
-                    Pattern::Unit | Pattern::Wild => Ok(Expr::let_unit(bound, self.elab(*body)?)),
+                    Pattern::Unit | Pattern::Wild => Term::LetUnit(bound, self.elab(*body)?),
                 }
             }
-            SExpr::If(c, t, f, _) => Ok(Expr::if_(self.elab(*c)?, self.elab(*t)?, self.elab(*f)?)),
+            SExpr::If(c, t, f, _) => Term::If(self.elab(*c)?, self.elab(*t)?, self.elab(*f)?),
             SExpr::Case(scrutinee, arms, _) => {
                 let s = self.elab(*scrutinee)?;
-                let mut out = Vec::with_capacity(arms.len());
-                for SArm {
-                    tag, binders, body, ..
-                } in arena.arms(*arms)
-                {
-                    let binders = arena.names(*binders);
+                let list = self.terms.alloc_arms(arms.len());
+                for (i, arm) in arena.arms(*arms).enumerate() {
+                    let binders = arena.names(arm.binders);
+                    let names = self.terms.push_names(binders);
                     self.scope.extend_from_slice(binders);
-                    let body = self.elab(*body)?;
+                    let body = self.elab(arm.body)?;
                     self.scope.truncate(self.scope.len() - binders.len());
-                    out.push(Arm {
-                        tag: *tag,
-                        binders: binders.to_vec(),
+                    self.terms.arms_mut(list)[i] = TArm {
+                        tag: arm.tag,
+                        binders: names,
                         body,
-                    });
+                    };
                 }
-                Ok(Expr::case(s, out))
+                Term::Case(s, list)
             }
-        }
+        };
+        Ok(self.terms.push(term))
     }
 
-    fn resolve_var(&self, x: Symbol) -> Result<Expr, TypeError> {
+    /// The application spine `e`, its head no constructor: `App` nodes
+    /// left-nested as written, elaborated head first.
+    fn elab_apps(&mut self, e: ExprId) -> Result<TermId, TypeError> {
+        let SExpr::App(f, a, _) = self.arena.expr(e) else {
+            return self.elab(e);
+        };
+        let f = self.elab_apps(*f)?;
+        let a = self.elab(*a)?;
+        Ok(self.terms.push(Term::App(f, a)))
+    }
+
+    fn resolve_var(&self, x: Symbol) -> Result<Term, TypeError> {
         if self.scope.contains(&x) || self.globals.contains_key(&x) {
-            return Ok(Expr::Var(x));
+            return Ok(Term::Var(x));
         }
         // Pre-interned symbols: no interner lock per name.
         let c = match x {
@@ -478,44 +519,70 @@ impl ExprElab<'_, '_, '_> {
             Symbol::TERMINATE => Const::Terminate,
             _ => {
                 return Builtin::from_name(x)
-                    .map(Expr::Builtin)
+                    .map(Term::Builtin)
                     .ok_or(TypeError::UnboundVariable(x))
             }
         };
-        Ok(Expr::Const(c))
+        Ok(Term::Const(c))
     }
 
-    /// Constructor applied to `args`: saturate exactly, or η-expand a
-    /// partial application (`Cons 1` becomes `\xs -> Cons 1 xs`).
-    fn elab_con(&mut self, tag: Symbol, args: &[ExprId]) -> Result<Expr, TypeError> {
+    /// Constructor `tag` at the head of the spine `e` of `args`
+    /// arguments: saturate exactly, or η-expand a partial application
+    /// (`Cons 1` becomes `\xs -> Cons 1 xs`).
+    fn elab_con(&mut self, tag: Symbol, e: ExprId, args: usize) -> Result<TermId, TypeError> {
         let (decl, k) = self
             .decls
             .data_of_tag(tag)
             .ok_or(TypeError::UnboundConstructor(tag))?;
         let arity = decl.ctors[k].args.len();
-        if args.len() > arity {
+        if args > arity {
             return Err(TypeError::CtorArity {
                 tag,
                 expected: arity,
-                found: args.len(),
+                found: args,
             });
         }
-        let mut fields: Vec<Expr> = args
-            .iter()
-            .map(|&a| self.elab(a))
-            .collect::<Result<_, _>>()?;
-        if fields.len() == arity {
-            return Ok(Expr::Con(tag, fields));
+        let fields = self.terms.alloc_args(arity);
+        self.elab_fields(e, fields)?;
+        // η-expand the missing arguments, binders numbered after every
+        // one this binding has supplied already.
+        let first = self.etas;
+        self.etas += arity - args;
+        for i in args..arity {
+            let v = self.terms.push(Term::Var(eta(first + i - args)));
+            self.terms.args_mut(fields)[i] = v;
         }
-        // η-expand the missing arguments.
-        let extra: Vec<Symbol> = (fields.len()..arity)
-            .map(|i| Symbol::fresh(&format!("_eta{i}")))
-            .collect();
-        fields.extend(extra.iter().map(|v| Expr::Var(*v)));
-        let mut acc = Expr::Con(tag, fields);
-        for v in extra.into_iter().rev() {
-            acc = Expr::abs_u(v, acc);
+        let mut acc = self.terms.push(Term::Con(tag, fields));
+        for i in (args..arity).rev() {
+            acc = self.terms.push(Term::AbsU(eta(first + i - args), acc));
         }
         Ok(acc)
     }
+
+    /// Elaborates the arguments of the spine `e`, left to right, into
+    /// the first slots of `fields`; answers how many there were.
+    fn elab_fields(&mut self, e: ExprId, fields: TermList) -> Result<usize, TypeError> {
+        let SExpr::App(f, a, _) = self.arena.expr(e) else {
+            return Ok(0);
+        };
+        let i = self.elab_fields(*f, fields)?;
+        let a = self.elab(*a)?;
+        self.terms.args_mut(fields)[i] = a;
+        Ok(i + 1)
+    }
+}
+
+/// The `k`th η-expansion binder of a binding. The `%` keeps it apart
+/// from every source identifier; each index is interned once per
+/// thread, so the names stay bounded by the largest binding's count.
+fn eta(k: usize) -> Symbol {
+    thread_local! {
+        static NAMES: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
+    }
+    NAMES.with_borrow_mut(|names| {
+        while names.len() <= k {
+            names.push(Symbol::intern(&format!("_eta{}%", names.len())));
+        }
+        names[k]
+    })
 }

@@ -10,7 +10,12 @@
 //! `receiveInt` and friends, mirroring the paper's "predefined"
 //! operations). The prelude is checked once per process; each module
 //! pays only for its own declarations, with every type interned once,
-//! at elaboration, into the checking [`Session`]:
+//! at elaboration, into the checking [`Session`]. Elaboration emits the
+//! module's definitions into one flat
+//! [`Terms`](algst_core::terms::Terms) arena, which the [`Checker`]
+//! walks by id; only a [`Module`], which the interpreter runs, converts
+//! them to [`Expr`] trees, and a cached verdict
+//! ([`cache::ModuleCache`]) never does:
 //!
 //! ```
 //! let module = algst_check::check_source(r#"
@@ -85,12 +90,13 @@ pub struct Module {
 }
 
 impl Module {
+    /// The module of `elaborated`, its definitions converted to trees.
     fn new(elaborated: elaborate::Elaborated) -> Module {
-        let defs = elaborated.defs.into_iter();
+        let defs = elaborated.def_exprs().collect();
         Module {
             decls: elaborated.decls,
             sigs: elaborated.sigs,
-            defs: defs.map(|(n, e)| (n, Arc::new(e))).collect(),
+            defs,
         }
     }
 
@@ -145,12 +151,12 @@ pub fn check_source(src: &str) -> Result<Module, CheckError> {
 /// nowhere else, so the [`Module`]'s ids belong to `session`.
 pub fn check_source_in(session: &mut Session, src: &str) -> Result<Module, CheckError> {
     let user = parse_program(src)?;
-    let mut checked = check_decls_in(session, prelude(), &user.decls)?;
+    let mut module = Module::new(check_decls_in(session, prelude(), &user.decls)?);
     // The module lists the prelude's definitions too, elaborated
     // against the same session (their check is the process's).
     let listed = elaborate::elaborate(&[], prelude(), session)?;
-    checked.defs.splice(0..0, listed.defs);
-    Ok(Module::new(checked))
+    module.defs.splice(0..0, listed.def_exprs());
+    Ok(module)
 }
 
 /// The verdict of [`check_source_in`], without a [`Module`]: the
@@ -215,9 +221,9 @@ fn check_decls_in(
 
     // Check every new definition against its (normalized) signature.
     let mut checker = Checker::new(&elaborated.decls, session);
-    for (name, def) in &elaborated.defs {
+    for &(name, def) in &elaborated.defs {
         checker
-            .check(&mut ctx, def, goals[name])
+            .check(&mut ctx, &elaborated.terms, def, goals[&name])
             .map_err(CheckError::Type)?;
     }
     Ok(elaborated)
@@ -227,6 +233,7 @@ fn check_decls_in(
 mod tests {
     use super::*;
     use crate::cache::ModuleCache;
+    use algst_core::terms::Terms;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Definitions in [`PRELUDE`].
@@ -337,10 +344,34 @@ mod tests {
         assert!(module.defs().count() > PRELUDE_DEFS);
         for (name, def) in module.defs() {
             let goal = s.nrm(goals[&name]);
+            let mut terms = Terms::new();
+            let def = terms.push_expr(def);
             Checker::new(&module.decls, &mut s)
-                .check(&mut ctx, def, goal)
+                .check(&mut ctx, &terms, def, goal)
                 .unwrap_or_else(|e| panic!("{name} no longer checks in its session: {e}"));
         }
+    }
+
+    /// Every definition the generated stream elaborates to, well-typed
+    /// or not, survives the trip from its arena to a tree and back.
+    #[test]
+    fn elaborated_terms_round_trip_through_trees() {
+        let mut session = Session::new();
+        let mut defs = 0;
+        for m in modules(200, 11) {
+            let program = parse_program(&m).expect("generated modules parse");
+            let Ok(elaborated) = elaborate::elaborate(prelude(), &program.decls, &mut session)
+            else {
+                continue;
+            };
+            for (name, tree) in elaborated.def_exprs() {
+                let mut terms = Terms::new();
+                let root = terms.push_expr(&tree);
+                assert_eq!(terms.to_expr(root), *tree, "{name} changed in a round trip");
+                defs += 1;
+            }
+        }
+        assert!(defs > 200, "{defs} definitions");
     }
 
     #[test]

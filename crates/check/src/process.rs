@@ -18,6 +18,7 @@ use algst_core::kind::Kind;
 use algst_core::kindcheck::KindCtx;
 use algst_core::protocol::Declarations;
 use algst_core::store::{StoreOps, TNode};
+use algst_core::terms::Terms;
 use algst_core::Session;
 
 /// Checks `Γ ⊢ p` with `ctx` threaded through the process tree, against
@@ -31,7 +32,9 @@ pub fn check_process(
     match p {
         Process::Thread(e) => {
             let unit = session.mk_node(TNode::Unit);
-            Checker::new(decls, session).check(ctx, e, unit)
+            let mut terms = Terms::new();
+            let e = terms.push_expr(e);
+            Checker::new(decls, session).check(ctx, &terms, e, unit)
         }
         Process::Par(p1, p2) => {
             check_process(session, decls, ctx, p1)?;

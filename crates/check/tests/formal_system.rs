@@ -9,6 +9,7 @@ use algst_core::normalize::nrm_pos;
 use algst_core::protocol::{Ctor, Declarations, ProtocolDecl};
 use algst_core::store::TypeId;
 use algst_core::symbol::Symbol;
+use algst_core::terms::Terms;
 use algst_core::types::Type;
 use algst_core::Session;
 
@@ -37,7 +38,9 @@ fn synth(
     ctx: &mut Ctx,
     e: &Expr,
 ) -> Result<Type, TypeError> {
-    let t = Checker::new(decls, s).synth(ctx, e)?;
+    let mut terms = Terms::new();
+    let e = terms.push_expr(e);
+    let t = Checker::new(decls, s).synth(ctx, &terms, e)?;
     Ok(s.extract(t))
 }
 
@@ -81,7 +84,11 @@ fn unannotated_lambda_has_no_synthesis_rule() {
     // But it checks against an arrow (E-Abs').
     let mut ctx = Ctx::new();
     let goal = s.intern(&Type::arrow(Type::int(), Type::int()));
-    Checker::new(&d, &mut s).check(&mut ctx, &e, goal).unwrap();
+    let mut terms = Terms::new();
+    let e = terms.push_expr(&e);
+    Checker::new(&d, &mut s)
+        .check(&mut ctx, &terms, e, goal)
+        .unwrap();
 }
 
 #[test]

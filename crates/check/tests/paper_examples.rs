@@ -12,10 +12,17 @@
 //! Plus negative tests: programs the type system must reject.
 
 use algst_check::{check_source, CheckError, TypeError};
+use algst_core::terms::Terms;
 
+/// Checks `src`, and sends each definition's tree, converted from the
+/// checked arena, back through an arena: it comes out unchanged.
 fn assert_checks(src: &str) {
-    if let Err(e) = check_source(src) {
-        panic!("expected program to type check, got: {e}");
+    let module =
+        check_source(src).unwrap_or_else(|e| panic!("expected program to type check, got: {e}"));
+    for (name, def) in module.defs() {
+        let mut terms = Terms::new();
+        let root = terms.push_expr(def);
+        assert_eq!(terms.to_expr(root), **def, "{name} changed in a round trip");
     }
 }
 

@@ -60,3 +60,20 @@ fn a_full_spine_interns_no_instantiated_arrow() {
         "the instantiation is interned"
     );
 }
+
+#[test]
+fn a_partial_constructor_inside_another_checks() {
+    // Both constructors miss their second argument, a linear channel:
+    // the two η-expansion binders must not shadow one another.
+    checks(
+        "data D = K Int (!Int.End!)\n\
+         data E = M (!Int.End! -> D) (!Int.End!)\n\
+         g : !Int.End! -> E\ng = M (K 1)\n",
+    );
+    // The same with unrestricted missing fields.
+    checks(
+        "data D = K Int Int\n\
+         data E = M (Int -> D) Int\n\
+         g : Int -> E\ng = M (K 1)\n",
+    );
+}

@@ -140,10 +140,10 @@ fn live_bytes_track_the_heap_and_workers_add_no_copies() {
 
 /// What one `check` miss costs in allocations on a warm engine session:
 /// the module is parsed, elaborated with every distinct type resolved
-/// and interned once, and checked, while the prelude is neither
-/// re-checked nor re-elaborated.
+/// and interned once into one flat arena of core terms, and checked,
+/// while the prelude is neither re-checked nor re-elaborated.
 #[test]
-fn a_checked_module_costs_at_most_400_allocations() {
+fn a_checked_module_costs_at_most_120_allocations() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let stream = modules(600, 7);
     let mut session = Session::new();
@@ -159,7 +159,7 @@ fn a_checked_module_costs_at_most_400_allocations() {
     }
     let per_module = (ALLOCS.load(Ordering::Relaxed) - before) / stream.len() as u64;
     eprintln!("{per_module} allocations per checked module");
-    assert!(per_module <= 400, "{per_module} allocations per module");
+    assert!(per_module <= 120, "{per_module} allocations per module");
 }
 
 /// What parsing one module costs in allocations, with the stream's

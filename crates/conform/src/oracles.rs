@@ -311,7 +311,7 @@ pub fn type_round_trip(t: &Type) -> Result<(), String> {
 }
 
 /// Surface round trip on a whole module: `parse → to_source → reparse`
-/// must reproduce the AST (up to spans and fresh `_` binder names).
+/// must reproduce the AST (up to spans and `%`-named binders).
 pub fn program_round_trip(source: &str) -> Result<(), String> {
     let ast = parse_program(source).map_err(|e| format!("source does not parse: {e}"))?;
     let printed = printer::program_to_source(&ast);
@@ -407,7 +407,7 @@ fn alpha_rename(ast: &mut Program) {
         }
     }
     let rename = move |s: Symbol, ours: &HashSet<Symbol>, binder: bool| -> Symbol {
-        // Fresh `_`-binders keep their placeholder spelling.
+        // `%`-named binders (every `_`) keep their spelling.
         if s.as_str().contains('%') {
             return s;
         }

@@ -13,6 +13,13 @@
 //! typechecker dispatches on the scrutinee's type, mirroring the artifact's
 //! overloaded `case`/`match`).
 //!
+//! The grammar has two forms. [`Expr`] is a tree of shared nodes: the
+//! form the interpreter runs, the LTS steps (substitution builds new
+//! trees) and tests write by hand. The elaborator emits a module into
+//! the flat arena of [`crate::terms`] instead, which the checker walks
+//! by id; the two convert at the boundary, and [`Expr::is_value`] is one
+//! definition over both.
+//!
 //! Type annotations are [`TypeId`]s of the session that elaborated the
 //! term, interned once there: the checker reads them without interning,
 //! and Act-TApp substitutes through the same store.
@@ -78,6 +85,17 @@ pub enum Const {
     Terminate,
     /// `select Cₖ : ∀ᾱ:P.∀β:S. !(ρ ᾱ).β → §(+(T̄ₖ)).β`
     Select(Symbol),
+}
+
+impl Const {
+    /// Number of arguments needed before the constant acts.
+    pub fn arity(self) -> usize {
+        match self {
+            Const::New => 0,
+            Const::Fork | Const::Wait | Const::Terminate | Const::Receive | Const::Select(_) => 1,
+            Const::Send => 2,
+        }
+    }
 }
 
 impl fmt::Display for Const {
@@ -319,44 +337,83 @@ impl Expr {
     /// Syntactic values `v` of the paper's grammar (used by the value
     /// restriction in rule E-TAbs and by the LTS).
     pub fn is_value(&self) -> bool {
-        match self {
-            Expr::Lit(_) | Expr::Const(_) | Expr::Builtin(_) | Expr::Var(_) => true,
-            Expr::Abs(..) | Expr::AbsU(..) | Expr::TAbs(..) | Expr::Rec(..) => true,
-            Expr::Pair(a, b) => a.is_value() && b.is_value(),
-            Expr::Con(_, args) => args.iter().all(Expr::is_value),
+        TermRef::is_value(self)
+    }
+}
+
+/// What [`TermRef::is_value`] reads of a node.
+pub(crate) enum Shape<N> {
+    /// Literals, variables and abstractions: values whatever they hold.
+    Value,
+    Const(Const),
+    Builtin(Builtin),
+    Pair(N, N),
+    /// A constructor application, its arguments in [`TermRef::fields`].
+    Con,
+    App(N, N),
+    TApp(N),
+    /// Everything else: never a value.
+    Other,
+}
+
+/// A node of the tree [`Expr`] or of a [`Terms`](crate::terms::Terms)
+/// arena: the one definition of values serves both.
+pub(crate) trait TermRef: Copy {
+    fn shape(self) -> Shape<Self>;
+
+    /// A constructor application's arguments (none for other nodes).
+    fn fields(self) -> impl Iterator<Item = Self>;
+
+    fn is_value(self) -> bool {
+        match self.shape() {
+            Shape::Value | Shape::Const(_) | Shape::Builtin(_) => true,
+            Shape::Pair(a, b) => a.is_value() && b.is_value(),
+            Shape::Con => self.fields().all(Self::is_value),
             // Partial applications of constants are values
             // (e.g. `send [T] [U] v`).
-            Expr::App(..) | Expr::TApp(..) => self.is_partial_constant(),
-            _ => false,
+            Shape::App(..) | Shape::TApp(_) => self.is_partial_constant(),
+            Shape::Other => false,
         }
     }
 
-    /// Is this a constant (or builtin) applied to fewer arguments than it
-    /// needs? Those are values per the paper's grammar
+    /// Is this a constant (or builtin) applied to fewer value arguments
+    /// than it needs? Those are values per the paper's grammar
     /// (`send[T][U] v` etc.).
-    fn is_partial_constant(&self) -> bool {
-        fn head_and_args(e: &Expr) -> Option<(&Expr, usize)> {
-            match e {
-                Expr::Const(_) | Expr::Builtin(_) => Some((e, 0)),
-                Expr::App(f, a) if a.is_value() => head_and_args(f).map(|(h, n)| (h, n + 1)),
-                Expr::TApp(f, _) => head_and_args(f),
-                _ => None,
+    fn is_partial_constant(self) -> bool {
+        let (mut head, mut args) = (self, 0);
+        loop {
+            match head.shape() {
+                Shape::App(f, a) if a.is_value() => (head, args) = (f, args + 1),
+                Shape::TApp(f) => head = f,
+                Shape::Const(c) => return args < c.arity(),
+                Shape::Builtin(b) => return args < b.arity(),
+                _ => return false,
             }
         }
-        match head_and_args(self) {
-            Some((Expr::Const(c), n)) => {
-                let needed = match c {
-                    Const::Fork | Const::Wait | Const::Terminate => 1,
-                    Const::New => 0,
-                    Const::Receive => 1,
-                    Const::Send => 2,
-                    Const::Select(_) => 1,
-                };
-                n < needed
-            }
-            Some((Expr::Builtin(b), n)) => n < b.arity(),
-            _ => false,
+    }
+}
+
+impl TermRef for &Expr {
+    fn shape(self) -> Shape<Self> {
+        match self {
+            Expr::Lit(_) | Expr::Var(_) => Shape::Value,
+            Expr::Abs(..) | Expr::AbsU(..) | Expr::TAbs(..) | Expr::Rec(..) => Shape::Value,
+            Expr::Const(c) => Shape::Const(*c),
+            Expr::Builtin(b) => Shape::Builtin(*b),
+            Expr::Pair(a, b) => Shape::Pair(a, b),
+            Expr::Con(..) => Shape::Con,
+            Expr::App(f, a) => Shape::App(f, a),
+            Expr::TApp(f, _) => Shape::TApp(f),
+            _ => Shape::Other,
         }
+    }
+
+    fn fields(self) -> impl Iterator<Item = Self> {
+        let args: &[Expr] = match self {
+            Expr::Con(_, args) => args,
+            _ => &[],
+        };
+        args.iter()
     }
 }
 

@@ -6,9 +6,10 @@
 
 use crate::kind::Kind;
 use crate::protocol::Declarations;
-use crate::store::{NodeRead, TNode, TypeId};
+use crate::store::{MixState, NodeRead, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A kind-checking error, pointing at the offending subterm.
@@ -61,6 +62,14 @@ impl std::error::Error for KindError {}
 pub struct KindCtx<'d> {
     decls: &'d Declarations,
     vars: Vec<(Symbol, Kind)>,
+    /// The kinds the id judgments synthesized under this `Δ`, for ids
+    /// outside every binder: each distinct type is walked once, however
+    /// often a spine's type applications restate it. Only successes are
+    /// kept, and changing `Δ` clears it.
+    kinds: HashMap<TypeId, Kind, MixState>,
+    /// Nodes the id judgments have visited, memo hits included.
+    #[cfg(test)]
+    visits: u64,
 }
 
 impl<'d> KindCtx<'d> {
@@ -68,6 +77,9 @@ impl<'d> KindCtx<'d> {
         KindCtx {
             decls,
             vars: Vec::new(),
+            kinds: HashMap::default(),
+            #[cfg(test)]
+            visits: 0,
         }
     }
 
@@ -77,10 +89,12 @@ impl<'d> KindCtx<'d> {
 
     pub fn push_var(&mut self, var: Symbol, kind: Kind) {
         self.vars.push((var, kind));
+        self.kinds.clear();
     }
 
     pub fn pop_var(&mut self) {
         self.vars.pop();
+        self.kinds.clear();
     }
 
     pub fn lookup_var(&self, var: Symbol) -> Option<Kind> {
@@ -200,14 +214,39 @@ impl<'d> KindCtx<'d> {
     /// variables resolve through the named bindings of this context.
     /// `id` must be binder-closed. On failure the tree judgment runs on
     /// the extracted type, so the error names the offending subterm with
-    /// the binder names it was written with.
+    /// the binder names it was written with. Kinds found are memoized by
+    /// id until `Δ` changes, so every call on a context must read one
+    /// store (and one epoch of it).
     pub fn synth_id<S: NodeRead>(&mut self, store: &S, id: TypeId) -> Result<Kind, KindError> {
         let mut bound = Vec::new();
         self.synth_id_under(store, id, &mut bound)
             .map_err(|e| self.synth(&store.extract(id)).err().unwrap_or(e))
     }
 
+    /// [`KindCtx::synth_id`] `bound.len()` binders deep, memoized
+    /// outside every binder.
     fn synth_id_under<S: NodeRead>(
+        &mut self,
+        store: &S,
+        id: TypeId,
+        bound: &mut Vec<Kind>,
+    ) -> Result<Kind, KindError> {
+        #[cfg(test)]
+        {
+            self.visits += 1;
+        }
+        if !bound.is_empty() {
+            return self.synth_node(store, id, bound);
+        }
+        if let Some(&k) = self.kinds.get(&id) {
+            return Ok(k);
+        }
+        let k = self.synth_node(store, id, bound)?;
+        self.kinds.insert(id, k);
+        Ok(k)
+    }
+
+    fn synth_node<S: NodeRead>(
         &mut self,
         store: &S,
         id: TypeId,
@@ -334,6 +373,32 @@ mod tests {
         .unwrap();
         d.validate().unwrap();
         d
+    }
+
+    /// A spine `sendInt [T₁] … |> sendInt [T₂] …` restates each
+    /// continuation: kind-checking the n suffixes of an n-message
+    /// protocol walks each node once, not O(n²) nodes.
+    #[test]
+    fn restated_continuations_are_walked_once() {
+        let d = Declarations::new();
+        let visits = |n: usize| {
+            let mut s = TypeStore::new();
+            let mut suffixes = vec![s.intern(&Type::EndOut)];
+            for _ in 0..n {
+                let t = s.intern(&Type::output(Type::int(), s.extract(suffixes[0])));
+                suffixes.insert(0, t);
+            }
+            let mut ctx = KindCtx::new(&d);
+            for &t in &suffixes {
+                ctx.check_id(&s, t, Kind::Session).unwrap();
+            }
+            ctx.visits
+        };
+        let (n, twice) = (visits(40), visits(80));
+        assert!(
+            twice <= 2 * n + 4,
+            "{n} visits for 40 messages, {twice} for 80"
+        );
     }
 
     #[test]

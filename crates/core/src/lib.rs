@@ -31,6 +31,8 @@
 //! * [`conversion`] — the declarative conversion relation (Fig. 2) as a
 //!   rewrite system, used for testing and benchmark-instance generation.
 //! * [`expr`] — core expressions, constants and processes (Section 4).
+//! * [`terms`] — the flat arena a module's core terms are elaborated
+//!   into and checked from.
 //! * [`subst`], [`symbol`] — supporting infrastructure.
 //!
 //! ## Example
@@ -56,6 +58,7 @@ pub mod shared;
 pub mod store;
 pub mod subst;
 pub mod symbol;
+pub mod terms;
 pub mod types;
 
 pub use kind::Kind;

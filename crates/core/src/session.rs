@@ -36,7 +36,7 @@
 
 use crate::normalize::resugar;
 use crate::shared::{SharedStore, StoreStats, WorkerStore};
-use crate::store::{StoreOps, TNode, TypeId};
+use crate::store::{RebuildMemo, StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::collections::HashMap;
@@ -401,6 +401,9 @@ impl StoreOps for Session {
     }
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.worker.note_binder_hint(id, name)
+    }
+    fn rebuild_memo(&mut self) -> &mut RebuildMemo {
+        self.worker.rebuild_memo()
     }
 }
 

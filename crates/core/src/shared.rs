@@ -113,7 +113,9 @@
 //! the warm working set: a fully-warm replay against a compacted store
 //! still takes **zero** locks (see `tests/concurrent_store.rs`).
 
-use crate::store::{binders_needed_of, note_hint, MixHasher, NodeRead, StoreOps, TNode, TypeId};
+use crate::store::{
+    binders_needed_of, note_hint, MixHasher, NodeRead, RebuildMemo, StoreOps, TNode, TypeId,
+};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use algst_obs::{Field, Histogram, Level, Span, TraceSink};
@@ -579,6 +581,7 @@ impl SharedStore {
             epoch: snap.epoch,
             table: snap.table,
             binder_hints: HashMap::new(),
+            rebuild_memo: RebuildMemo::default(),
             hits: 0,
             misses: 0,
             memo_entries: 0,
@@ -955,6 +958,8 @@ pub struct WorkerStore {
     /// Display-only binder names: each worker shows the names *it*
     /// first interned. Cleared on repin.
     binder_hints: HashMap<TypeId, Symbol>,
+    /// `rebuild`'s memo, kept empty between calls.
+    rebuild_memo: RebuildMemo,
     /// Counters not yet folded into the store's (see `publish`).
     hits: u64,
     misses: u64,
@@ -1181,6 +1186,10 @@ impl StoreOps for WorkerStore {
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         note_hint(&mut self.binder_hints, id, name);
+    }
+
+    fn rebuild_memo(&mut self) -> &mut RebuildMemo {
+        &mut self.rebuild_memo
     }
 }
 

@@ -125,6 +125,8 @@ pub struct TypeStore {
     /// types still share an id — only how [`TypeStore::extract`] renders
     /// binders back.
     binder_hints: HashMap<TypeId, Symbol>,
+    /// `rebuild`'s memo, kept empty between calls.
+    rebuild_memo: RebuildMemo,
 }
 
 impl fmt::Debug for TypeStore {
@@ -636,6 +638,11 @@ pub trait StoreOps {
     /// (display-only; implementations may ignore it).
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol);
 
+    /// The memo `rebuild` keeps between calls, empty: a rebuild takes it
+    /// and puts it back cleared, so substitution allocates no map in the
+    /// common case.
+    fn rebuild_memo(&mut self) -> &mut RebuildMemo;
+
     // ------------------------------------------------- provided algorithms
 
     /// Interns a boundary [`Type`] with α-canonical (de Bruijn) binders.
@@ -804,6 +811,10 @@ impl StoreOps for TypeStore {
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         note_hint(&mut self.binder_hints, id, name);
     }
+
+    fn rebuild_memo(&mut self) -> &mut RebuildMemo {
+        &mut self.rebuild_memo
+    }
 }
 
 fn intern_under<S: StoreOps>(s: &mut S, t: &Type, binders: &mut Vec<Symbol>) -> TypeId {
@@ -957,10 +968,18 @@ fn nrm_neg_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
     n
 }
 
+/// `rebuild`'s memo: the replacement of each `(id, depth)` rebuilt.
+pub type RebuildMemo = HashMap<(TypeId, u32), TypeId, MixState>;
+
+/// Entries a store's [`RebuildMemo`] may keep room for between calls: a
+/// rebuild of a larger type allocates its own.
+const REBUILD_MEMO_KEPT: usize = 1 << 10;
+
 /// Rebuilds `id` bottom-up, `depth` binders deep. `visit` sees every
 /// node first and may answer its replacement; leaves it does not answer
 /// are kept. Memoized per `(id, depth)`, so shared subtrees are rebuilt
-/// once per depth.
+/// once per depth. The memo is the store's, taken for the call (a
+/// nested rebuild would find an empty one) and given back cleared.
 fn rebuild<S: StoreOps>(
     s: &mut S,
     id: TypeId,
@@ -1007,7 +1026,13 @@ fn rebuild<S: StoreOps>(
         memo.insert((id, depth), r);
         r
     }
-    go(s, id, depth, visit, &mut HashMap::default())
+    let mut memo = std::mem::take(s.rebuild_memo());
+    let r = go(s, id, depth, visit, &mut memo);
+    if memo.capacity() <= REBUILD_MEMO_KEPT {
+        memo.clear();
+        *s.rebuild_memo() = memo;
+    }
+    r
 }
 
 /// Seeded multiply-mix hasher: every word is folded into the state with

@@ -87,6 +87,10 @@ pre_interned! {
     OP_GEQ = ">=",
     OP_AND = "&&",
     OP_OR = "||",
+    // The binder every `_` parameter or pattern stands for: the `%`
+    // keeps it apart from source identifiers, and the printer shows it
+    // as `_`. Nothing can refer to it, so all wildcards share it.
+    WILD = "_%",
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -156,6 +160,11 @@ impl Symbol {
         // '%' cannot appear in source identifiers, so no collision with
         // user-written names is possible.
         Symbol::intern(&format!("{base}%{n}"))
+    }
+
+    /// How many names the process has interned: none is ever freed.
+    pub fn interned() -> usize {
+        interner().lock().expect("interner poisoned").names.len()
     }
 
     /// The string this symbol stands for.

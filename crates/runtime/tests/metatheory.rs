@@ -11,6 +11,7 @@
 use algst_check::{check_source_in, Checker, Ctx, Module};
 use algst_core::expr::{Expr, Lit};
 use algst_core::symbol::Symbol;
+use algst_core::terms::Terms;
 use algst_core::types::Type;
 use algst_core::Session;
 use algst_runtime::step::{run_pure, step, Step};
@@ -110,9 +111,11 @@ fn check_preservation(src: &str) -> (Expr, usize) {
         // contain unannotated lambdas, which only check — exactly why the
         // theorem is stated for both judgments).
         let mut ctx = fresh_ctx(&mut session);
+        let mut terms = Terms::new();
+        let root = terms.push_expr(&current);
         let mut checker = Checker::new(&module.decls, &mut session);
         checker
-            .check(&mut ctx, &current, expected)
+            .check(&mut ctx, &terms, root, expected)
             .unwrap_or_else(|e| {
                 panic!("reduct no longer checks after {steps} steps: {e}\n  {current:?}")
             });

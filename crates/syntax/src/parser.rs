@@ -880,7 +880,7 @@ impl<'s> Parser<'s> {
                     self.bump();
                 }
                 Some(Tok::Underscore) => {
-                    self.arena().push_name(Symbol::fresh("_wild"));
+                    self.arena().push_name(Symbol::WILD);
                     self.bump();
                 }
                 Some(Tok::Arrow) => break,
@@ -989,7 +989,7 @@ impl<'s> Parser<'s> {
                     self.bump();
                 }
                 Some(Tok::Underscore) => {
-                    self.arena().push_name(Symbol::fresh("_wild"));
+                    self.arena().push_name(Symbol::WILD);
                     self.bump();
                 }
                 _ => break,

@@ -2,7 +2,7 @@
 //!
 //! The printer is the inverse of the parser: for every AST the emitted
 //! text parses back to a structurally identical AST (up to spans and
-//! freshly generated `_`-binder names). That round-trip property is what
+//! `%`-named binders, such as the one every `_` stands for). That round-trip property is what
 //! the `algst-conform` fuzzer checks on random types and programs, and
 //! what the precedence table in this module's tests pins down case by
 //! case.
@@ -145,8 +145,8 @@ pub fn expr_to_source(arena: &Arena, e: ExprId) -> String {
     out
 }
 
-/// Binder occurrences the parser generated for `_` carry fresh `%`-names
-/// that are not valid source; print them back as `_`.
+/// Binder occurrences the parser generated for `_` carry the `%`-name
+/// [`Symbol::WILD`], which is not valid source; print them back as `_`.
 fn push_binder(out: &mut String, s: Symbol) {
     if s.as_str().contains('%') {
         out.push('_');
@@ -421,8 +421,8 @@ pub fn ty_eq(a: &Arena, x: TyId, b: &Arena, y: TyId) -> bool {
 }
 
 /// Binder names compare equal when identical, or when both are
-/// parser-generated fresh names for `_` (the numeric suffix differs on
-/// every reparse).
+/// `%`-names, which no source spells (a reparse reads every `_` as
+/// [`Symbol::WILD`]).
 fn binder_eq(a: Symbol, b: Symbol) -> bool {
     a == b || (a.as_str().contains('%') && b.as_str().contains('%'))
 }
@@ -436,7 +436,7 @@ fn tys_eq(a: &Arena, xs: TyList, b: &Arena, ys: TyList) -> bool {
 }
 
 /// Structural expression equality across arenas, ignoring spans (and
-/// fresh `_` binder suffixes).
+/// which `%`-name a binder has).
 pub fn expr_eq(a: &Arena, x: ExprId, b: &Arena, y: ExprId) -> bool {
     let eq = |x: &ExprId, y: &ExprId| expr_eq(a, *x, b, *y);
     match (a.expr(x), b.expr(y)) {
